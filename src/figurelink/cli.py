@@ -224,7 +224,7 @@ def cmd_retrieval(args) -> int:
         rng = np.random.default_rng(cfg.seed)
         sample = rng.choice(queries.n, size=min(64, queries.n), replace=False)
         obj["ann_measured_recall@10"] = measure_recall(
-            index, targets, queries.vectors[sample].astype(np.float64),
+            index, targets, queries.vectors64[sample],
             min(10, targets.n))
     _emit_report(obj, args.out, args.pretty)
     if args.out:

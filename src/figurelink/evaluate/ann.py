@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .retrieval import exact_topk, rank_order
+from .retrieval import exact_topk, exact_topk_batch, select_top_k
 from .store import EmbeddingStore
 
 
@@ -63,12 +63,10 @@ class AnnIndex:
             raise ValueError("cannot index an empty store")
         k = self.params.n_lists or max(1, math.ceil(math.sqrt(store.n)))
         k = min(k, store.n)
-        vectors = store.vectors.astype(np.float64)
         self._centroids, assign = _spherical_kmeans(
-            vectors, k, self.params.kmeans_iters, self.params.seed)
+            store.vectors64, k, self.params.kmeans_iters, self.params.seed)
         self._lists = [np.nonzero(assign == c)[0] for c in range(k)]
         self._store = store
-        self._vectors = vectors
         self.n_lists = k
         return self
 
@@ -92,10 +90,9 @@ class AnnIndex:
         candidates = np.concatenate([self._lists[c] for c in probed])
         if candidates.size == 0:
             return []
-        sims = self._vectors[candidates] @ query
-        ids = [store.ids[i] for i in candidates]
-        order = rank_order(ids, sims)[:k]
-        return [(ids[i], float(sims[i])) for i in order]
+        sims = store.vectors64[candidates] @ query
+        top = select_top_k(sims, store.id_rank[candidates], min(k, candidates.size))
+        return [(store.ids[candidates[i]], float(sims[i])) for i in top]
 
 
 def measure_recall(index: AnnIndex, store: EmbeddingStore,
@@ -103,8 +100,9 @@ def measure_recall(index: AnnIndex, store: EmbeddingStore,
     """Fraction of exact top-k ids recovered by the index, averaged over
     queries; this is the per-run measured recall the index reports."""
     total = 0.0
-    for q in queries:
-        exact_ids = {i for i, _ in exact_topk(q, store, k)}
+    exact = exact_topk_batch(queries, store, k)
+    for q, hits in zip(queries, exact):
+        exact_ids = {i for i, _ in hits}
         ann_ids = {i for i, _ in index.search(q, k)}
         total += len(exact_ids & ann_ids) / k
     return total / len(queries)

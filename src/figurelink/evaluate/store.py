@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,20 @@ class EmbeddingStore:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    @cached_property
+    def vectors64(self) -> np.ndarray:
+        """Read-only float64 copy of the vectors, made once per store."""
+        vectors = self.vectors.astype(np.float64)
+        vectors.flags.writeable = False
+        return vectors
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Position of each row's id in Python str order of the ids."""
+        rank = np.empty(self.n, dtype=np.int64)
+        rank[sorted(range(self.n), key=self.ids.__getitem__)] = np.arange(self.n)
+        return rank
+
     def index_of(self, item_id: str) -> int:
         if not hasattr(self, "_id_index"):
             self._id_index = {v: i for i, v in enumerate(self.ids)}
@@ -87,20 +102,29 @@ def read_store(path) -> EmbeddingStore:
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise StoreFormatError("bad magic bytes")
-    n, dim = struct.unpack_from("<II", data, 4)
-    (modality_code,) = struct.unpack_from("<B", data, 12)
+    if len(data) < 13:
+        raise StoreFormatError("truncated header")
+    n, dim, modality_code = struct.unpack_from("<IIB", data, 4)
     if modality_code not in _MODALITY_NAMES:
         raise StoreFormatError(f"unknown modality code {modality_code}")
     pos = 13
     ids = []
     for _ in range(n):
+        if pos + 2 > len(data):
+            raise StoreFormatError("truncated id table")
         (length,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        ids.append(data[pos:pos + length].decode("utf-8"))
-        pos += length
+        pos += 2 + length
+        if pos > len(data):
+            raise StoreFormatError("truncated id table")
+        try:
+            ids.append(data[pos - length:pos].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise StoreFormatError(f"id {len(ids)} is not valid UTF-8") from None
     expected = n * dim * 4
-    raw = data[pos:pos + expected]
-    if len(raw) != expected:
+    if len(data) - pos < expected:
         raise StoreFormatError("truncated vector payload")
-    vectors = np.frombuffer(raw, dtype="<f4").reshape(n, dim).copy()
-    return EmbeddingStore(ids, vectors, _MODALITY_NAMES[modality_code])
+    if len(data) - pos > expected:
+        raise StoreFormatError(f"{len(data) - pos - expected} trailing bytes")
+    vectors = np.frombuffer(data, dtype="<f4", count=n * dim, offset=pos)
+    return EmbeddingStore(ids, vectors.reshape(n, dim).copy(),
+                          _MODALITY_NAMES[modality_code])

@@ -84,7 +84,7 @@ def zero_shot_classify(images: EmbeddingStore, classes: list[ClassSpec],
     if class_mat.shape[1] != images.dim:
         raise EmbedderFailure(
             f"embedder dim {class_mat.shape[1]} vs image dim {images.dim}")
-    scores = images.vectors.astype(np.float64) @ class_mat.T
+    scores = images.vectors64 @ class_mat.T
     preds = [classes[j].class_name for j in scores.argmax(axis=1)]
     return ZeroShotResult([c.class_name for c in classes], scores, preds)
 
@@ -98,16 +98,25 @@ def accuracy(result: ZeroShotResult, labels: list[str]) -> float:
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUROC for binary labels; ties contribute half credit."""
+    """Rank-based AUROC for binary labels; ties contribute half credit.
+
+    This is the Mann-Whitney statistic (Hanley & McNeil, 1982), equal to the
+    sum of the positives' mid-ranks less P(P+1)/2. Each positive counts the
+    negatives below it and half of those tied with it, found by binary search
+    in the sorted negatives: O(n log n), and exact, since every count is an
+    integer and the tie credit a half-integer.
+    """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel().astype(bool)
     pos = scores[labels]
-    neg = scores[~labels]
+    neg = np.sort(scores[~labels])
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("AUROC needs both classes present")
-    wins = 0.0
-    for p in pos:
-        wins += np.count_nonzero(neg < p) + 0.5 * np.count_nonzero(neg == p)
+    if np.isnan(scores).any():
+        raise ValueError("AUROC scores must not be NaN")
+    below = np.searchsorted(neg, pos, side="left")
+    tied = np.searchsorted(neg, pos, side="right") - below
+    wins = int(below.sum()) + 0.5 * int(tied.sum())
     return wins / (len(pos) * len(neg))
 
 
@@ -132,7 +141,7 @@ def taxonomy_census(images: EmbeddingStore,
     if not keywords:
         raise ValueError("need at least one keyword")
     kw_mat = np.stack([k.keyword_embedding for k in keywords])
-    sims = images.vectors.astype(np.float64) @ kw_mat.T
+    sims = images.vectors64 @ kw_mat.T
     winners = sims.argmax(axis=1)  # argmax returns the first maximum
     counts: dict[str, int] = {}
     for k in keywords:  # preserve first-listed order for deterministic ties

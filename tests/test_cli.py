@@ -127,6 +127,19 @@ class TestRetrievalCommand:
         assert payload["ann_measured_recall@10"] >= 0.9
 
 
+    def test_truncated_store_exits_1_with_one_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        images, texts, _ = paired_stores(rng, 20, 8)
+        qpath, tpath = tmp_path / "q.emb", tmp_path / "t.emb"
+        write_store(qpath, images)
+        write_store(tpath, texts)
+        qpath.write_bytes(qpath.read_bytes()[:20])
+        rc = main(["retrieval", "--queries", str(qpath), "--targets", str(tpath)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: StoreFormatError")
+
+
 class TestZeroshotCommand:
     def test_end_to_end(self, tmp_path, capsys):
         rng = np.random.default_rng(4)

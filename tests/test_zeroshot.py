@@ -129,8 +129,19 @@ class TestAuroc:
             labels = rng.random(n) < 0.5
             if labels.all() or not labels.any():
                 continue
-            assert auroc(scores, labels) == pytest.approx(
-                oracle_auroc(scores.tolist(), labels.tolist()), abs=1e-12)
+            # both numerators are exact half-integers, so equality is bitwise
+            assert auroc(scores, labels) == oracle_auroc(scores.tolist(),
+                                                         labels.tolist())
+
+    def test_large_tied_sample_matches_oracle(self):
+        rng = np.random.default_rng(62)
+        scores = rng.integers(0, 25, size=900) / 8.0
+        labels = rng.random(900) < 0.3
+        assert auroc(scores, labels) == oracle_auroc(scores.tolist(), labels.tolist())
+
+    def test_nan_scores_rejected(self):
+        with pytest.raises(ValueError):
+            auroc(np.array([0.1, np.nan, 0.3]), np.array([True, False, False]))
 
     def test_perfect_and_inverted(self):
         scores = np.array([0.1, 0.2, 0.8, 0.9])
