@@ -275,25 +275,3 @@ def split_citances(citances: list[Citance], labels: list[str]):
             else:
                 unknown.append((citance, lab))
     return mapping, unknown
-
-
-def fine_caption_rows(pmcid: str, fig_id: str, result: SplitResult,
-                      citance_map: dict[str, list[Citance]],
-                      figure_citances: list[Citance]) -> list[dict]:
-    """Rows for the fine-grained pairs JSONL, one per (figure, label)."""
-    rows = []
-    if not result.subcaptions:
-        rows.append({
-            "pmcid": pmcid, "fig_id": fig_id, "label": None,
-            "sub_caption": result.preamble,
-            "citances": [c.sentence for c in figure_citances],
-        })
-        return rows
-    for sub in result.subcaptions:
-        assigned = citance_map.get(sub.label, [])
-        rows.append({
-            "pmcid": pmcid, "fig_id": fig_id, "label": sub.label,
-            "sub_caption": sub.text,
-            "citances": [c.sentence for c in assigned],
-        })
-    return rows

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,7 @@ from .vision import (
     UnreadableImage, emit_fine_grained_pairs, audit_unused_panels,
     load_image, match_labels_to_boxes, match_labels_to_panels, split_panels,
 )
+from .vision.images import index_images
 from .vision.ocr import load_ocr_file
 
 EXIT_OK = 0
@@ -46,15 +46,6 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_manifest(out_path, cfg, inputs: list, counters: dict) -> None:
     manifest = {
         "tool_version": __version__,
@@ -62,25 +53,33 @@ def _write_manifest(out_path, cfg, inputs: list, counters: dict) -> None:
         "input_digests": {str(p): _sha256_file(p) for p in inputs if Path(p).is_file()},
         "counters": counters,
     }
-    _atomic_write_text(str(out_path) + ".manifest.json",
-                       json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    ingest.atomic_write_lines(str(out_path) + ".manifest.json",
+                              [json.dumps(manifest, indent=1, sort_keys=True)])
 
 
 def _emit_report(obj: dict, out: str | None, pretty: bool) -> None:
     if pretty:
         width = max((len(k) for k in obj), default=0)
-        text = "\n".join(f"{k.ljust(width)}  {json.dumps(v)}" for k, v in obj.items()) + "\n"
+        text = "\n".join(f"{k.ljust(width)}  {json.dumps(v)}" for k, v in obj.items())
     else:
-        text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+        text = json.dumps(obj, indent=1, sort_keys=True)
     if out:
-        _atomic_write_text(out, text)
+        ingest.atomic_write_lines(out, [text])
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
-def _default_workers() -> int:
+def _ingest_workers(flag: int | None) -> int:
+    """--workers, else FIGURELINK_WORKERS, else 1."""
+    if flag is not None:
+        return flag
     env = os.environ.get("FIGURELINK_WORKERS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"FIGURELINK_WORKERS must be an integer, got {env!r}") from None
 
 
 def _load_embedder(args, dim_hint: int):
@@ -98,7 +97,7 @@ def _load_embedder(args, dim_hint: int):
 
 
 def cmd_ingest(args) -> int:
-    cfg = load_config(args.config, {"workers": args.workers})
+    cfg = load_config(args.config, {"workers": _ingest_workers(args.workers)})
     report = ingest.run_pipeline(args.root, args.out, args.skip_log,
                                  workers=cfg.workers)
     _write_manifest(args.out, cfg, [], report.counters())
@@ -107,25 +106,17 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _resolve_figure_image(images_root: Path, graphic_ref: str) -> Path | None:
-    for ext in (".ppm", ".pgm", ".png", ".jpg", ".jpeg"):
-        hits = sorted(images_root.rglob(graphic_ref + ext))
-        if hits:
-            return hits[0]
-    return None
-
-
 def cmd_finegrain(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out_dir)
     crops_dir = out_dir / "crops"
     ocr_dir = Path(args.ocr_dir) if args.ocr_dir else None
-    images_root = Path(args.images_root)
+    images = index_images(Path(args.images_root).rglob("*"))
     split_cfg = cfg.split_config()
 
     pair_lines, audit_lines = [], []
     counters = {"figures": 0, "fine_pairs": 0, "audit_entries": 0,
-                "missing_images": 0}
+                "missing_images": 0, "unreadable_images": 0}
     with open(args.corpus, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -138,14 +129,17 @@ def cmd_finegrain(args) -> int:
                                                   entries)
             for fig in article["figures"]:
                 counters["figures"] += 1
-                image_path = _resolve_figure_image(images_root, fig["graphic_ref"])
-                if image_path is None:
-                    counters["missing_images"] += 1
+                image_path = images.get(fig["graphic_ref"])
+                try:
+                    image = None if image_path is None else load_image(image_path)
+                except UnreadableImage:
+                    image = None
+                if image is None:
+                    kind = "missing_image" if image_path is None else "unreadable_image"
+                    counters[kind + "s"] += 1
                     audit_lines.append(json.dumps(
-                        {"kind": "missing_image", "pmcid": pmcid,
-                         "fig_id": fig["fig_id"]}))
+                        {"kind": kind, "pmcid": pmcid, "fig_id": fig["fig_id"]}))
                     continue
-                image = load_image(image_path)
                 split_result = captioner.split_caption(fig["caption"])
                 labels = [s.label for s in split_result.subcaptions]
                 fig_citances = [c for c in citances if c.target_fig_id == fig["fig_id"]]
@@ -176,9 +170,8 @@ def cmd_finegrain(args) -> int:
                 counters["audit_entries"] += len(audit)
 
     pairs_path = out_dir / "fine_pairs.jsonl"
-    _atomic_write_text(pairs_path, "\n".join(pair_lines) + ("\n" if pair_lines else ""))
-    _atomic_write_text(out_dir / "audit.jsonl",
-                       "\n".join(audit_lines) + ("\n" if audit_lines else ""))
+    ingest.atomic_write_lines(pairs_path, pair_lines)
+    ingest.atomic_write_lines(out_dir / "audit.jsonl", audit_lines)
     _write_manifest(pairs_path, cfg, [args.corpus], counters)
     _emit_report(counters, None, args.pretty)
     return EXIT_OK
@@ -287,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--skip-log", default=None)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=None,
+                   help="parse threads (default: FIGURELINK_WORKERS, else 1)")
     p.add_argument("--config", default=None)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_ingest)

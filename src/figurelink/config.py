@@ -21,7 +21,6 @@ class PipelineConfig:
     max_gutter_var: float = 200.0
     min_gutter_px: int = 8
     min_panel_frac: float = 0.02
-    label_pattern_version: int = 1
     k_values: tuple[int, ...] = (1, 5, 10)
     ann_n_lists: int = 0          # 0: default ceil(sqrt(N))
     ann_n_probe: int = 28

@@ -71,9 +71,6 @@ class EmbeddingBatch:
     def dim(self) -> int:
         return self.images.shape[1]
 
-    def normalized(self) -> "EmbeddingBatch":
-        return EmbeddingBatch(_normalize_rows(self.images)[0], _normalize_rows(self.texts)[0])
-
 
 @dataclass
 class LossReport:

@@ -13,13 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..vision.images import UnreadableImage, load_image
+from ..vision.images import UnreadableImage, index_images, load_image
 
 PERCENTILES = (5, 25, 50, 75, 95)
 CAPTION_TOKEN_BUDGET = 256
 MIN_SIDE_THRESHOLD = 336
-
-IMAGE_EXTENSIONS = ("", ".ppm", ".pgm", ".png", ".jpg", ".jpeg")
 
 
 @dataclass
@@ -60,21 +58,15 @@ def _percentile_map(values) -> dict[str, float | None]:
     return {f"p{p}": float(np.percentile(arr, p)) for p in PERCENTILES}
 
 
-def resolve_image(images_root, graphic_ref: str) -> Path | None:
-    root = Path(images_root)
-    for ext in IMAGE_EXTENSIONS:
-        candidate = root / f"{graphic_ref}{ext}"
-        if candidate.is_file():
-            return candidate
-    return None
-
-
 def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
     """Compute the stats report over a corpus JSONL file.
 
-    Unreadable or unresolvable images are counted, not fatal. With no
-    images_root, only caption statistics are produced.
+    Each figure's image is found anywhere under images_root by its
+    graphic_ref (see index_images). Unreadable or unresolvable images are
+    counted, not fatal. With no images_root, only caption statistics are
+    produced.
     """
+    images = None if images_root is None else index_images(Path(images_root).rglob("*"))
     token_counts: list[int] = []
     widths: list[int] = []
     heights: list[int] = []
@@ -89,9 +81,9 @@ def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
             article = json.loads(line)
             for fig in article.get("figures", []):
                 token_counts.append(len(fig["caption"].split()))
-                if images_root is None:
+                if images is None:
                     continue
-                path = resolve_image(images_root, fig["graphic_ref"])
+                path = images.get(fig["graphic_ref"])
                 if path is None:
                     unreadable += 1
                     continue

@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import jats
+from .vision.images import index_images
 
 log = logging.getLogger(__name__)
 
 SKIP_MALFORMED_XML = "malformed_xml"
 SKIP_NO_FIGURES = "no_figures"
 SKIP_MISSING_MEDIA = "missing_media"
-
-MEDIA_EXTENSIONS = {".ppm", ".pgm", ".png", ".jpg", ".jpeg", ".gif", ".tif", ".tiff"}
 
 
 class RootNotFound(FileNotFoundError):
@@ -38,23 +37,9 @@ class OutputUnwritable(OSError):
 
 @dataclass
 class ArticlePackage:
-    package_path: Path
     pmcid: str
-    has_xml: bool
-    media_files: list[str]
-
-    def xml_path(self) -> Path | None:
-        if not self.has_xml:
-            return None
-        candidates = sorted(self.package_path.glob("*.xml"))
-        return candidates[0] if candidates else None
-
-    def media_index(self) -> dict[str, str]:
-        index: dict[str, str] = {}
-        for rel in self.media_files:
-            stem = Path(rel).stem
-            index.setdefault(stem, str(self.package_path / rel))
-        return index
+    xml_path: Path | None
+    images: dict[str, Path]
 
 
 @dataclass
@@ -80,7 +65,8 @@ def enumerate_packages(root):
     """Yield every package directory under root, ordered by pmcid.
 
     A package is a direct subdirectory of root; its name is the pmcid.
-    Packages without an XML file are yielded with has_xml=False.
+    Its images are its direct children, indexed by stem; packages without
+    an XML file are yielded with xml_path=None.
     """
     root = Path(root)
     if not root.is_dir():
@@ -90,21 +76,18 @@ def enumerate_packages(root):
     except PermissionError as exc:
         raise PermissionError(f"cannot list {root}") from exc
     for pkg_dir in entries:
-        media = sorted(
-            p.name for p in pkg_dir.iterdir()
-            if p.is_file() and p.suffix.lower() in MEDIA_EXTENSIONS
-        )
-        has_xml = any(p.suffix == ".xml" for p in pkg_dir.iterdir())
-        yield ArticlePackage(pkg_dir, pkg_dir.name, has_xml, media)
+        children = list(pkg_dir.iterdir())
+        xml_path = min((p for p in children if p.suffix == ".xml"), default=None)
+        yield ArticlePackage(pkg_dir.name, xml_path, index_images(children))
 
 
 def _process_package(package: ArticlePackage):
     """Returns ("ok", pmcid, json_obj, n_pairs, fig_skips) or
     ("skip", pmcid, reason)."""
-    if not package.has_xml:
+    if package.xml_path is None:
         return ("skip", package.pmcid, SKIP_MALFORMED_XML)
     try:
-        record = jats.parse_article(package.xml_path().read_bytes())
+        record = jats.parse_article(package.xml_path.read_bytes())
     except jats.MalformedXml:
         return ("skip", package.pmcid, SKIP_MALFORMED_XML)
     except jats.MissingPmcid:
@@ -115,7 +98,7 @@ def _process_package(package: ArticlePackage):
         log.exception("unexpected failure parsing %s", package.pmcid)
         return ("skip", package.pmcid, SKIP_MALFORMED_XML)
 
-    pairs, unresolved = jats.extract_pairs(record, package.media_index())
+    pairs, unresolved = jats.extract_pairs(record, package.images)
     fig_skips = [(fig.fig_id, SKIP_MISSING_MEDIA) for fig in unresolved]
     fig_skips += [
         (fig_id, SKIP_NO_FIGURES if reason == jats.DROP_EMPTY_CAPTION else SKIP_MISSING_MEDIA)
@@ -137,7 +120,10 @@ def _process_package(package: ArticlePackage):
     return ("ok", package.pmcid, obj, len(pairs), fig_skips)
 
 
-def _atomic_write_lines(path, lines):
+def atomic_write_lines(path, lines) -> None:
+    """Write each line plus "\n" to a temp file beside path, then rename it
+    over path, so an interrupted run never leaves a truncated output.
+    Raises OutputUnwritable when the file cannot be written."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -192,12 +178,12 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
 
     emitted.sort(key=lambda kv: kv[0])
     skips.sort(key=lambda s: (s["pmcid"], s.get("fig_id", "")))
-    _atomic_write_lines(
+    atomic_write_lines(
         out_path,
         (json.dumps(obj, ensure_ascii=False, sort_keys=False) for _, obj in emitted),
     )
     if skip_log_path is not None:
-        _atomic_write_lines(
+        atomic_write_lines(
             skip_log_path, (json.dumps(s, ensure_ascii=False) for s in skips))
 
     report.wall_time = time.monotonic() - start

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from pathlib import Path
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape
 
@@ -208,8 +209,8 @@ def serialize_article(record: ArticleRecord) -> bytes:
     return "".join(parts).encode("utf-8")
 
 
-def extract_pairs(record: ArticleRecord, media_index: dict[str, str]):
-    """Resolve each figure's graphic against the media index.
+def extract_pairs(record: ArticleRecord, images: dict[str, Path]):
+    """Resolve each figure's graphic_ref against an index_images index.
 
     Returns (pairs, unresolved): one FigurePair per figure whose graphic_ref
     resolves, and the list of FigureEntry values that did not.
@@ -217,7 +218,7 @@ def extract_pairs(record: ArticleRecord, media_index: dict[str, str]):
     pairs: list[FigurePair] = []
     unresolved: list[FigureEntry] = []
     for fig in record.figures:
-        path = media_index.get(fig.graphic_ref)
+        path = images.get(fig.graphic_ref)
         if path is None:
             unresolved.append(fig)
             continue

@@ -7,7 +7,6 @@ from figurelink.captioner import (
     Citance,
     canonical_label,
     extract_citances,
-    fine_caption_rows,
     split_caption,
     split_citances,
     split_sentences,
@@ -196,24 +195,3 @@ class TestCitances:
         assert [c.sentence for c in mapping["A"]] == ["s1", "s2"]
         assert [c.sentence for c in mapping["B"]] == ["s2"]
         assert [(c.sentence, lab) for c, lab in unknown] == [("s3", "Q")]
-
-
-class TestFineCaptionRows:
-    def test_rows_carry_citances_and_ids(self):
-        result = split_caption("(A) Baseline. (B) Follow-up.")
-        cites = [Citance("Shown in Fig. 1A.", "f1", ["A"], 0)]
-        mapping, _ = split_citances(cites, ["A", "B"])
-        rows = fine_caption_rows("PMC1", "f1", result, mapping, cites)
-        assert [r["label"] for r in rows] == ["A", "B"]
-        assert rows[0]["pmcid"] == "PMC1"
-        assert rows[0]["sub_caption"] == "Baseline."
-        assert rows[0]["citances"] == ["Shown in Fig. 1A."]
-        assert rows[1]["citances"] == []
-
-    def test_unlabeled_figure_gets_single_row(self):
-        result = split_caption("Whole-figure caption with no panels.")
-        cites = [Citance("See Fig. 1.", "f1", [], 0)]
-        rows = fine_caption_rows("PMC2", "f1", result, {}, cites)
-        assert len(rows) == 1
-        assert rows[0]["label"] is None
-        assert rows[0]["citances"] == ["See Fig. 1."]

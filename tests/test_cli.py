@@ -1,6 +1,7 @@
 """End-to-end command-line runs and config handling."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -69,6 +70,15 @@ class TestIngestCommand:
                    "--out", str(tmp_path / "o.jsonl")])
         assert rc == 1
 
+    def test_non_integer_workers_env_exits_2(self, corpus, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setenv("FIGURELINK_WORKERS", "two")
+        rc = main(["ingest", "--root", str(corpus.packages_dir),
+                   "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def test_bad_config_exits_2(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
@@ -98,6 +108,41 @@ class TestFinegrainCommand:
             assert set(row) >= {"pmcid", "fig_id", "label", "sub_caption",
                                 "panel_path", "evidence"}
             assert (out_dir / "crops" / row["panel_path"]).exists()
+
+    def test_truncated_image_becomes_audit_entry(self, corpus, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        assert main(["ingest", "--root", str(corpus.packages_dir),
+                     "--out", str(pairs)]) == 0
+        bad_root = tmp_path / "bad"
+        shutil.copytree(corpus.packages_dir, bad_root)
+        victim = bad_root / "PMC1000" / "pmc1000_fig1.ppm"
+        victim.write_bytes(victim.read_bytes()[:-100])
+
+        def run(images_root, out_dir):
+            capsys.readouterr()
+            rc = main(["finegrain", "--corpus", str(pairs),
+                       "--images-root", str(images_root),
+                       "--ocr-dir", str(corpus.ocr_dir), "--out-dir", str(out_dir)])
+            lines = (out_dir / "fine_pairs.jsonl").read_text().splitlines()
+            rows = [json.loads(line.replace(str(out_dir), "OUT")) for line in lines]
+            audit = [json.loads(line) for line in
+                     (out_dir / "audit.jsonl").read_text().splitlines()]
+            crops = {p.name: p.read_bytes() for p in (out_dir / "crops").iterdir()}
+            return rc, json.loads(capsys.readouterr().out), rows, audit, crops
+
+        _, _, good_rows, good_audit, good_crops = run(corpus.packages_dir,
+                                                      tmp_path / "good")
+        rc, report, rows, audit, crops = run(bad_root, tmp_path / "badout")
+        assert rc == 0
+        assert report["unreadable_images"] == 1
+        victim_fig = ("PMC1000", "fig1")
+        assert [e for e in audit if e not in good_audit] == [
+            {"kind": "unreadable_image", "pmcid": "PMC1000", "fig_id": "fig1"}]
+        assert rows == [r for r in good_rows
+                        if (r["pmcid"], r["fig_id"]) != victim_fig]
+        assert crops == {name: data for name, data in good_crops.items()
+                         if not name.startswith("PMC1000_fig1_")}
+        assert len(crops) < len(good_crops)
 
 
 class TestStatsCommand:
@@ -176,6 +221,22 @@ class TestCensusCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == 20
         assert sum(e["count"] for e in payload["histogram"]) == 20
+
+
+class TestWorkersEnv:
+    def test_other_commands_ignore_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FIGURELINK_WORKERS", "two")
+        rng = np.random.default_rng(5)
+        store = EmbeddingStore.from_raw(
+            [f"i{k}" for k in range(6)], rng.standard_normal((6, 4)),
+            MODALITY_IMAGE)
+        write_store(tmp_path / "img.emb", store)
+        (tmp_path / "tax.json").write_text(json.dumps(
+            [{"type_name": "plot", "keywords": ["bar chart"]}]))
+        rc = main(["census", "--images", str(tmp_path / "img.emb"),
+                   "--taxonomy", str(tmp_path / "tax.json")])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 6
 
 
 class TestParser:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from figurelink.evaluate.stats import corpus_stats, resolve_image
+from figurelink.evaluate.stats import corpus_stats
 from figurelink.synth import make_stats_corpus
 from figurelink.vision.images import RasterImage, save_image
 
@@ -28,7 +28,7 @@ def brute_force(truth):
             refs.append(fig["graphic_ref"])
     sides = []
     for ref in refs:
-        path = resolve_image(truth.images_dir, ref)
+        path = truth.images_dir / f"{ref}.pgm"
         # pgm header: P5, "W H", maxval
         lines = path.read_bytes().split(b"\n", 3)
         w, h = map(int, lines[1].split())
@@ -96,6 +96,26 @@ class TestCorpusStats:
         report = corpus_stats(path, media)
         assert report.n_images == 1
         assert report.n_unreadable_images == 1
+
+    def test_images_found_anywhere_under_root(self, tmp_path):
+        # package-style tree: each image sits in its own nested directory
+        root = tmp_path / "packages"
+        refs = ["p1_fig1", "p1_fig2", "p2_fig1"]
+        for k, ref in enumerate(refs):
+            pkg = root / f"PMC{k}" / "media"
+            pkg.mkdir(parents=True)
+            save_image(pkg / f"{ref}.pgm",
+                       RasterImage(np.full((20 + k, 30), 90, dtype=np.uint8)))
+        (root / "PMC0" / "media" / "p1_fig3.pgm").write_bytes(b"P5 garbage")
+        figures = [{"fig_id": f"f{k}", "graphic_ref": ref, "caption": "a b"}
+                   for k, ref in enumerate(refs + ["p1_fig3", "absent"])]
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps({"pmcid": "PMC1", "figures": figures}) + "\n")
+        report = corpus_stats(path, root)
+        assert report.n_images == 3
+        assert report.n_unreadable_images == 2
+        assert report.n_images + report.n_unreadable_images == report.n_captions
+        assert report.image_min_side_percentiles["p50"] == 21
 
     def test_to_json_obj_round_trips(self, corpus):
         report = corpus_stats(corpus.jsonl_path, corpus.images_dir)
