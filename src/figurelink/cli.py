@@ -25,11 +25,13 @@ from .evaluate import (
     measure_recall, read_store, recall_at_k, taxonomy_census,
     zero_shot_classify,
 )
+from .jats import FigureEntry
 from .mockembed import HashTextEmbedder
 from .vision import (
     UnreadableImage, emit_fine_grained_pairs, audit_unused_panels,
     load_image, match_labels_to_boxes, match_labels_to_panels, split_panels,
 )
+from .vision.finegrain import EVIDENCE_TIERS
 from .vision.images import index_images
 from .vision.ocr import load_ocr_file
 
@@ -69,13 +71,14 @@ def _emit_report(obj: dict, out: str | None, pretty: bool) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _ingest_workers(flag: int | None) -> int:
-    """--workers, else FIGURELINK_WORKERS, else 1."""
+def _ingest_workers(flag: int | None) -> int | None:
+    """--workers, else FIGURELINK_WORKERS, else None: the config file's
+    `workers`, whose default is 1."""
     if flag is not None:
         return flag
     env = os.environ.get("FIGURELINK_WORKERS")
     if not env:
-        return 1
+        return None
     try:
         return int(env)
     except ValueError:
@@ -116,7 +119,10 @@ def cmd_finegrain(args) -> int:
 
     pair_lines, audit_lines = [], []
     counters = {"figures": 0, "fine_pairs": 0, "audit_entries": 0,
-                "missing_images": 0, "unreadable_images": 0}
+                "missing_images": 0, "unreadable_images": 0,
+                "unknown_citance_labels": 0, "label_deficit": 0,
+                "unresolved_labels": 0}
+    counters.update({f"evidence_{tier}": 0 for tier in EVIDENCE_TIERS})
     with open(args.corpus, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -125,8 +131,10 @@ def cmd_finegrain(args) -> int:
             article = json.loads(line)
             pmcid = article["pmcid"]
             entries = [captioner_entry(fig) for fig in article["figures"]]
-            citances = captioner.extract_citances(article.get("body_paragraphs", []),
-                                                  entries)
+            citances_by_fig: dict[str, list] = {}
+            for citance in captioner.extract_citances(
+                    article.get("body_paragraphs", []), entries):
+                citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
             for fig in article["figures"]:
                 counters["figures"] += 1
                 image_path = images.get(fig["graphic_ref"])
@@ -142,16 +150,16 @@ def cmd_finegrain(args) -> int:
                     continue
                 split_result = captioner.split_caption(fig["caption"])
                 labels = [s.label for s in split_result.subcaptions]
-                fig_citances = [c for c in citances if c.target_fig_id == fig["fig_id"]]
-                citance_map, _unknown = captioner.split_citances(fig_citances, labels)
+                fig_citances = citances_by_fig.get(fig["fig_id"], [])
+                citance_map, unknown = captioner.split_citances(fig_citances, labels)
                 boxes = []
                 if ocr_dir is not None:
                     ocr_path = ocr_dir / f"{fig['graphic_ref']}.json"
                     if ocr_path.is_file():
                         boxes = load_ocr_file(ocr_path)
                 panels = split_panels(image, split_cfg)
-                box_assignments, _deficit = match_labels_to_boxes(labels, boxes)
-                assignments, _unresolved = match_labels_to_panels(
+                box_assignments, deficit = match_labels_to_boxes(labels, boxes)
+                assignments, unresolved = match_labels_to_panels(
                     box_assignments, panels, labels)
                 pairs, audit = emit_fine_grained_pairs(
                     pmcid, fig["fig_id"], image, split_result, assignments,
@@ -161,6 +169,7 @@ def cmd_finegrain(args) -> int:
                                                  assignments)
                 for pair in pairs:
                     pair_lines.append(json.dumps(pair.to_json_obj(), ensure_ascii=False))
+                    counters[f"evidence_{pair.evidence}"] += 1
                 for entry in audit:
                     audit_lines.append(json.dumps(
                         {"kind": entry.kind, "pmcid": entry.pmcid,
@@ -168,6 +177,9 @@ def cmd_finegrain(args) -> int:
                          "rect": entry.rect}))
                 counters["fine_pairs"] += len(pairs)
                 counters["audit_entries"] += len(audit)
+                counters["unknown_citance_labels"] += len(unknown)
+                counters["label_deficit"] += len(deficit)
+                counters["unresolved_labels"] += len(unresolved)
 
     pairs_path = out_dir / "fine_pairs.jsonl"
     ingest.atomic_write_lines(pairs_path, pair_lines)
@@ -178,7 +190,6 @@ def cmd_finegrain(args) -> int:
 
 
 def captioner_entry(fig: dict):
-    from .jats import FigureEntry
     return FigureEntry(fig_id=fig["fig_id"], caption=fig["caption"],
                        graphic_ref=fig["graphic_ref"],
                        label_text=fig.get("label_text"))

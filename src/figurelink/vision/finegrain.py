@@ -8,9 +8,11 @@ from pathlib import Path
 
 from ..captioner import Citance, SplitResult
 from .images import RasterImage, save_image
-from .match import LabelAssignment
+from .match import EVIDENCE_EXACT, EVIDENCE_FUZZY, EVIDENCE_INFERRED, LabelAssignment
 
 EVIDENCE_FIGURE_LEVEL = "figure_level"
+# Every evidence tier a fine-grained pair can carry, best first.
+EVIDENCE_TIERS = (EVIDENCE_EXACT, EVIDENCE_FUZZY, EVIDENCE_INFERRED, EVIDENCE_FIGURE_LEVEL)
 
 AUDIT_UNASSIGNED_LABEL = "unassigned_label"
 AUDIT_UNASSIGNED_PANEL = "unassigned_panel"

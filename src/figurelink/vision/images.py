@@ -69,12 +69,6 @@ class RasterImage:
     def channels(self) -> int:
         return 1 if self.pixels.ndim == 2 else 3
 
-    def gray(self) -> np.ndarray:
-        """Float grayscale view used by gutter detection."""
-        if self.pixels.ndim == 2:
-            return self.pixels.astype(np.float64)
-        return self.pixels.astype(np.float64).mean(axis=2)
-
     def crop(self, rect: tuple[int, int, int, int]) -> "RasterImage":
         x0, y0, x1, y1 = rect
         return RasterImage(self.pixels[y0:y1, x0:x1].copy())
@@ -105,8 +99,13 @@ def decode_pnm(data: bytes) -> RasterImage:
         token, pos = _read_pnm_token(data, pos)
         if not token:
             raise UnreadableImage("truncated PNM header")
+        if not token.isdigit() or len(token) > 18:
+            raise UnreadableImage(
+                f"PNM header value {token[:20]!r} is not a decimal integer below 10**18")
         header.append(int(token))
     width, height, maxval = header
+    if width < 1 or height < 1:
+        raise UnreadableImage(f"PNM dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise UnreadableImage("only maxval 255 supported")
     pos += 1  # single whitespace after maxval

@@ -1,11 +1,13 @@
 """End-to-end command-line runs and config handling."""
 
+import hashlib
 import json
 import shutil
 
 import numpy as np
 import pytest
 
+from figurelink.captioner import split_caption
 from figurelink.cli import main
 from figurelink.config import ConfigError, PipelineConfig, load_config
 from figurelink.evaluate.store import (
@@ -14,7 +16,10 @@ from figurelink.evaluate.store import (
     EmbeddingStore,
     write_store,
 )
-from figurelink.synth import make_corpus, make_stats_corpus, paired_stores
+from figurelink.synth import (
+    make_compound_image, make_corpus, make_stats_corpus, paired_stores,
+)
+from figurelink.vision.images import save_image
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +84,27 @@ class TestIngestCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    @pytest.mark.parametrize("flag, env, want", [
+        (None, None, 3),    # the config file's workers = 3
+        (None, "2", 2),     # FIGURELINK_WORKERS over the config file
+        ("4", "2", 4),      # --workers over both
+    ])
+    def test_workers_precedence(self, corpus, tmp_path, capsys, monkeypatch,
+                                flag, env, want):
+        if env is None:
+            monkeypatch.delenv("FIGURELINK_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("FIGURELINK_WORKERS", env)
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("workers = 3\n")
+        out = tmp_path / "o.jsonl"
+        argv = ["ingest", "--root", str(corpus.packages_dir), "--out", str(out),
+                "--config", str(cfg)]
+        assert main(argv + (["--workers", flag] if flag else [])) == 0
+        manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
+        expected = PipelineConfig(workers=want).canonical_text().encode()
+        assert manifest["config_hash"] == hashlib.sha256(expected).hexdigest()
+
     def test_bad_config_exits_2(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
@@ -108,6 +134,52 @@ class TestFinegrainCommand:
             assert set(row) >= {"pmcid", "fig_id", "label", "sub_caption",
                                 "panel_path", "evidence"}
             assert (out_dir / "crops" / row["panel_path"]).exists()
+        manifest = json.loads((out_dir / "fine_pairs.jsonl.manifest.json").read_text())
+        assert manifest["counters"] == payload
+
+    def test_counters_account_for_every_pair_and_label(self, corpus, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        assert main(["ingest", "--root", str(corpus.packages_dir),
+                     "--out", str(pairs)]) == 0
+        articles = [json.loads(line) for line in pairs.read_text().splitlines()]
+        labels = sum(len(split_caption(fig["caption"]).subcaptions)
+                     for article in articles for fig in article["figures"])
+        reports = {}
+        for name, ocr in (("ocr", ["--ocr-dir", str(corpus.ocr_dir)]), ("no_ocr", [])):
+            capsys.readouterr()
+            assert main(["finegrain", "--corpus", str(pairs),
+                         "--images-root", str(corpus.packages_dir),
+                         "--out-dir", str(tmp_path / name)] + ocr) == 0
+            reports[name] = report = json.loads(capsys.readouterr().out)
+            tiers = {k: v for k, v in report.items() if k.startswith("evidence_")}
+            assert sorted(tiers) == ["evidence_figure_level", "evidence_layout_inferred",
+                                     "evidence_ocr_exact", "evidence_ocr_fuzzy"]
+            assert sum(tiers.values()) == report["fine_pairs"]
+            assert report["unresolved_labels"] <= report["label_deficit"] <= labels
+        with_ocr, without = reports["ocr"], reports["no_ocr"]
+        assert with_ocr["evidence_ocr_exact"] > 0 and with_ocr["label_deficit"] < labels
+        # Without OCR boxes every label is a deficit and nothing is OCR-matched.
+        assert without["label_deficit"] == labels
+        assert without["evidence_ocr_exact"] == without["evidence_ocr_fuzzy"] == 0
+        assert without["unknown_citance_labels"] == with_ocr["unknown_citance_labels"]
+
+    def test_citance_naming_an_undeclared_panel_is_counted(self, tmp_path, capsys):
+        fig = make_compound_image(np.random.default_rng(3), n_panels=2)
+        (tmp_path / "images").mkdir()
+        save_image(tmp_path / "images" / "g1.pgm", fig.image)
+        article = {"pmcid": "PMC1", "pmid": "1",
+                   "figures": [{"fig_id": "fig1", "graphic_ref": "g1",
+                                "caption": fig.caption, "label_text": "Figure 1"}],
+                   "body_paragraphs": ["Cells grew (Fig. 1A) and then died (Fig. 1E)."]}
+        (tmp_path / "corpus.jsonl").write_text(json.dumps(article) + "\n")
+        assert main(["finegrain", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--images-root", str(tmp_path / "images"),
+                     "--out-dir", str(tmp_path / "fine")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["unknown_citance_labels"] == 1   # panel E
+        assert report["label_deficit"] == 2            # no OCR boxes for A and B
+        assert report["evidence_layout_inferred"] == report["fine_pairs"] == 2
+        assert report["unresolved_labels"] == 0
 
     def test_truncated_image_becomes_audit_entry(self, corpus, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
