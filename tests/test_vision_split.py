@@ -110,7 +110,7 @@ def _recurse(gray: np.ndarray, rect, cfg: SplitConfig, out: list):
         _recurse(gray, (x0 + b, y0, x1, y1), cfg, out)
 
 
-def seed_split_rects(image: RasterImage, cfg: SplitConfig | None = None):
+def float_split_rects(image: RasterImage, cfg: SplitConfig | None = None):
     """Rects, in reading order, of split_panels as first written."""
     cfg = cfg or SplitConfig()
     w, h = image.width, image.height
@@ -164,38 +164,38 @@ def is_variance_tie(line, c: int, cfg: SplitConfig) -> bool:
     return abs(exact_variance([int(v) for v in line], c) - limit) <= max(limit, 1) * 1e-9
 
 
-_SEED_GUTTER_LINES = _gutter_lines
+_FLOAT_GUTTER_LINES = _gutter_lines
 
 
 @contextmanager
-def seed_rule(lines_of_region):
-    """Run the seed recursion with _gutter_lines(region, cfg, axis) replaced."""
+def line_rule(lines_of_region):
+    """Run the float64 recursion with _gutter_lines(region, cfg, axis) replaced."""
     globals()["_gutter_lines"] = lines_of_region
     try:
         yield
     finally:
-        globals()["_gutter_lines"] = _SEED_GUTTER_LINES
+        globals()["_gutter_lines"] = _FLOAT_GUTTER_LINES
 
 
 def exact_reference_rects(image: RasterImage, cfg: SplitConfig):
-    """The seed recursion with every line test evaluated by exact_lines."""
+    """The float64 recursion with every line test evaluated by exact_lines."""
     c = image.channels
 
     def lines(region, cfg, axis):
         return exact_lines(np.rint(region * c).astype(np.int64), c, cfg, axis)
 
-    with seed_rule(lines):
-        return seed_split_rects(image, cfg)
+    with line_rule(lines):
+        return float_split_rects(image, cfg)
 
 
-def checked_seed_rects(image: RasterImage, cfg: SplitConfig):
-    """The seed's rects, and the lines on which its float test and the exact
-    rule disagreed; each such line must be a variance tie."""
+def checked_float_rects(image: RasterImage, cfg: SplitConfig):
+    """The float64 rule's rects, and the lines on which its test and the
+    exact rule disagreed; each such line must be a variance tie."""
     c = image.channels
     ties = []
 
     def lines(region, cfg, axis):
-        mask = _SEED_GUTTER_LINES(region, cfg, axis)
+        mask = _FLOAT_GUTTER_LINES(region, cfg, axis)
         values = np.rint(region * c).astype(np.int64)
         for i in np.flatnonzero(mask != exact_lines(values, c, cfg, axis)):
             line = values[i] if axis == 0 else values[:, i]
@@ -203,8 +203,8 @@ def checked_seed_rects(image: RasterImage, cfg: SplitConfig):
             ties.append(line.tolist())
         return mask
 
-    with seed_rule(lines):
-        return seed_split_rects(image, cfg), ties
+    with line_rule(lines):
+        return float_split_rects(image, cfg), ties
 
 
 def rects_of(image: RasterImage, cfg: SplitConfig | None = None):
@@ -257,9 +257,9 @@ class TestSplitPanels:
         assert len(wide) == 2
 
 
-class TestAgainstSeedRule:
+class TestAgainstFloatRule:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_generated_figures_match_seed(self, seed):
+    def test_generated_figures_match_float_rule(self, seed):
         rng = np.random.default_rng(100 + seed)
         for _ in range(12):
             grey = make_compound_image(rng).image
@@ -267,27 +267,27 @@ class TestAgainstSeedRule:
             noise = rng.integers(-12, 13, size=grey.pixels.shape + (3,))
             rgb = RasterImage(np.clip(grey.pixels[..., None] + noise, 0, 255))
             for image in (grey, RasterImage(np.stack([grey.pixels] * 3, axis=2)), rgb):
-                assert rects_of(image) == seed_split_rects(image)
+                assert rects_of(image) == float_split_rects(image)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
-    def test_drawn_figures_match_seed_and_exact_rule(self, data):
+    def test_drawn_figures_match_float_and_exact_rule(self, data):
         image, cfg = data.draw(gutter_figures())
         got = rects_of(image, cfg)
         assert got == exact_reference_rects(image, cfg)
-        want, ties = checked_seed_rects(image, cfg)
+        want, ties = checked_float_rects(image, cfg)
         if not ties:
             assert got == want
 
-    def test_seed_and_exact_rule_differ_only_on_a_float_tie(self):
+    def test_float_and_exact_rule_differ_only_on_a_rounding_tie(self):
         # Two gutter columns alternate channel sums 22 and 751, so their
-        # exact grey variance is (729 / 2)^2 / 9 = 14762.25. The seed's
-        # float64 grey levels 22/3 and 751/3 are rounded, and its variance
+        # exact grey variance is (729 / 2)^2 / 9 = 14762.25. The float64
+        # rule's grey levels 22/3 and 751/3 are rounded, and its variance
         # of an 8-pixel column, reduced along the figure's axis 0, comes out
-        # one ulp above, 14762.250000000002, so the seed sees no gutter where
+        # one ulp above, 14762.250000000002, so that rule sees no gutter where
         # the exact rule cuts.
         cfg = SplitConfig(bg_intensity=0.0, max_gutter_var=14762.25, min_gutter_px=2)
-        # Black-and-white checkerboard panels: every other line has a grey
+        # Black-and-white checkerboard panels: every row and column has a grey
         # variance near 16000, well above the limit.
         yy, xx = np.mgrid[0:8, 0:22]
         pixels = np.repeat(np.where((yy + xx) % 2, 255, 0)[..., None], 3, axis=2)
@@ -299,7 +299,7 @@ class TestAgainstSeedRule:
         assert _gray(image).var(axis=0)[10] > cfg.max_gutter_var
         assert rects_of(image, cfg) == exact_reference_rects(image, cfg) == [
             (0, 0, 10, 8), (12, 0, 22, 8)]
-        want, ties = checked_seed_rects(image, cfg)
+        want, ties = checked_float_rects(image, cfg)
         assert want == [(0, 0, 22, 8)]
         assert ties and all(is_variance_tie(t, 3, cfg) for t in ties)
 
