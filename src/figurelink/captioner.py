@@ -14,7 +14,6 @@ from importlib import resources
 
 ROMAN = {"i": 1, "ii": 2, "iii": 3, "iv": 4, "v": 5,
          "vi": 6, "vii": 7, "viii": 8, "ix": 9, "x": 10}
-ROMAN_BY_VALUE = {v: k.upper() for k, v in ROMAN.items()}
 
 # First detected label must canonicalize to one of these, else the caption
 # is treated as unlabeled (precision guard against mid-sentence parentheses).
@@ -27,10 +26,10 @@ def _load_patterns():
     raw = json.loads(
         resources.files("figurelink").joinpath("data/label_patterns.json").read_text()
     )
-    return raw["version"], [(p["name"], re.compile(p["regex"])) for p in raw["patterns"]]
+    return [(p["name"], re.compile(p["regex"])) for p in raw["patterns"]]
 
 
-PATTERN_VERSION, _PATTERNS = _load_patterns()
+_PATTERNS = _load_patterns()
 
 
 @dataclass
@@ -53,9 +52,6 @@ class SplitResult:
     preamble: str
     subcaptions: list[SubCaption]
     markers: list[Marker] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter((self.preamble, self.subcaptions))
 
 
 @dataclass

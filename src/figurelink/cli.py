@@ -20,12 +20,12 @@ import numpy as np
 from . import __version__, captioner, ingest
 from .config import ConfigError, load_config
 from .evaluate import (
-    AnnIndex, ClassSpec, DimensionMismatch, EmbeddingStore, IndexParams,
-    TaxonomyKeyword, accuracy, binary_auroc, corpus_stats, exact_topk,
-    measure_recall, read_store, recall_at_k, taxonomy_census,
-    zero_shot_classify,
+    AnnIndex, ClassSpec, DimensionMismatch, IndexParams, TaxonomyKeyword,
+    accuracy, binary_auroc, corpus_stats, embed_text, measure_recall,
+    read_store, recall_at_k, taxonomy_census, zero_shot_classify,
 )
 from .jats import FigureEntry
+from .jsonshape import need, need_list, read_jsonl
 from .mockembed import HashTextEmbedder
 from .vision import (
     UnreadableImage, emit_fine_grained_pairs, audit_unused_panels,
@@ -123,63 +123,60 @@ def cmd_finegrain(args) -> int:
                 "unknown_citance_labels": 0, "label_deficit": 0,
                 "unresolved_labels": 0}
     counters.update({f"evidence_{tier}": 0 for tier in EVIDENCE_TIERS})
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    for where, article in read_jsonl(args.corpus):
+        pmcid = need(article["pmcid"], str, f"{where} pmcid")
+        figures = _corpus_figures(where, article)
+        paragraphs = need_list(article.get("body_paragraphs", []), str,
+                               f"{where} body_paragraphs")
+        entries = [captioner_entry(fig) for fig in figures]
+        citances_by_fig: dict[str, list] = {}
+        for citance in captioner.extract_citances(paragraphs, entries):
+            citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
+        for fig in figures:
+            counters["figures"] += 1
+            image_path = images.get(fig["graphic_ref"])
+            try:
+                image = None if image_path is None else load_image(image_path)
+            except UnreadableImage:
+                image = None
+            if image is None:
+                kind = "missing_image" if image_path is None else "unreadable_image"
+                counters[kind + "s"] += 1
+                audit_lines.append(json.dumps(
+                    {"kind": kind, "pmcid": pmcid, "fig_id": fig["fig_id"]}))
                 continue
-            article = json.loads(line)
-            pmcid = article["pmcid"]
-            entries = [captioner_entry(fig) for fig in article["figures"]]
-            citances_by_fig: dict[str, list] = {}
-            for citance in captioner.extract_citances(
-                    article.get("body_paragraphs", []), entries):
-                citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
-            for fig in article["figures"]:
-                counters["figures"] += 1
-                image_path = images.get(fig["graphic_ref"])
-                try:
-                    image = None if image_path is None else load_image(image_path)
-                except UnreadableImage:
-                    image = None
-                if image is None:
-                    kind = "missing_image" if image_path is None else "unreadable_image"
-                    counters[kind + "s"] += 1
-                    audit_lines.append(json.dumps(
-                        {"kind": kind, "pmcid": pmcid, "fig_id": fig["fig_id"]}))
-                    continue
-                split_result = captioner.split_caption(fig["caption"])
-                labels = [s.label for s in split_result.subcaptions]
-                fig_citances = citances_by_fig.get(fig["fig_id"], [])
-                citance_map, unknown = captioner.split_citances(fig_citances, labels)
-                boxes = []
-                if ocr_dir is not None:
-                    ocr_path = ocr_dir / f"{fig['graphic_ref']}.json"
-                    if ocr_path.is_file():
-                        boxes = load_ocr_file(ocr_path)
-                panels = split_panels(image, split_cfg)
-                box_assignments, deficit = match_labels_to_boxes(labels, boxes)
-                assignments, unresolved = match_labels_to_panels(
-                    box_assignments, panels, labels)
-                pairs, audit = emit_fine_grained_pairs(
-                    pmcid, fig["fig_id"], image, split_result, assignments,
-                    citance_map, fig_citances, crops_dir)
-                if labels:
-                    audit += audit_unused_panels(pmcid, fig["fig_id"], panels,
-                                                 assignments)
-                for pair in pairs:
-                    pair_lines.append(json.dumps(pair.to_json_obj(), ensure_ascii=False))
-                    counters[f"evidence_{pair.evidence}"] += 1
-                for entry in audit:
-                    audit_lines.append(json.dumps(
-                        {"kind": entry.kind, "pmcid": entry.pmcid,
-                         "fig_id": entry.fig_id, "label": entry.label,
-                         "rect": entry.rect}))
-                counters["fine_pairs"] += len(pairs)
-                counters["audit_entries"] += len(audit)
-                counters["unknown_citance_labels"] += len(unknown)
-                counters["label_deficit"] += len(deficit)
-                counters["unresolved_labels"] += len(unresolved)
+            split_result = captioner.split_caption(fig["caption"])
+            labels = [s.label for s in split_result.subcaptions]
+            fig_citances = citances_by_fig.get(fig["fig_id"], [])
+            citance_map, unknown = captioner.split_citances(fig_citances, labels)
+            boxes = []
+            if ocr_dir is not None:
+                ocr_path = ocr_dir / f"{fig['graphic_ref']}.json"
+                if ocr_path.is_file():
+                    boxes = load_ocr_file(ocr_path)
+            panels = split_panels(image, split_cfg)
+            box_assignments, deficit = match_labels_to_boxes(labels, boxes)
+            assignments, unresolved = match_labels_to_panels(
+                box_assignments, panels, labels)
+            pairs, audit = emit_fine_grained_pairs(
+                pmcid, fig["fig_id"], image, split_result, assignments,
+                citance_map, fig_citances, crops_dir)
+            if labels:
+                audit += audit_unused_panels(pmcid, fig["fig_id"], panels,
+                                             assignments)
+            for pair in pairs:
+                pair_lines.append(json.dumps(pair.to_json_obj(), ensure_ascii=False))
+                counters[f"evidence_{pair.evidence}"] += 1
+            for entry in audit:
+                audit_lines.append(json.dumps(
+                    {"kind": entry.kind, "pmcid": entry.pmcid,
+                     "fig_id": entry.fig_id, "label": entry.label,
+                     "rect": entry.rect}))
+            counters["fine_pairs"] += len(pairs)
+            counters["audit_entries"] += len(audit)
+            counters["unknown_citance_labels"] += len(unknown)
+            counters["label_deficit"] += len(deficit)
+            counters["unresolved_labels"] += len(unresolved)
 
     pairs_path = out_dir / "fine_pairs.jsonl"
     ingest.atomic_write_lines(pairs_path, pair_lines)
@@ -187,6 +184,18 @@ def cmd_finegrain(args) -> int:
     _write_manifest(pairs_path, cfg, [args.corpus], counters)
     _emit_report(counters, None, args.pretty)
     return EXIT_OK
+
+
+def _corpus_figures(where: str, article: dict) -> list[dict]:
+    """The article's figures, each checked to carry the string fields
+    finegrain reads."""
+    figures = need_list(article["figures"], dict, f"{where} figures")
+    for i, fig in enumerate(figures):
+        for key in ("fig_id", "caption", "graphic_ref"):
+            need(fig[key], str, f"{where} figures[{i}].{key}")
+        if fig.get("label_text") is not None:
+            need(fig["label_text"], str, f"{where} figures[{i}].label_text")
+    return figures
 
 
 def captioner_entry(fig: dict):
@@ -239,14 +248,19 @@ def cmd_retrieval(args) -> int:
 def cmd_zeroshot(args) -> int:
     cfg = load_config(args.config)
     images = read_store(args.images)
-    spec = json.loads(Path(args.classes).read_text())
-    classes = [ClassSpec(c["class_name"], c["prompt_templates"]) for c in spec]
+    classes = []
+    spec = need_list(json.loads(Path(args.classes).read_text()), dict, args.classes)
+    for i, c in enumerate(spec):
+        where = f"{args.classes}[{i}]"
+        classes.append(ClassSpec(
+            need(c["class_name"], str, f"{where}.class_name"),
+            need_list(c["prompt_templates"], str, f"{where}.prompt_templates")))
     embedder = _load_embedder(args, images.dim)
     result = zero_shot_classify(images, classes, embedder)
     obj = {"predictions": dict(zip(images.ids, result.predictions))}
     if args.labels:
-        labels_map = json.loads(Path(args.labels).read_text())
-        labels = [labels_map[i] for i in images.ids]
+        labels_map = need(json.loads(Path(args.labels).read_text()), dict, args.labels)
+        labels = [need(labels_map[i], str, f"{args.labels}[{i!r}]") for i in images.ids]
         obj["accuracy"] = accuracy(result, labels)
         if len(classes) == 2:
             obj["auroc"] = binary_auroc(result, labels, classes[1].class_name)
@@ -260,13 +274,14 @@ def cmd_zeroshot(args) -> int:
 def cmd_census(args) -> int:
     cfg = load_config(args.config)
     images = read_store(args.images)
-    taxonomy = json.loads(Path(args.taxonomy).read_text())
+    taxonomy = need_list(json.loads(Path(args.taxonomy).read_text()), dict, args.taxonomy)
     embedder = _load_embedder(args, images.dim)
     keywords = []
-    for entry in taxonomy:
-        for kw in entry["keywords"]:
-            v = np.asarray(embedder(kw), dtype=np.float64)
-            keywords.append(TaxonomyKeyword(entry["type_name"], v / np.linalg.norm(v)))
+    for i, entry in enumerate(taxonomy):
+        where = f"{args.taxonomy}[{i}]"
+        type_name = need(entry["type_name"], str, f"{where}.type_name")
+        for kw in need_list(entry["keywords"], str, f"{where}.keywords"):
+            keywords.append(TaxonomyKeyword(type_name, embed_text(embedder, kw)))
     histogram = taxonomy_census(images, keywords)
     obj = {"histogram": [{"type_name": t, "count": c} for t, c in histogram[:30]],
            "total": images.n}

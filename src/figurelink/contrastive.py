@@ -1,15 +1,15 @@
 """Symmetric contrastive loss over paired image/text embeddings.
 
-Forward value, analytic gradients (with respect to the raw, pre-normalization
-embeddings and the log-parameterized scale), a sharded formulation that
-reproduces the monolithic gradients while keeping only one similarity block
-in memory at a time, and a finite-difference gradient checker.
+Forward value and analytic gradients (with respect to the raw,
+pre-normalization embeddings and the log-parameterized scale) from one
+streamed implementation that keeps only one similarity block in memory at a
+time, and a finite-difference gradient checker.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,8 +78,8 @@ class LossReport:
     grad_images: np.ndarray
     grad_texts: np.ndarray
     grad_log_scale: float
-    # Largest number of similarity-matrix elements materialized at once;
-    # O(N*ceil(N/K)) for the sharded path, N*N monolithic.
+    # Largest number of similarity-matrix elements materialized at once:
+    # N*ceil(N/K) for K shards, N*N for info_nce.
     peak_block_elems: int = 0
     shards: int = 1
 
@@ -96,13 +96,6 @@ def _check_finite(batch: EmbeddingBatch):
         raise NonFiniteInput("non-finite values in embedding batch")
 
 
-def cosine_matrix(batch: EmbeddingBatch) -> np.ndarray:
-    """Pairwise cosine similarities, S[i, j] = cos(image_i, text_j)."""
-    im, _ = _normalize_rows(batch.images)
-    tx, _ = _normalize_rows(batch.texts)
-    return im @ tx.T
-
-
 def _backprop_normalization(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     # d/dx of x/||x||: remove the radial component, then divide by the norm.
     radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
@@ -114,72 +107,36 @@ def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossReport:
 
     Loss is the mean of the image-to-text and text-to-image cross-entropies
     with logits scale * S; gradients are analytic (softmax minus indicator),
-    propagated through the row normalization.
+    propagated through the row normalization. This is the single-shard case
+    of :func:`info_nce_sharded`: one N x N block.
     """
-    _check_finite(batch)
-    n = batch.n
-    im, im_norms = _normalize_rows(batch.images)
-    tx, tx_norms = _normalize_rows(batch.texts)
-    s = temp.scale
-
-    sim = im @ tx.T
-    logits = s * sim
-
-    # Log-sum-exp with per-row / per-column max subtraction; the sharded path
-    # performs the same elementary operations so that K=1 agrees bitwise.
-    m_row = logits.max(axis=1)
-    sumexp_row = np.exp(logits - m_row[:, None]).sum(axis=1)
-    lse_row = m_row + np.log(sumexp_row)
-    m_col = logits.max(axis=0)
-    sumexp_col = np.exp(logits - m_col[None, :]).sum(axis=0)
-    lse_col = m_col + np.log(sumexp_col)
-
-    diag = np.diag(logits)
-    loss = ((lse_row - diag).sum() + (lse_col - diag).sum()) / (2.0 * n)
-
-    p_row = np.exp(logits - lse_row[:, None])
-    p_col = np.exp(logits - lse_col[None, :])
-    g = (p_row + p_col) / (2.0 * n)
-    idx = np.arange(n)
-    g[idx, idx] -= 2.0 / (2.0 * n)
-
-    grad_im_unit = s * (g @ tx)
-    grad_tx_unit = s * (g.T @ im)
-    ds_dlog = 0.0 if temp.capped else s
-    grad_log_scale = ds_dlog * float((g * sim).sum())
-
-    return LossReport(
-        loss=float(loss),
-        grad_images=_backprop_normalization(grad_im_unit, im, im_norms),
-        grad_texts=_backprop_normalization(grad_tx_unit, tx, tx_norms),
-        grad_log_scale=grad_log_scale,
-        peak_block_elems=n * n,
-        shards=1,
-    )
-
-
-def _shard_bounds(n: int, k: int):
-    sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    bounds, start = [], 0
-    for sz in sizes:
-        bounds.append((start, start + sz))
-        start += sz
-    return bounds
+    return _streamed_info_nce(batch, temp, 1)
 
 
 def info_nce_sharded(batch: EmbeddingBatch, temp: TemperatureParam, shards: int) -> LossReport:
-    """Sharded evaluation of :func:`info_nce` with identical results.
+    """:func:`info_nce` over `shards` contiguous row slices.
 
-    Rows are partitioned into `shards` contiguous slices; each pass
-    materializes only one slice of the similarity matrix against the full
-    opposite modality, so peak block memory is O(N * ceil(N/K)).
+    Each pass materializes only one slice of the similarity matrix against
+    the full opposite modality, so peak block memory is O(N * ceil(N/K)).
+    The loss and gradients match the single-shard result up to summation
+    order, and bitwise at shards=1.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    n = batch.n
-    if shards > n:
-        raise ValueError(f"shards={shards} exceeds batch size {n}")
+    if shards > batch.n:
+        raise ValueError(f"shards={shards} exceeds batch size {batch.n}")
+    return _streamed_info_nce(batch, temp, shards)
+
+
+def _shard_bounds(n: int, k: int):
+    """K contiguous (start, end) row slices whose sizes differ by at most 1."""
+    edges = [i * (n // k) + min(i, n % k) for i in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _streamed_info_nce(batch: EmbeddingBatch, temp: TemperatureParam, shards: int) -> LossReport:
     _check_finite(batch)
+    n = batch.n
     im, im_norms = _normalize_rows(batch.images)
     tx, tx_norms = _normalize_rows(batch.texts)
     s = temp.scale
@@ -187,36 +144,37 @@ def info_nce_sharded(batch: EmbeddingBatch, temp: TemperatureParam, shards: int)
     peak = max(b - a for a, b in bounds) * n
 
     # Pass 1: per-row log-sum-exp within each shard, streaming per-column
-    # log-sum-exp across shards, and the diagonal logits.
+    # log-sum-exp across shards (max subtracted, then rescaled as the max
+    # grows), and the diagonal logits. The last shard's block stays in
+    # memory for pass 2.
     lse_row = np.empty(n)
     diag = np.empty(n)
     m_col = np.full(n, -np.inf)
     acc_col = np.zeros(n)
     for a, b in bounds:
-        block = s * (im[a:b] @ tx.T)
+        sim_block = im[a:b] @ tx.T
+        block = s * sim_block
         m_row = block.max(axis=1)
         sumexp_row = np.exp(block - m_row[:, None]).sum(axis=1)
         lse_row[a:b] = m_row + np.log(sumexp_row)
         diag[a:b] = block[np.arange(b - a), np.arange(a, b)]
-        blk_max = block.max(axis=0)
-        m_new = np.maximum(m_col, blk_max)
+        m_new = np.maximum(m_col, block.max(axis=0))
         acc_col = acc_col * np.exp(m_col - m_new) + np.exp(block - m_new[None, :]).sum(axis=0)
         m_col = m_new
     lse_col = m_col + np.log(acc_col)
 
-    row_term = 0.0
-    for a, b in bounds:
-        row_term += (lse_row[a:b] - diag[a:b]).sum()
+    row_term = sum((lse_row[a:b] - diag[a:b]).sum() for a, b in bounds)
     loss = (row_term + (lse_col - diag).sum()) / (2.0 * n)
 
-    # Pass 2: recompute each block and accumulate gradients in ascending
-    # shard order (fixed reduction order for reproducibility).
+    # Pass 2: gradients, shards from last to first (a fixed reduction order),
+    # starting with the block pass 1 left; each other block is recomputed.
     grad_im_unit = np.zeros_like(im)
     grad_tx_unit = np.zeros_like(tx)
     grad_sim_dot = 0.0
-    for a, b in bounds:
-        sim_block = im[a:b] @ tx.T
-        block = s * sim_block
+    for i, (a, b) in enumerate(reversed(bounds)):
+        if i:
+            sim_block = im[a:b] @ tx.T
+            block = s * sim_block
         p_row = np.exp(block - lse_row[a:b, None])
         p_col = np.exp(block - lse_col[None, :])
         g = (p_row + p_col) / (2.0 * n)
@@ -249,29 +207,16 @@ def grad_check(batch: EmbeddingBatch, temp: TemperatureParam, epsilon: float = 1
     def loss_at(images, texts, log_scale):
         return info_nce(EmbeddingBatch(images, texts), TemperatureParam(log_scale)).loss
 
-    worst = 0.0
+    def displaced(which, idx, e):
+        mats = [batch.images.copy(), batch.texts.copy()]
+        mats[which][idx] += e
+        return loss_at(*mats, temp.log_scale)
 
-    def compare(analytic, numeric):
-        nonlocal worst
-        denom = max(abs(analytic), abs(numeric), 1.0)
-        worst = max(worst, abs(analytic - numeric) / denom)
-
-    for mat, grad in ((batch.images, report.grad_images), (batch.texts, report.grad_texts)):
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                plus = mat.copy()
-                minus = mat.copy()
-                plus[i, j] += epsilon
-                minus[i, j] -= epsilon
-                if mat is batch.images:
-                    fd = (loss_at(plus, batch.texts, temp.log_scale)
-                          - loss_at(minus, batch.texts, temp.log_scale)) / (2 * epsilon)
-                else:
-                    fd = (loss_at(batch.images, plus, temp.log_scale)
-                          - loss_at(batch.images, minus, temp.log_scale)) / (2 * epsilon)
-                compare(grad[i, j], fd)
-
-    fd_scale = (loss_at(batch.images, batch.texts, temp.log_scale + epsilon)
-                - loss_at(batch.images, batch.texts, temp.log_scale - epsilon)) / (2 * epsilon)
-    compare(report.grad_log_scale, fd_scale)
-    return worst
+    pairs = [(report.grad_log_scale,
+              (loss_at(batch.images, batch.texts, temp.log_scale + epsilon)
+               - loss_at(batch.images, batch.texts, temp.log_scale - epsilon)) / (2 * epsilon))]
+    for which, grad in enumerate((report.grad_images, report.grad_texts)):
+        for idx in np.ndindex(grad.shape):
+            fd = (displaced(which, idx, epsilon) - displaced(which, idx, -epsilon)) / (2 * epsilon)
+            pairs.append((grad[idx], fd))
+    return max(abs(analytic - fd) / max(abs(analytic), abs(fd), 1.0) for analytic, fd in pairs)

@@ -6,7 +6,8 @@ from .retrieval import (
 from .ann import AnnIndex, IndexNotBuilt, IndexParams, measure_recall
 from .zeroshot import (
     ClassSpec, EmbedderFailure, TaxonomyKeyword, ZeroShotResult,
-    accuracy, auroc, binary_auroc, taxonomy_census, zero_shot_classify,
+    accuracy, auroc, binary_auroc, embed_text, taxonomy_census,
+    zero_shot_classify,
 )
 from .stats import StatsReport, corpus_stats
 
@@ -16,6 +17,6 @@ __all__ = [
     "RetrievalRun", "exact_topk", "rank_of", "recall_at_k", "DEFAULT_K_VALUES",
     "AnnIndex", "IndexNotBuilt", "IndexParams", "measure_recall", "ClassSpec",
     "EmbedderFailure", "TaxonomyKeyword", "ZeroShotResult", "accuracy", "auroc",
-    "binary_auroc", "taxonomy_census", "zero_shot_classify", "StatsReport",
+    "binary_auroc", "embed_text", "taxonomy_census", "zero_shot_classify", "StatsReport",
     "corpus_stats",
 ]

@@ -15,6 +15,8 @@ import numpy as np
 from .retrieval import exact_topk, exact_topk_batch, select_top_k
 from .store import EmbeddingStore
 
+KMEANS_ITERS = 10
+
 
 class IndexNotBuilt(RuntimeError):
     pass
@@ -24,16 +26,15 @@ class IndexNotBuilt(RuntimeError):
 class IndexParams:
     n_lists: int | None = None   # default: ceil(sqrt(N))
     n_probe: int = 28
-    kmeans_iters: int = 10
     seed: int = 0
 
 
-def _spherical_kmeans(vectors: np.ndarray, k: int, iters: int, seed: int):
+def _spherical_kmeans(vectors: np.ndarray, k: int, seed: int):
     rng = np.random.default_rng(seed)
     n = vectors.shape[0]
     centroids = vectors[rng.choice(n, size=k, replace=False)].copy()
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         sims = vectors @ centroids.T
         assign = sims.argmax(axis=1)
         for c in range(k):
@@ -64,7 +65,7 @@ class AnnIndex:
         k = self.params.n_lists or max(1, math.ceil(math.sqrt(store.n)))
         k = min(k, store.n)
         self._centroids, assign = _spherical_kmeans(
-            store.vectors64, k, self.params.kmeans_iters, self.params.seed)
+            store.vectors64, k, self.params.seed)
         self._lists = [np.nonzero(assign == c)[0] for c in range(k)]
         self._store = store
         self.n_lists = k

@@ -7,12 +7,12 @@ captions within 256 tokens and images whose shorter side exceeds 336px.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ..jsonshape import need, need_list, read_jsonl
 from ..vision.images import UnreadableImage, index_images, load_image
 
 PERCENTILES = (5, 25, 50, 75, 95)
@@ -73,28 +73,26 @@ def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
     min_sides: list[int] = []
     unreadable = 0
 
-    with open(pairs_jsonl, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    for where, article in read_jsonl(pairs_jsonl):
+        figures = need_list(article.get("figures", []), dict, f"{where} figures")
+        for i, fig in enumerate(figures):
+            caption = need(fig["caption"], str, f"{where} figures[{i}].caption")
+            token_counts.append(len(caption.split()))
+            if images is None:
                 continue
-            article = json.loads(line)
-            for fig in article.get("figures", []):
-                token_counts.append(len(fig["caption"].split()))
-                if images is None:
-                    continue
-                path = images.get(fig["graphic_ref"])
-                if path is None:
-                    unreadable += 1
-                    continue
-                try:
-                    img = load_image(path)
-                except UnreadableImage:
-                    unreadable += 1
-                    continue
-                widths.append(img.width)
-                heights.append(img.height)
-                min_sides.append(min(img.width, img.height))
+            ref = need(fig["graphic_ref"], str, f"{where} figures[{i}].graphic_ref")
+            path = images.get(ref)
+            if path is None:
+                unreadable += 1
+                continue
+            try:
+                img = load_image(path)
+            except UnreadableImage:
+                unreadable += 1
+                continue
+            widths.append(img.width)
+            heights.append(img.height)
+            min_sides.append(min(img.width, img.height))
 
     report = StatsReport(
         n_captions=len(token_counts),

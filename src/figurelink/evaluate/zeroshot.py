@@ -6,7 +6,7 @@ embeddings; predictions are argmax cosine with first-listed winning ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,9 @@ class ZeroShotResult:
     predictions: list[str]
 
 
-def _embed(text_embed, prompt: str) -> np.ndarray:
+def embed_text(text_embed, prompt: str) -> np.ndarray:
+    """Unit-normalized embedding of one prompt; a raising embedder or a zero
+    or non-finite vector is an EmbedderFailure."""
     try:
         v = np.asarray(text_embed(prompt), dtype=np.float64).ravel()
     except Exception as exc:
@@ -67,7 +69,7 @@ def _embed(text_embed, prompt: str) -> np.ndarray:
 def class_embeddings(classes: list[ClassSpec], text_embed) -> np.ndarray:
     rows = []
     for spec in classes:
-        vecs = np.stack([_embed(text_embed, p) for p in spec.prompts()])
+        vecs = np.stack([embed_text(text_embed, p) for p in spec.prompts()])
         mean = vecs.mean(axis=0)
         norm = np.linalg.norm(mean)
         if norm == 0:

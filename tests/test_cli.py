@@ -317,3 +317,62 @@ class TestParser:
 
     def test_unknown_flag_exits_2(self):
         assert main(["stats", "--pairs", "x", "--bogus"]) == 2
+
+
+GOOD_CLASSES = [{"class_name": "mri", "prompt_templates": ["an image of {}"]},
+                {"class_name": "ct", "prompt_templates": ["an image of {}"]}]
+GOOD_FIGURE = {"fig_id": "f1", "graphic_ref": "img1", "caption": "(A) x. (B) y."}
+
+# (subcommand, flag, file content, extra flags): JSON that parses but has the
+# wrong shape for the file it is given as.
+MALFORMED_JSON = [
+    ("zeroshot", "--classes", "[1]", []),
+    ("zeroshot", "--classes", '{"class_name": "mri"}', []),
+    ("zeroshot", "--classes", json.dumps([{"class_name": 1, "prompt_templates": ["{}"]},
+                                          GOOD_CLASSES[1]]), []),
+    ("zeroshot", "--classes", json.dumps([{"class_name": "mri", "prompt_templates": "{}"},
+                                          GOOD_CLASSES[1]]), []),
+    ("zeroshot", "--labels", "[]", ["--classes", "classes.json"]),
+    ("zeroshot", "--labels", json.dumps({f"i{k}": k for k in range(6)}),
+     ["--classes", "classes.json"]),
+    ("census", "--taxonomy", "[1]", []),
+    ("census", "--taxonomy", json.dumps([{"type_name": "plot", "keywords": "bar"}]), []),
+    ("census", "--taxonomy", json.dumps([{"type_name": 2, "keywords": ["bar"]}]), []),
+    ("finegrain", "--corpus", "[]\n", []),
+    ("finegrain", "--corpus", json.dumps({"pmcid": 7, "figures": []}) + "\n", []),
+    ("finegrain", "--corpus", json.dumps({"pmcid": "P1", "figures": {}}) + "\n", []),
+    ("finegrain", "--corpus", json.dumps({"pmcid": "P1", "figures": [1]}) + "\n", []),
+    ("finegrain", "--corpus", json.dumps(
+        {"pmcid": "P1", "figures": [{**GOOD_FIGURE, "caption": 5}]}) + "\n", []),
+    ("finegrain", "--corpus", json.dumps(
+        {"pmcid": "P1", "figures": [{**GOOD_FIGURE, "label_text": ["A"]}]}) + "\n", []),
+    ("finegrain", "--corpus", json.dumps(
+        {"pmcid": "P1", "figures": [GOOD_FIGURE], "body_paragraphs": [1]}) + "\n", []),
+    ("stats", "--pairs", "[]\n", []),
+    ("stats", "--pairs", "\n" + json.dumps({"figures": "f1"}) + "\n", []),
+    ("stats", "--pairs", json.dumps({"figures": [{"caption": 3}]}) + "\n", []),
+    ("stats", "--pairs", json.dumps({"figures": [{**GOOD_FIGURE, "graphic_ref": []}]}) + "\n",
+     ["--images-root", "."]),
+]
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("command, flag, content, extra", MALFORMED_JSON)
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                         command, flag, content, extra):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(6)
+        write_store(tmp_path / "img.emb", EmbeddingStore.from_raw(
+            [f"i{k}" for k in range(6)], rng.standard_normal((6, 4)), MODALITY_IMAGE))
+        (tmp_path / "classes.json").write_text(json.dumps(GOOD_CLASSES))
+        (tmp_path / "bad.json").write_text(content)
+        argv = {
+            "zeroshot": ["zeroshot", "--images", "img.emb"],
+            "census": ["census", "--images", "img.emb"],
+            "finegrain": ["finegrain", "--images-root", ".", "--out-dir", "fine"],
+            "stats": ["stats"],
+        }[command]
+        rc = main(argv + extra + [flag, "bad.json"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: MalformedJson: bad.json")

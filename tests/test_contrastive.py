@@ -1,4 +1,4 @@
-"""Contrastive loss: scalar oracle, analytic gradients, sharded equivalence."""
+"""Contrastive loss: scalar oracle, analytic gradients, a monolithic reference."""
 
 import math
 
@@ -10,7 +10,6 @@ from figurelink.contrastive import (
     NonFiniteInput,
     TemperatureParam,
     ZeroNormRow,
-    cosine_matrix,
     grad_check,
     info_nce,
     info_nce_sharded,
@@ -42,6 +41,58 @@ def scalar_oracle_loss(images, texts, tau):
         total -= row[i] - math.log(sum(math.exp(v) for v in row))
         total -= col[i] - math.log(sum(math.exp(v) for v in col))
     return total / (2 * n)
+
+
+def monolithic_reference(batch, temp):
+    """The whole-matrix InfoNCE formula, kept here as the reference for the
+    streamed implementation: (loss, grad_images, grad_texts, grad_log_scale).
+
+    It materializes the N x N logits once and performs the elementary
+    operations in the order the single-shard stream does, so the two agree
+    bitwise at one shard.
+    """
+    n = batch.n
+    im_norms = np.linalg.norm(batch.images, axis=1)
+    tx_norms = np.linalg.norm(batch.texts, axis=1)
+    im = batch.images / im_norms[:, None]
+    tx = batch.texts / tx_norms[:, None]
+    s = temp.scale
+
+    sim = im @ tx.T
+    logits = s * sim
+    m_row = logits.max(axis=1)
+    sumexp_row = np.exp(logits - m_row[:, None]).sum(axis=1)
+    lse_row = m_row + np.log(sumexp_row)
+    m_col = logits.max(axis=0)
+    sumexp_col = np.exp(logits - m_col[None, :]).sum(axis=0)
+    lse_col = m_col + np.log(sumexp_col)
+
+    diag = np.diag(logits)
+    loss = ((lse_row - diag).sum() + (lse_col - diag).sum()) / (2.0 * n)
+
+    p_row = np.exp(logits - lse_row[:, None])
+    p_col = np.exp(logits - lse_col[None, :])
+    g = (p_row + p_col) / (2.0 * n)
+    idx = np.arange(n)
+    g[idx, idx] -= 2.0 / (2.0 * n)
+
+    def backprop(grad_unit, unit, norms):
+        radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
+        return (grad_unit - radial * unit) / norms[:, None]
+
+    ds_dlog = 0.0 if temp.capped else s
+    return (float(loss),
+            backprop(s * (g @ tx), im, im_norms),
+            backprop(s * (g.T @ im), tx, tx_norms),
+            ds_dlog * float((g * sim).sum()))
+
+
+def assert_bitwise_reference(report, reference):
+    loss, grad_images, grad_texts, grad_log_scale = reference
+    assert np.float64(report.loss).tobytes() == np.float64(loss).tobytes()
+    assert report.grad_images.tobytes() == grad_images.tobytes()
+    assert report.grad_texts.tobytes() == grad_texts.tobytes()
+    assert np.float64(report.grad_log_scale).tobytes() == np.float64(grad_log_scale).tobytes()
 
 
 def random_batch(rng, n, d):
@@ -116,12 +167,27 @@ class TestSharded:
         rng = np.random.default_rng(31)
         batch = random_batch(rng, 24, 16)
         temp = TemperatureParam.from_tau(0.07)
-        mono = info_nce(batch, temp)
-        shard = info_nce_sharded(batch, temp, shards=1)
-        assert shard.loss == mono.loss
-        assert np.array_equal(shard.grad_images, mono.grad_images)
-        assert np.array_equal(shard.grad_texts, mono.grad_texts)
-        assert shard.grad_log_scale == mono.grad_log_scale
+        reference = monolithic_reference(batch, temp)
+        assert_bitwise_reference(info_nce(batch, temp), reference)
+        assert_bitwise_reference(info_nce_sharded(batch, temp, shards=1), reference)
+
+    @pytest.mark.parametrize("seed, n, d, tau", [
+        (32, 24, 12, 0.05),
+        (33, 20, 6, 0.1),
+        (11, 1, 3, 1.0),       # N=1: one logit, both cross-entropies are 0
+        (3, 6, 4, 1e-4),       # capped scale: grad_log_scale == 0
+        (34, 256, 64, 0.07),
+    ])
+    def test_single_shard_bitwise_equal(self, seed, n, d, tau):
+        batch = random_batch(np.random.default_rng(seed), n, d)
+        temp = TemperatureParam.from_tau(tau)
+        reference = monolithic_reference(batch, temp)
+        for report in (info_nce(batch, temp), info_nce_sharded(batch, temp, shards=1)):
+            assert_bitwise_reference(report, reference)
+            assert report.peak_block_elems == n * n
+            assert report.shards == 1
+        if temp.capped:
+            assert reference[3] == 0.0
 
     def test_shards_beyond_batch_rejected(self):
         rng = np.random.default_rng(30)
@@ -134,14 +200,15 @@ class TestSharded:
         rng = np.random.default_rng(32)
         batch = random_batch(rng, 24, 12)
         temp = TemperatureParam.from_tau(0.05)
-        mono = info_nce(batch, temp)
+        loss, grad_images, grad_texts, grad_log_scale = monolithic_reference(batch, temp)
         shard = info_nce_sharded(batch, temp, shards=shards)
-        assert shard.loss == pytest.approx(mono.loss, rel=1e-10)
-        np.testing.assert_allclose(shard.grad_images, mono.grad_images,
+        assert shard.loss == pytest.approx(loss, rel=1e-10)
+        np.testing.assert_allclose(shard.grad_images, grad_images,
                                    rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(shard.grad_texts, mono.grad_texts,
+        np.testing.assert_allclose(shard.grad_texts, grad_texts,
                                    rtol=1e-10, atol=1e-14)
-        assert shard.grad_log_scale == pytest.approx(mono.grad_log_scale, rel=1e-10)
+        assert shard.grad_log_scale == pytest.approx(grad_log_scale, rel=1e-10)
+        assert shard.shards == shards
 
     def test_peak_block_shrinks_with_shards(self):
         rng = np.random.default_rng(33)
@@ -171,10 +238,3 @@ class TestValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             EmbeddingBatch(np.ones((3, 2)), np.ones((2, 3)))
-
-    def test_cosine_matrix_bounded(self):
-        rng = np.random.default_rng(41)
-        batch = random_batch(rng, 10, 6)
-        sims = cosine_matrix(batch)
-        assert sims.shape == (10, 10)
-        assert np.all(np.abs(sims) <= 1.0 + 1e-12)

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from figurelink.evaluate import retrieval
 from figurelink.evaluate.ann import AnnIndex, IndexParams, measure_recall
@@ -135,6 +137,37 @@ class TestStore:
         path = tmp_path / "u.emb"
         write_store(path, store)
         assert read_store(path).ids == ["PMC1_figé"]
+
+
+# Ids the EMB1 length-prefixed UTF-8 table must carry unchanged.
+AWKWARD_IDS = ["", "PMC1_figé", "图 1", "fig\x00", "\x00", "a\x00\x00"]
+
+
+@st.composite
+def unit_stores(draw):
+    n = draw(st.integers(0, 12))
+    dim = draw(st.integers(1, 16))
+    ids = draw(st.lists(st.one_of(st.sampled_from(AWKWARD_IDS), st.text(max_size=12)),
+                        min_size=n, max_size=n, unique=True))
+    raw = draw(hnp.arrays(np.float64, (n, dim),
+                          elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    raw[np.linalg.norm(raw, axis=1) < 1e-3] = np.eye(1, dim)
+    modality = draw(st.sampled_from([MODALITY_IMAGE, MODALITY_TEXT]))
+    return EmbeddingStore.from_raw(ids, raw, modality)
+
+
+class TestStoreRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(unit_stores())
+    def test_read_inverts_write(self, tmp_path_factory, store):
+        path = tmp_path_factory.getbasetemp() / "round_trip.emb"
+        write_store(path, store)
+        again = read_store(path)
+        assert again.ids == store.ids
+        assert again.modality == store.modality
+        assert again.vectors.dtype == np.float32
+        assert again.vectors.shape == store.vectors.shape
+        assert again.vectors.tobytes() == store.vectors.tobytes()
 
 
 class TestExactRetrieval:
