@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--skip-log", default=None)
     p.add_argument("--workers", type=int, default=None,
-                   help="parse threads (default: FIGURELINK_WORKERS, else 1)")
+                   help="parse processes, at most the CPU count and one per "
+                        "16 MB of XML (default: FIGURELINK_WORKERS, else 1)")
     p.add_argument("--config", default=None)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_ingest)

@@ -89,7 +89,11 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Read a config file (key=value lines, # comments) and apply overrides."""
     cfg = PipelineConfig()
     if path is not None:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

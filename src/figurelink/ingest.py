@@ -1,5 +1,5 @@
-"""Walk article package directories, parse them in parallel, and emit one
-JSON object per article to a JSONL corpus file.
+"""Walk article package directories, parse them in worker processes, and
+emit one JSON object per article to a JSONL corpus file.
 
 Per-article failures are caught and become skip-log entries, never run
 aborts. Results are canonically ordered by pmcid before writing, so output
@@ -13,7 +13,6 @@ import logging
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +24,18 @@ log = logging.getLogger(__name__)
 SKIP_MALFORMED_XML = "malformed_xml"
 SKIP_NO_FIGURES = "no_figures"
 SKIP_MISSING_MEDIA = "missing_media"
+SKIP_REASONS = (SKIP_MALFORMED_XML, SKIP_NO_FIGURES, SKIP_MISSING_MEDIA)
+
+# A spawned pool process takes ~0.3 s to start and import the package, about
+# what parsing 10 MB of JATS takes, so ingest gives each one at least this
+# much XML (about half a second of parsing) and parses smaller corpora
+# serially.
+XML_BYTES_PER_PROCESS = 16 << 20
+
+# ordered_map hands each pool process about this many chunks of the input:
+# small enough that the processes finish within one short chunk of each
+# other, large enough that per-chunk pickling stays negligible.
+CHUNKS_PER_PROCESS = 16
 
 
 class RootNotFound(FileNotFoundError):
@@ -49,6 +60,9 @@ class IngestReport:
     skipped_no_figures: int = 0
     skipped_malformed: int = 0
     pairs_emitted: int = 0
+    # skip-log rows per reason, article- and figure-level alike
+    skip_reasons: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(SKIP_REASONS, 0))
     wall_time: float = 0.0
 
     def counters(self) -> dict:
@@ -58,6 +72,7 @@ class IngestReport:
             "skipped_no_figures": self.skipped_no_figures,
             "skipped_malformed": self.skipped_malformed,
             "pairs_emitted": self.pairs_emitted,
+            **{f"skip_reason_{r}": n for r, n in self.skip_reasons.items()},
         }
 
 
@@ -81,9 +96,17 @@ def enumerate_packages(root):
         yield ArticlePackage(pkg_dir.name, xml_path, index_images(children))
 
 
+def _xml_bytes(package: ArticlePackage) -> int:
+    try:
+        return package.xml_path.stat().st_size if package.xml_path else 0
+    except OSError:  # _process_package reports an unreadable file
+        return 0
+
+
 def _process_package(package: ArticlePackage):
-    """Returns ("ok", pmcid, json_obj, n_pairs, fig_skips) or
-    ("skip", pmcid, reason)."""
+    """Returns ("ok", pmcid, json_line, n_pairs, fig_skips) or
+    ("skip", pmcid, reason). The corpus line is serialized here, so a pool
+    process sends back one string per article instead of a nested dict."""
     if package.xml_path is None:
         return ("skip", package.pmcid, SKIP_MALFORMED_XML)
     try:
@@ -117,7 +140,33 @@ def _process_package(package: ArticlePackage):
         ],
         "body_paragraphs": record.body_paragraphs,
     }
-    return ("ok", package.pmcid, obj, len(pairs), fig_skips)
+    line = json.dumps(obj, ensure_ascii=False, sort_keys=False)
+    return ("ok", package.pmcid, line, len(pairs), fig_skips)
+
+
+def ordered_map(fn, items: list, workers: int) -> list:
+    """Return [fn(item) for item in items], computed by up to `workers`
+    processes.
+
+    The pool has min(workers, os.cpu_count(), len(items)) processes, started
+    with spawn. With one, no pool is started and fn runs in this process, so
+    workers=1 is serial. Otherwise fn must be a module-level function, items
+    and results must pickle, and a script that calls this must guard its
+    entry point with `if __name__ == "__main__"`, because each process
+    imports the main module. Items go out in contiguous chunks and results
+    come back in input order.
+    """
+    size = min(workers, os.cpu_count() or 1, len(items))
+    if size <= 1:
+        return [fn(item) for item in items]
+    # Imported here, so that commands that start no pool do not load
+    # multiprocessing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = -(-len(items) // (size * CHUNKS_PER_PROCESS))
+    with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def atomic_write_lines(path, lines) -> None:
@@ -142,7 +191,8 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
 
     Output order is ascending pmcid regardless of completion order; skip
     reasons go to the sidecar skip log. Per-article exceptions never abort
-    the run.
+    the run. Up to `workers` processes parse, each given at least
+    XML_BYTES_PER_PROCESS of XML; below that the parse is serial.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -150,18 +200,15 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
     packages = list(enumerate_packages(root))
     report = IngestReport(articles_seen=len(packages))
 
-    if workers == 1:
-        outcomes = [_process_package(p) for p in packages]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_process_package, packages))
+    xml_bytes = sum(_xml_bytes(p) for p in packages)
+    workers = min(workers, max(1, xml_bytes // XML_BYTES_PER_PROCESS))
 
-    emitted: list[tuple[str, dict]] = []
+    emitted: list[tuple[str, str]] = []
     skips: list[dict] = []
-    for outcome in outcomes:
+    for outcome in ordered_map(_process_package, packages, workers):
         if outcome[0] == "ok":
-            _, pmcid, obj, n_pairs, fig_skips = outcome
-            emitted.append((pmcid, obj))
+            _, pmcid, line, n_pairs, fig_skips = outcome
+            emitted.append((pmcid, line))
             report.articles_emitted += 1
             report.pairs_emitted += n_pairs
             for fig_id, reason in fig_skips:
@@ -178,10 +225,9 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
 
     emitted.sort(key=lambda kv: kv[0])
     skips.sort(key=lambda s: (s["pmcid"], s.get("fig_id", "")))
-    atomic_write_lines(
-        out_path,
-        (json.dumps(obj, ensure_ascii=False, sort_keys=False) for _, obj in emitted),
-    )
+    for skip in skips:
+        report.skip_reasons[skip["reason"]] += 1
+    atomic_write_lines(out_path, (line for _, line in emitted))
     if skip_log_path is not None:
         atomic_write_lines(
             skip_log_path, (json.dumps(s, ensure_ascii=False) for s in skips))

@@ -8,7 +8,6 @@ bytes; safe to call concurrently.
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,8 +65,12 @@ class FigurePair:
 
 
 def normalize_text(text: str) -> str:
-    """NFC-normalize and collapse runs of whitespace to single spaces."""
-    return re.sub(r"\s+", " ", unicodedata.normalize("NFC", text)).strip()
+    r"""NFC-normalize and collapse runs of whitespace to single spaces.
+
+    str.split() splits on exactly the characters that \s matches in a str
+    regex, so this equals re.sub(r"\s+", " ", text).strip() after NFC.
+    """
+    return " ".join(unicodedata.normalize("NFC", text).split())
 
 
 def _element_text(elem) -> str:
@@ -90,28 +93,83 @@ def _graphic_href(elem) -> str | None:
     return stem or None
 
 
-def _collect_figs(elem, out, inside_table=False, parent_fig=None):
-    tag = _strip_ns(elem.tag)
-    if tag == "table-wrap":
-        inside_table = True
-    if tag == "fig" and not inside_table:
-        out.append((elem, parent_fig))
-        parent_fig = elem.get("id")
-    for child in elem:
-        _collect_figs(child, out, inside_table, parent_fig)
+@dataclass(slots=True)
+class _Fig:
+    """A fig element outside every table-wrap, with the first non-empty
+    label and caption and the first usable graphic in its whole subtree."""
+
+    fig_id: str | None
+    parent_id: str | None
+    label: str | None = None
+    caption: str = ""
+    graphic: str | None = None
 
 
-def _collect_paragraphs(elem, out, blocked=False):
-    tag = _strip_ns(elem.tag)
-    if tag in ("fig", "table-wrap", "caption"):
-        blocked = True
-    if tag == "p" and not blocked:
-        text = _element_text(elem)
-        if text:
-            out.append(text)
-        return
-    for child in elem:
-        _collect_paragraphs(child, out, blocked)
+class _Walk:
+    """One pre-order pass over the tree that gathers everything
+    parse_article reads: the last non-empty pmcid and pmid article-ids,
+    the figures, and the paragraphs of the first body element."""
+
+    def __init__(self):
+        self.local_names: dict = {}
+        self.pmcid = None
+        self.pmid = None
+        self.figs: list[_Fig] = []
+        self.paragraphs: list[str] = []
+        self.body_found = False
+
+    def visit(self, elem, open_figs: tuple, in_table: bool, parent_id, body):
+        """open_figs: the figures whose subtree holds elem. parent_id: id of
+        the nearest enclosing figure. body: None outside the first body, True
+        where its paragraphs are collected, False inside a p, fig, table-wrap
+        or caption there, so a nested p is part of its parent's text."""
+        tag = self.local_names.get(elem.tag)
+        if tag is None:
+            tag = self.local_names[elem.tag] = _strip_ns(elem.tag)
+        if body and tag in ("p", "fig", "table-wrap", "caption"):
+            if tag == "p":
+                text = _element_text(elem)
+                if text:
+                    self.paragraphs.append(text)
+            body = False
+        if tag == "caption":
+            pending = [f for f in open_figs if not f.caption]
+            if pending:
+                text = _element_text(elem)
+                for f in pending:
+                    f.caption = text
+        elif tag == "label":
+            pending = [f for f in open_figs if f.label is None]
+            if pending:
+                text = _element_text(elem) or None
+                for f in pending:
+                    f.label = text
+        elif tag == "graphic":
+            pending = [f for f in open_figs if f.graphic is None]
+            if pending:
+                ref = _graphic_href(elem)
+                for f in pending:
+                    f.graphic = ref
+        elif tag == "fig":
+            if not in_table:
+                fig = _Fig(elem.get("id"), parent_id)
+                self.figs.append(fig)
+                open_figs += (fig,)
+                parent_id = fig.fig_id
+        elif tag == "table-wrap":
+            in_table = True
+        elif tag == "article-id":
+            kind = elem.get("pub-id-type", "")
+            value = normalize_text(elem.text or "")
+            if kind in ("pmcid", "pmc") and value:
+                self.pmcid = value if value.upper().startswith("PMC") else f"PMC{value}"
+            elif kind == "pmid" and value:
+                self.pmid = value
+        elif tag == "body" and not self.body_found:
+            self.body_found = True
+            body = True
+        for child in elem:
+            self.visit(child, open_figs, in_table, parent_id, body)
 
 
 def parse_article(xml_bytes: bytes) -> ArticleRecord:
@@ -126,62 +184,31 @@ def parse_article(xml_bytes: bytes) -> ArticleRecord:
     except ElementTree.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
 
-    pmcid = None
-    pmid = None
-    for aid in root.iter():
-        if _strip_ns(aid.tag) != "article-id":
-            continue
-        kind = aid.get("pub-id-type", "")
-        value = normalize_text(aid.text or "")
-        if kind in ("pmcid", "pmc") and value:
-            pmcid = value if value.upper().startswith("PMC") else f"PMC{value}"
-        elif kind == "pmid" and value:
-            pmid = value
-    if not pmcid:
+    walk = _Walk()
+    walk.visit(root, (), False, None, None)
+    if not walk.pmcid:
         raise MissingPmcid("no pmcid article-id element")
-
-    fig_elems: list = []
-    _collect_figs(root, fig_elems)
 
     figures: list[FigureEntry] = []
     dropped: list[tuple[str, str]] = []
     seen_ids: set[str] = set()
-    for elem, parent_id in fig_elems:
-        fig_id = elem.get("id") or ""
+    for fig in walk.figs:
+        fig_id = fig.fig_id or ""
         if not fig_id or fig_id in seen_ids:
             dropped.append((fig_id, DROP_NO_ID))
-            continue
-        label_text = None
-        caption = ""
-        graphic_ref = None
-        for child in elem.iter():
-            tag = _strip_ns(child.tag)
-            if tag == "label" and label_text is None:
-                label_text = _element_text(child) or None
-            elif tag == "caption" and not caption:
-                caption = _element_text(child)
-            elif tag == "graphic" and graphic_ref is None:
-                graphic_ref = _graphic_href(child)
-        if graphic_ref is None:
+        elif fig.graphic is None:
             dropped.append((fig_id, DROP_NO_GRAPHIC))
-            continue
-        if len(caption) < MIN_CAPTION_CHARS:
+        elif len(fig.caption) < MIN_CAPTION_CHARS:
             dropped.append((fig_id, DROP_EMPTY_CAPTION))
-            continue
-        seen_ids.add(fig_id)
-        figures.append(FigureEntry(fig_id, caption, graphic_ref, label_text, parent_id))
-
+        else:
+            seen_ids.add(fig_id)
+            figures.append(FigureEntry(fig_id, fig.caption, fig.graphic, fig.label,
+                                       fig.parent_id))
     if not figures:
-        raise NoFigures(pmcid)
+        raise NoFigures(walk.pmcid)
 
-    paragraphs: list[str] = []
-    for child in root.iter():
-        if _strip_ns(child.tag) == "body":
-            _collect_paragraphs(child, paragraphs)
-            break
-
-    return ArticleRecord(pmcid=pmcid, pmid=pmid, figures=figures,
-                         body_paragraphs=paragraphs, dropped_figures=dropped)
+    return ArticleRecord(pmcid=walk.pmcid, pmid=walk.pmid, figures=figures,
+                         body_paragraphs=walk.paragraphs, dropped_figures=dropped)
 
 
 def serialize_article(record: ArticleRecord) -> bytes:

@@ -113,6 +113,41 @@ class TestIngestCommand:
         assert rc == 2
 
 
+# Every way reading a --config file can fail: each is a configuration error.
+CONFIG_READ_FAILURES = {
+    "missing": None,
+    "not_utf8": b"workers = 2  # \xff\xfe latin-1 bytes\n",
+    "directory": "dir",
+}
+# Each subcommand with its required flags; config is read before any input.
+MINIMAL_ARGV = {
+    "ingest": ["--root", "r", "--out", "o.jsonl"],
+    "finegrain": ["--corpus", "c.jsonl", "--images-root", ".", "--out-dir", "fine"],
+    "stats": ["--pairs", "p.jsonl"],
+    "retrieval": ["--queries", "q.emb", "--targets", "t.emb"],
+    "zeroshot": ["--images", "i.emb", "--classes", "c.json"],
+    "census": ["--images", "i.emb", "--taxonomy", "t.json"],
+}
+
+
+class TestConfigReadErrors:
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    @pytest.mark.parametrize("failure", sorted(CONFIG_READ_FAILURES))
+    def test_exits_2_with_one_config_error_line(self, tmp_path, capsys, monkeypatch,
+                                                failure, command):
+        monkeypatch.chdir(tmp_path)
+        content = CONFIG_READ_FAILURES[failure]
+        cfg = tmp_path / "run.cfg"
+        if content == "dir":
+            cfg.mkdir()
+        elif content is not None:
+            cfg.write_bytes(content)
+        rc = main([command, *MINIMAL_ARGV[command], "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot read {cfg}: ")
+
+
 class TestFinegrainCommand:
     def test_end_to_end(self, corpus, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
