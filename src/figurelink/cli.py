@@ -4,40 +4,85 @@ Exit codes: 0 success, 2 configuration error, 1 runtime fault. Every run
 writes a manifest JSON (config hash, input digests, tool version, counters)
 next to its primary output; outputs are written to a temp file and renamed,
 so interrupted runs never leave truncated artifacts.
+
+Importing this module loads no numpy: the vision and evaluate names the
+commands use are imported when a command first needs them, so `ingest`, and
+each pool process a command starts, import only what their work needs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import importlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, captioner, ingest
-from .config import ConfigError, load_config
-from .evaluate import (
-    AnnIndex, ClassSpec, DimensionMismatch, IndexParams, TaxonomyKeyword,
-    accuracy, binary_auroc, corpus_stats, embed_text, measure_recall,
-    read_store, recall_at_k, taxonomy_census, zero_shot_classify,
-)
+from .config import ConfigError, PipelineConfig, load_config
+from .imageindex import index_images
 from .jats import FigureEntry
 from .jsonshape import need, need_list, read_jsonl
-from .mockembed import HashTextEmbedder
-from .vision import (
-    UnreadableImage, emit_fine_grained_pairs, audit_unused_panels,
-    load_image, match_labels_to_boxes, match_labels_to_panels, split_panels,
-)
-from .vision.finegrain import EVIDENCE_TIERS
-from .vision.images import index_images
-from .vision.ocr import load_ocr_file
+from .stages import StageTimer
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+
+# finegrain gives each pool process at least this many bytes of image files.
+# A spawned process spends 0.15-0.3 s starting and importing numpy and the
+# vision code before it splits a figure. On prefixes of the perfbench
+# `panels` corpus (2-vCPU box, median of 5 runs) a forced 2-process pool
+# lost to the serial run at 23 MB of PPM (0.96 s against 0.79 s), tied at
+# 45 MB (1.15 s) and won from 68 MB on (1.12 s against 1.19 s; 2.33 s
+# against 3.19 s at 236 MB). At 64 MB per process a pool starts only from
+# 128 MB, well past that break-even.
+IMAGE_BYTES_PER_PROCESS = 64 << 20
+
+# The names the commands use from the vision and evaluate packages, each
+# with the module that defines it. Those packages load numpy, so importing
+# this module does not import them: a name is bound in this module's
+# globals on first use, by the module __getattr__ below when read as an
+# attribute, or by _bind before a command runs. perfbench/op.py reads and
+# replaces several of them as attributes of this module to trace their
+# calls, which is why the commands look them up here.
+_VISION = {
+    "UnreadableImage": ".vision", "load_image": ".vision", "split_panels": ".vision",
+    "match_labels_to_boxes": ".vision", "match_labels_to_panels": ".vision",
+    "emit_fine_grained_pairs": ".vision", "audit_unused_panels": ".vision",
+    "EVIDENCE_TIERS": ".vision.finegrain", "load_ocr_file": ".vision.ocr",
+}
+_EVALUATE = {
+    **dict.fromkeys((
+        "AnnIndex", "ClassSpec", "DimensionMismatch", "IndexParams", "TaxonomyKeyword",
+        "accuracy", "binary_auroc", "corpus_stats", "embed_text", "measure_recall",
+        "read_store", "recall_at_k", "taxonomy_census", "zero_shot_classify"), ".evaluate"),
+    "HashTextEmbedder": ".mockembed",
+}
+_LAZY = {**_VISION, **_EVALUATE}
+
+
+def __getattr__(name: str):
+    """Import a name of _LAZY on first access and bind it in this module."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(names) -> None:
+    """Bind each of names in this module's globals, keeping any value that is
+    already there, such as a tracing wrapper set from outside."""
+    bound = globals()
+    for name in names:
+        if name not in bound:
+            __getattr__(name)
 
 
 def _sha256_file(path) -> str:
@@ -48,13 +93,16 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, cfg, inputs: list, counters: dict) -> None:
+def _write_manifest(out_path, cfg, inputs: list, counters: dict,
+                    stages: dict[str, float] | None = None) -> None:
     manifest = {
         "tool_version": __version__,
         "config_hash": hashlib.sha256(cfg.canonical_text().encode()).hexdigest(),
         "input_digests": {str(p): _sha256_file(p) for p in inputs if Path(p).is_file()},
         "counters": counters,
     }
+    if stages is not None:
+        manifest["stages"] = {name: round(s, 6) for name, s in stages.items()}
     ingest.atomic_write_lines(str(out_path) + ".manifest.json",
                               [json.dumps(manifest, indent=1, sort_keys=True)])
 
@@ -71,9 +119,9 @@ def _emit_report(obj: dict, out: str | None, pretty: bool) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _ingest_workers(flag: int | None) -> int | None:
+def _workers_flag(flag: int | None) -> int | None:
     """--workers, else FIGURELINK_WORKERS, else None: the config file's
-    `workers`, whose default is 1."""
+    `workers`, whose default is the CPU count."""
     if flag is not None:
         return flag
     env = os.environ.get("FIGURELINK_WORKERS")
@@ -100,7 +148,7 @@ def _load_embedder(args, dim_hint: int):
 
 
 def cmd_ingest(args) -> int:
-    cfg = load_config(args.config, {"workers": _ingest_workers(args.workers)})
+    cfg = load_config(args.config, {"workers": _workers_flag(args.workers)})
     report = ingest.run_pipeline(args.root, args.out, args.skip_log,
                                  workers=cfg.workers)
     _write_manifest(args.out, cfg, [], report.counters())
@@ -110,92 +158,167 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_finegrain(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, {"workers": _workers_flag(args.workers)})
     out_dir = Path(args.out_dir)
-    crops_dir = out_dir / "crops"
-    ocr_dir = Path(args.ocr_dir) if args.ocr_dir else None
-    images = index_images(Path(args.images_root).rglob("*"))
-    split_cfg = cfg.split_config()
+    # Every line is checked before any work starts, so a malformed corpus
+    # fails with one error and no output.
+    checked = [_corpus_article(where, obj) for where, obj in read_jsonl(args.corpus)]
+    timer = StageTimer()
+    with timer.stage("resolve"):
+        images = index_images(Path(args.images_root).rglob("*"))
+        articles = [FinegrainArticle(pmcid, figures, paragraphs,
+                                     [images.get(fig["graphic_ref"]) for fig in figures])
+                    for pmcid, figures, paragraphs in checked]
+    workers = ingest.pool_size(
+        cfg.workers, (p for a in articles for p in a.image_paths), IMAGE_BYTES_PER_PROCESS)
+    run = FinegrainRun(out_dir / "crops", Path(args.ocr_dir) if args.ocr_dir else None, cfg)
 
-    pair_lines, audit_lines = [], []
-    counters = {"figures": 0, "fine_pairs": 0, "audit_entries": 0,
-                "missing_images": 0, "unreadable_images": 0,
-                "unknown_citance_labels": 0, "label_deficit": 0,
-                "unresolved_labels": 0}
-    counters.update({f"evidence_{tier}": 0 for tier in EVIDENCE_TIERS})
-    for where, article in read_jsonl(args.corpus):
-        pmcid = need(article["pmcid"], str, f"{where} pmcid")
-        figures = _corpus_figures(where, article)
-        paragraphs = need_list(article.get("body_paragraphs", []), str,
-                               f"{where} body_paragraphs")
-        entries = [captioner_entry(fig) for fig in figures]
-        citances_by_fig: dict[str, list] = {}
-        for citance in captioner.extract_citances(paragraphs, entries):
-            citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
-        for fig in figures:
-            counters["figures"] += 1
-            image_path = images.get(fig["graphic_ref"])
-            try:
-                image = None if image_path is None else load_image(image_path)
-            except UnreadableImage:
-                image = None
-            if image is None:
-                kind = "missing_image" if image_path is None else "unreadable_image"
-                counters[kind + "s"] += 1
-                audit_lines.append(json.dumps(
-                    {"kind": kind, "pmcid": pmcid, "fig_id": fig["fig_id"]}))
-                continue
-            split_result = captioner.split_caption(fig["caption"])
-            labels = [s.label for s in split_result.subcaptions]
-            fig_citances = citances_by_fig.get(fig["fig_id"], [])
-            citance_map, unknown = captioner.split_citances(fig_citances, labels)
-            boxes = []
-            if ocr_dir is not None:
-                ocr_path = ocr_dir / f"{fig['graphic_ref']}.json"
-                if ocr_path.is_file():
-                    boxes = load_ocr_file(ocr_path)
-            panels = split_panels(image, split_cfg)
-            box_assignments, deficit = match_labels_to_boxes(labels, boxes)
-            assignments, unresolved = match_labels_to_panels(
-                box_assignments, panels, labels)
-            pairs, audit = emit_fine_grained_pairs(
-                pmcid, fig["fig_id"], image, split_result, assignments,
-                citance_map, fig_citances, crops_dir)
-            if labels:
-                audit += audit_unused_panels(pmcid, fig["fig_id"], panels,
-                                             assignments)
-            for pair in pairs:
-                pair_lines.append(json.dumps(pair.to_json_obj(), ensure_ascii=False))
-                counters[f"evidence_{pair.evidence}"] += 1
-            for entry in audit:
-                audit_lines.append(json.dumps(
-                    {"kind": entry.kind, "pmcid": entry.pmcid,
-                     "fig_id": entry.fig_id, "label": entry.label,
-                     "rect": entry.rect}))
-            counters["fine_pairs"] += len(pairs)
-            counters["audit_entries"] += len(audit)
-            counters["unknown_citance_labels"] += len(unknown)
-            counters["label_deficit"] += len(deficit)
-            counters["unresolved_labels"] += len(unresolved)
-
+    # Each article's counters hold every key, in report order, so the sums
+    # start from the first one: with a pool, this process then never
+    # imports the vision code.
+    counters: dict[str, int] = {}
     pairs_path = out_dir / "fine_pairs.jsonl"
-    ingest.atomic_write_lines(pairs_path, pair_lines)
-    ingest.atomic_write_lines(out_dir / "audit.jsonl", audit_lines)
-    _write_manifest(pairs_path, cfg, [args.corpus], counters)
+    with ingest.atomic_lines(pairs_path) as write_pair, \
+            ingest.atomic_lines(out_dir / "audit.jsonl") as write_audit:
+        results = ingest.ordered_map(functools.partial(finegrain_article, run),
+                                     articles, workers)
+        for pair_lines, audit_lines, deltas, seconds in results:
+            for line in pair_lines:
+                write_pair(line)
+            for line in audit_lines:
+                write_audit(line)
+            for name, value in deltas.items():
+                counters[name] = counters.get(name, 0) + value
+            timer.add(seconds)
+    counters = counters or _finegrain_counters()
+    _write_manifest(pairs_path, cfg, [args.corpus], counters, timer.seconds)
     _emit_report(counters, None, args.pretty)
     return EXIT_OK
 
 
-def _corpus_figures(where: str, article: dict) -> list[dict]:
-    """The article's figures, each checked to carry the string fields
-    finegrain reads."""
+@dataclass
+class FinegrainRun:
+    """What every article of one finegrain run shares."""
+
+    crops_dir: Path
+    ocr_dir: Path | None
+    cfg: PipelineConfig
+
+
+@dataclass
+class FinegrainArticle:
+    """One checked corpus line, with each figure's image file resolved:
+    image_paths[i] is the file of figures[i], or None when it has none."""
+
+    pmcid: str
+    figures: list[dict]
+    paragraphs: list[str]
+    image_paths: list[Path | None]
+
+
+def _finegrain_counters() -> dict[str, int]:
+    _bind(_VISION)
+    counters = {"figures": 0, "fine_pairs": 0, "audit_entries": 0,
+                "missing_images": 0, "unreadable_images": 0, "unreadable_ocr": 0,
+                "unknown_citance_labels": 0, "label_deficit": 0,
+                "unresolved_labels": 0}
+    counters.update({f"evidence_{tier}": 0 for tier in EVIDENCE_TIERS})
+    return counters
+
+
+def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
+    """Split one article's figures and captions into fine-grained pairs.
+
+    Returns (pair_lines, audit_lines, counters, stage_seconds): the lines
+    for fine_pairs.jsonl and audit.jsonl, this article's share of the
+    report counters, and the seconds spent per stage. Writes the panel
+    crops. Runs in a finegrain pool process or in the command's own; the
+    vision functions are looked up in this module's globals, so that a
+    wrapper installed there sees the calls made in this process.
+    """
+    _bind(_VISION)
+    counters = _finegrain_counters()
+    pmcid = article.pmcid
+    timer = StageTimer()
+    pair_lines, audit_lines = [], []
+    split_cfg = run.cfg.split_config()
+
+    def audit_line(kind: str, fig_id: str) -> None:
+        audit_lines.append(json.dumps({"kind": kind, "pmcid": pmcid, "fig_id": fig_id}))
+
+    with timer.stage("match"):
+        entries = [captioner_entry(fig) for fig in article.figures]
+        citances_by_fig: dict[str, list] = {}
+        for citance in captioner.extract_citances(article.paragraphs, entries):
+            citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
+    for fig, image_path in zip(article.figures, article.image_paths):
+        counters["figures"] += 1
+        with timer.stage("decode"):
+            try:
+                image = None if image_path is None else load_image(image_path)
+            except UnreadableImage:
+                image = None
+        if image is None:
+            kind = "missing_image" if image_path is None else "unreadable_image"
+            counters[kind + "s"] += 1
+            audit_line(kind, fig["fig_id"])
+            continue
+        with timer.stage("split"):
+            split_result = captioner.split_caption(fig["caption"])
+        labels = [s.label for s in split_result.subcaptions]
+        fig_citances = citances_by_fig.get(fig["fig_id"], [])
+        with timer.stage("match"):
+            citance_map, unknown = captioner.split_citances(fig_citances, labels)
+        boxes = []
+        if run.ocr_dir is not None:
+            with timer.stage("resolve"):
+                ocr_path = run.ocr_dir / f"{fig['graphic_ref']}.json"
+                try:
+                    boxes = load_ocr_file(ocr_path) if ocr_path.is_file() else []
+                except (OSError, ValueError, KeyError):
+                    counters["unreadable_ocr"] += 1
+                    audit_line("unreadable_ocr", fig["fig_id"])
+        with timer.stage("split"):
+            panels = split_panels(image, split_cfg)
+        with timer.stage("match"):
+            box_assignments, deficit = match_labels_to_boxes(labels, boxes)
+            assignments, unresolved = match_labels_to_panels(
+                box_assignments, panels, labels)
+        with timer.stage("crop_write"):
+            pairs, audit = emit_fine_grained_pairs(
+                pmcid, fig["fig_id"], image, split_result, assignments,
+                citance_map, fig_citances, run.crops_dir)
+        if labels:
+            audit += audit_unused_panels(pmcid, fig["fig_id"], panels, assignments)
+        for pair in pairs:
+            pair_lines.append(json.dumps(pair.to_json_obj(), ensure_ascii=False))
+            counters[f"evidence_{pair.evidence}"] += 1
+        for entry in audit:
+            audit_lines.append(json.dumps(
+                {"kind": entry.kind, "pmcid": entry.pmcid,
+                 "fig_id": entry.fig_id, "label": entry.label,
+                 "rect": entry.rect}))
+        counters["fine_pairs"] += len(pairs)
+        counters["audit_entries"] += len(audit)
+        counters["unknown_citance_labels"] += len(unknown)
+        counters["label_deficit"] += len(deficit)
+        counters["unresolved_labels"] += len(unresolved)
+    return pair_lines, audit_lines, counters, timer.seconds
+
+
+def _corpus_article(where: str, article: dict):
+    """(pmcid, figures, body_paragraphs) of one corpus line, each checked to
+    have the type finegrain reads, figures down to their string fields."""
+    pmcid = need(article["pmcid"], str, f"{where} pmcid")
     figures = need_list(article["figures"], dict, f"{where} figures")
     for i, fig in enumerate(figures):
         for key in ("fig_id", "caption", "graphic_ref"):
             need(fig[key], str, f"{where} figures[{i}].{key}")
         if fig.get("label_text") is not None:
             need(fig["label_text"], str, f"{where} figures[{i}].label_text")
-    return figures
+    paragraphs = need_list(article.get("body_paragraphs", []), str,
+                           f"{where} body_paragraphs")
+    return pmcid, figures, paragraphs
 
 
 def captioner_entry(fig: dict):
@@ -206,6 +329,7 @@ def captioner_entry(fig: dict):
 
 def cmd_stats(args) -> int:
     cfg = load_config(args.config)
+    _bind(_EVALUATE)
     report = corpus_stats(args.pairs, args.images_root)
     obj = report.to_json_obj()
     _emit_report(obj, args.out, args.pretty)
@@ -218,6 +342,8 @@ def cmd_stats(args) -> int:
 def cmd_retrieval(args) -> int:
     cfg = load_config(args.config, {
         "ann_n_lists": args.ann_n_lists, "ann_n_probe": args.ann_n_probe})
+    _bind(_EVALUATE)
+    import numpy as np
     queries = read_store(args.queries)
     targets = read_store(args.targets)
     ids_q, ids_t = set(queries.ids), set(targets.ids)
@@ -247,6 +373,7 @@ def cmd_retrieval(args) -> int:
 
 def cmd_zeroshot(args) -> int:
     cfg = load_config(args.config)
+    _bind(_EVALUATE)
     images = read_store(args.images)
     classes = []
     spec = need_list(json.loads(Path(args.classes).read_text()), dict, args.classes)
@@ -273,6 +400,7 @@ def cmd_zeroshot(args) -> int:
 
 def cmd_census(args) -> int:
     cfg = load_config(args.config)
+    _bind(_EVALUATE)
     images = read_store(args.images)
     taxonomy = need_list(json.loads(Path(args.taxonomy).read_text()), dict, args.taxonomy)
     embedder = _load_embedder(args, images.dim)
@@ -292,6 +420,11 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
+WORKERS_HELP = ("pool processes, at most the CPU count and one per %s "
+                "(default: FIGURELINK_WORKERS, else the config file's workers, "
+                "else the CPU count)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="figurelink")
     parser.add_argument("--version", action="version", version=__version__)
@@ -306,9 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--skip-log", default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parse processes, at most the CPU count and one per "
-                        "16 MB of XML (default: FIGURELINK_WORKERS, else 1)")
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP % f"{ingest.XML_BYTES_PER_PROCESS >> 20} MB of XML")
     p.add_argument("--config", default=None)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_ingest)
@@ -318,6 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images-root", required=True)
     p.add_argument("--ocr-dir", default=None)
     p.add_argument("--out-dir", required=True)
+    p.add_argument("--workers", type=int, default=None,
+                   help=WORKERS_HELP % f"{IMAGE_BYTES_PER_PROCESS >> 20} MB of image files")
     p.add_argument("--config", default=None)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_finegrain)

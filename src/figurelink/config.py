@@ -3,19 +3,23 @@ values. Unknown keys are rejected."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-from .vision.split import SplitConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _cpu_count() -> int:
+    """The default `workers`: the CPU count, within its accepted range."""
+    return min(os.cpu_count() or 1, 1024)
+
+
 @dataclass
 class PipelineConfig:
-    workers: int = 1
+    workers: int = field(default_factory=_cpu_count)
     bg_intensity: float = 240.0
     bg_fraction: float = 0.98
     max_gutter_var: float = 200.0
@@ -46,7 +50,12 @@ class PipelineConfig:
             raise ConfigError("k_values must be positive")
         return self
 
-    def split_config(self) -> SplitConfig:
+    def split_config(self):
+        """The panel-splitting settings, as a vision.split.SplitConfig."""
+        # Imported here: the vision package loads numpy, and most commands
+        # never split a panel.
+        from .vision.split import SplitConfig
+
         return SplitConfig(
             bg_intensity=self.bg_intensity,
             bg_fraction=self.bg_fraction,

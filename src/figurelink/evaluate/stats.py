@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..imageindex import index_images
 from ..jsonshape import need, need_list, read_jsonl
-from ..vision.images import UnreadableImage, index_images, load_image
+from ..vision.images import UnreadableImage, load_image
 
 PERCENTILES = (5, 25, 50, 75, 95)
 CAPTION_TOKEN_BUDGET = 256

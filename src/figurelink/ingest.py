@@ -13,11 +13,12 @@ import logging
 import os
 import tempfile
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import jats
-from .vision.images import index_images
+from .imageindex import index_images
 
 log = logging.getLogger(__name__)
 
@@ -26,10 +27,10 @@ SKIP_NO_FIGURES = "no_figures"
 SKIP_MISSING_MEDIA = "missing_media"
 SKIP_REASONS = (SKIP_MALFORMED_XML, SKIP_NO_FIGURES, SKIP_MISSING_MEDIA)
 
-# A spawned pool process takes ~0.3 s to start and import the package, about
-# what parsing 10 MB of JATS takes, so ingest gives each one at least this
-# much XML (about half a second of parsing) and parses smaller corpora
-# serially.
+# A spawned pool process takes 0.1-0.15 s to start and import what ingest
+# needs (not numpy), about what parsing a few MB of JATS takes, so ingest
+# gives each one at least this much XML (about half a second of parsing)
+# and parses smaller corpora serially.
 XML_BYTES_PER_PROCESS = 16 << 20
 
 # ordered_map hands each pool process about this many chunks of the input:
@@ -96,13 +97,6 @@ def enumerate_packages(root):
         yield ArticlePackage(pkg_dir.name, xml_path, index_images(children))
 
 
-def _xml_bytes(package: ArticlePackage) -> int:
-    try:
-        return package.xml_path.stat().st_size if package.xml_path else 0
-    except OSError:  # _process_package reports an unreadable file
-        return 0
-
-
 def _process_package(package: ArticlePackage):
     """Returns ("ok", pmcid, json_line, n_pairs, fig_skips) or
     ("skip", pmcid, reason). The corpus line is serialized here, so a pool
@@ -144,21 +138,39 @@ def _process_package(package: ArticlePackage):
     return ("ok", package.pmcid, line, len(pairs), fig_skips)
 
 
-def ordered_map(fn, items: list, workers: int) -> list:
-    """Return [fn(item) for item in items], computed by up to `workers`
-    processes.
+def pool_size(workers: int, paths, bytes_per_process: int) -> int:
+    """The process count a command asks ordered_map for: at most `workers`,
+    and one per bytes_per_process of the files at paths, but at least one.
+
+    A path that is None or cannot be read counts as empty; the worker that
+    reads it reports the fault.
+    """
+    total = 0
+    for path in paths:
+        try:
+            total += os.stat(path).st_size if path is not None else 0
+        except OSError:
+            pass
+    return max(1, min(workers, total // bytes_per_process))
+
+
+def ordered_map(fn, items: list, workers: int):
+    """Yield fn(item) for each item, in input order, computed by up to
+    `workers` processes.
 
     The pool has min(workers, os.cpu_count(), len(items)) processes, started
     with spawn. With one, no pool is started and fn runs in this process, so
-    workers=1 is serial. Otherwise fn must be a module-level function, items
-    and results must pickle, and a script that calls this must guard its
-    entry point with `if __name__ == "__main__"`, because each process
-    imports the main module. Items go out in contiguous chunks and results
-    come back in input order.
+    workers=1 is serial. Otherwise fn must pickle (a module-level function
+    or a functools.partial of one), items and results must pickle, and a
+    script that calls this must guard its entry point with
+    `if __name__ == "__main__"`, because each process imports the main
+    module. Items go out in contiguous chunks; each result is yielded as
+    soon as it and all before it are done.
     """
     size = min(workers, os.cpu_count() or 1, len(items))
     if size <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     # Imported here, so that commands that start no pool do not load
     # multiprocessing.
     import multiprocessing
@@ -166,24 +178,56 @@ def ordered_map(fn, items: list, workers: int) -> list:
 
     chunksize = -(-len(items) // (size * CHUNKS_PER_PROCESS))
     with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        yield from pool.map(fn, items, chunksize=chunksize)
 
 
-def atomic_write_lines(path, lines) -> None:
-    """Write each line plus "\n" to a temp file beside path, then rename it
-    over path, so an interrupted run never leaves a truncated output.
-    Raises OutputUnwritable when the file cannot be written."""
+@contextmanager
+def atomic_lines(path):
+    """Yield a function that writes one line plus "\n" to a temp file beside
+    path. When the block ends normally the temp file is renamed over path,
+    so an interrupted run never leaves a truncated output; when it raises,
+    the temp file is removed. A failed write, close or rename raises
+    OutputUnwritable; an exception from the block passes through as is."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-        os.replace(tmp, path)
+        fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OutputUnwritable(str(exc)) from exc
+
+    def write(line: str) -> None:
+        try:
+            fh.write(line)
+            fh.write("\n")
+        except OSError as exc:
+            raise OutputUnwritable(str(exc)) from exc
+
+    try:
+        yield write
+    except BaseException:
+        _discard(fh, tmp)
+        raise
+    try:
+        fh.close()
+        os.replace(tmp, path)
+    except OSError as exc:
+        _discard(fh, tmp)
+        raise OutputUnwritable(str(exc)) from exc
+
+
+def _discard(fh, tmp) -> None:
+    with suppress(OSError):
+        fh.close()
+    with suppress(OSError):
+        os.unlink(tmp)
+
+
+def atomic_write_lines(path, lines) -> None:
+    """Write each of lines through atomic_lines(path)."""
+    with atomic_lines(path) as write:
+        for line in lines:
+            write(line)
 
 
 def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> IngestReport:
@@ -200,8 +244,7 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
     packages = list(enumerate_packages(root))
     report = IngestReport(articles_seen=len(packages))
 
-    xml_bytes = sum(_xml_bytes(p) for p in packages)
-    workers = min(workers, max(1, xml_bytes // XML_BYTES_PER_PROCESS))
+    workers = pool_size(workers, (p.xml_path for p in packages), XML_BYTES_PER_PROCESS)
 
     emitted: list[tuple[str, str]] = []
     skips: list[dict] = []

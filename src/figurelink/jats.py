@@ -12,7 +12,6 @@ import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.etree import ElementTree
-from xml.sax.saxutils import escape
 
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
 
@@ -175,7 +174,8 @@ class _Walk:
 def parse_article(xml_bytes: bytes) -> ArticleRecord:
     """Parse raw XML bytes into an ArticleRecord.
 
-    Raises MalformedXml for syntax errors, MissingPmcid when no pmcid
+    Raises MalformedXml for syntax errors and for elements nested deeper
+    than the interpreter's recursion limit, MissingPmcid when no pmcid
     article-id is present, and NoFigures when no figure element yields both
     a usable caption and a graphic reference.
     """
@@ -185,7 +185,10 @@ def parse_article(xml_bytes: bytes) -> ArticleRecord:
         raise MalformedXml(str(exc)) from exc
 
     walk = _Walk()
-    walk.visit(root, (), False, None, None)
+    try:
+        walk.visit(root, (), False, None, None)
+    except RecursionError:
+        raise MalformedXml("elements nested too deep to walk") from None
     if not walk.pmcid:
         raise MissingPmcid("no pmcid article-id element")
 
@@ -211,6 +214,12 @@ def parse_article(xml_bytes: bytes) -> ArticleRecord:
                          body_paragraphs=walk.paragraphs, dropped_figures=dropped)
 
 
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML character data, as
+    xml.sax.saxutils.escape does, without importing xml.sax."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def serialize_article(record: ArticleRecord) -> bytes:
     """Emit a minimal JATS document representing the record.
 
@@ -219,18 +228,18 @@ def serialize_article(record: ArticleRecord) -> bytes:
     parts = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<article xmlns:xlink="http://www.w3.org/1999/xlink"><front><article-meta>']
     pmc_num = record.pmcid[3:] if record.pmcid.upper().startswith("PMC") else record.pmcid
-    parts.append(f'<article-id pub-id-type="pmc">{escape(pmc_num)}</article-id>')
+    parts.append(f'<article-id pub-id-type="pmc">{_escape(pmc_num)}</article-id>')
     if record.pmid:
-        parts.append(f'<article-id pub-id-type="pmid">{escape(record.pmid)}</article-id>')
+        parts.append(f'<article-id pub-id-type="pmid">{_escape(record.pmid)}</article-id>')
     parts.append("</article-meta></front><body>")
     for para in record.body_paragraphs:
-        parts.append(f"<p>{escape(para)}</p>")
+        parts.append(f"<p>{_escape(para)}</p>")
     for fig in record.figures:
-        parts.append(f'<fig id="{escape(fig.fig_id)}">')
+        parts.append(f'<fig id="{_escape(fig.fig_id)}">')
         if fig.label_text:
-            parts.append(f"<label>{escape(fig.label_text)}</label>")
-        parts.append(f"<caption><p>{escape(fig.caption)}</p></caption>")
-        parts.append(f'<graphic xlink:href="{escape(fig.graphic_ref)}"/>')
+            parts.append(f"<label>{_escape(fig.label_text)}</label>")
+        parts.append(f"<caption><p>{_escape(fig.caption)}</p></caption>")
+        parts.append(f'<graphic xlink:href="{_escape(fig.graphic_ref)}"/>')
         parts.append("</fig>")
     parts.append("</body></article>")
     return "".join(parts).encode("utf-8")

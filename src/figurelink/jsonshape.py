@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import json
 
-_JSON_NAMES = {dict: "an object", list: "an array", str: "a string"}
+NUMBER = (int, float)
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", NUMBER: "a number"}
 
 
 class MalformedJson(ValueError):
@@ -14,7 +15,8 @@ class MalformedJson(ValueError):
 
 
 def need(value, kind: type, where: str):
-    """value, if it is a `kind` (dict, list or str); else MalformedJson."""
+    """value, if it is a `kind` (dict, list, str or NUMBER); else
+    MalformedJson."""
     if not isinstance(value, kind):
         raise MalformedJson(
             f"{where} must be {_JSON_NAMES[kind]}, got {type(value).__name__}")

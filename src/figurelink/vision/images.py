@@ -1,5 +1,4 @@
-"""Raster images, bit-exact PGM/PPM (binary P5/P6) decoding, and the one
-figure-to-file resolver.
+"""Raster images and bit-exact PGM/PPM (binary P5/P6) decoding.
 
 PNM keeps the test path dependency-free; other codecs plug in through
 register_decoder. Pillow, when importable, is auto-registered for the
@@ -14,32 +13,8 @@ from pathlib import Path
 import numpy as np
 
 
-# Image file suffixes, matched lower-cased, in resolver precedence order.
-IMAGE_EXTENSIONS = (".ppm", ".pgm", ".png", ".jpg", ".jpeg", ".gif", ".tif", ".tiff")
-_EXTENSION_RANK = {ext: rank for rank, ext in enumerate(IMAGE_EXTENSIONS)}
-
-
 class UnreadableImage(ValueError):
     pass
-
-
-def index_images(paths) -> dict[str, Path]:
-    """Index the image files among paths by stem, which is a graphic_ref.
-
-    Keeps regular files whose lower-cased suffix is in IMAGE_EXTENSIONS.
-    When files share a stem, the earlier extension in IMAGE_EXTENSIONS
-    wins, then the smaller path. Callers pass one directory listing or one
-    tree walk, so resolving a figure is a dict lookup.
-    """
-    best: dict[str, tuple[int, Path]] = {}
-    for path in paths:
-        rank = _EXTENSION_RANK.get(path.suffix.lower())
-        if rank is None or not path.is_file():
-            continue
-        held = best.get(path.stem)
-        if held is None or (rank, path) < held:
-            best[path.stem] = (rank, path)
-    return {stem: path for stem, (_, path) in best.items()}
 
 
 @dataclass

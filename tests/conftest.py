@@ -7,12 +7,14 @@ here are computed from the annotations alone, never from the code under
 test.
 """
 
+import concurrent.futures
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
+from figurelink import cli, ingest
 from figurelink.vision.match import OcrBox
 from figurelink.vision.split import PanelBox
 
@@ -154,3 +156,21 @@ def match_cases() -> list[MatchCase]:
     cases = [build_match_case(e) for e in data["entries"]]
     assert len(cases) == 60
     return cases
+
+
+@pytest.fixture
+def real_pool(monkeypatch) -> list[int]:
+    """Make ingest and finegrain start a real 2-process pool for any input
+    when asked for 2 workers; the list gets the size of each pool started."""
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context=None):
+            started.append(max_workers)
+            super().__init__(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(ingest, "XML_BYTES_PER_PROCESS", 1)
+    monkeypatch.setattr(cli, "IMAGE_BYTES_PER_PROCESS", 1)
+    monkeypatch.setattr(ingest.os, "cpu_count", lambda: 2)
+    return started

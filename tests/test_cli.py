@@ -252,6 +252,76 @@ class TestFinegrainCommand:
         assert len(crops) < len(good_crops)
 
 
+    def _finegrain(self, capsys, pairs, images_root, ocr_dir, out_dir, *extra):
+        capsys.readouterr()
+        rc = main(["finegrain", "--corpus", str(pairs), "--images-root", str(images_root),
+                   "--ocr-dir", str(ocr_dir), "--out-dir", str(out_dir), *extra])
+        report = json.loads(capsys.readouterr().out)
+        text = (out_dir / "fine_pairs.jsonl").read_text().replace(str(out_dir), "OUT")
+        audit = [json.loads(line) for line in
+                 (out_dir / "audit.jsonl").read_text().splitlines()]
+        return rc, report, text, audit
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+    @pytest.mark.parametrize("content", [b'{"image": "pmc1000_fig1", "boxes": [{"x0": 1',
+                                         b"[1]"], ids=["truncated", "array"])
+    def test_bad_ocr_sidecar_is_an_audit_entry_and_no_boxes(
+            self, corpus, tmp_path, capsys, request, content, pooled):
+        pairs = tmp_path / "pairs.jsonl"
+        assert main(["ingest", "--root", str(corpus.packages_dir),
+                     "--out", str(pairs)]) == 0
+        no_sidecar, bad = tmp_path / "ocr_without", tmp_path / "ocr_bad"
+        shutil.copytree(corpus.ocr_dir, no_sidecar)
+        (no_sidecar / "pmc1000_fig1.json").unlink()
+        shutil.copytree(corpus.ocr_dir, bad)
+        (bad / "pmc1000_fig1.json").write_bytes(content)
+        _, want_report, want_pairs, want_audit = self._finegrain(
+            capsys, pairs, corpus.packages_dir, no_sidecar, tmp_path / "want", "--workers", "1")
+        started = request.getfixturevalue("real_pool") if pooled else []
+        rc, report, got_pairs, audit = self._finegrain(
+            capsys, pairs, corpus.packages_dir, bad, tmp_path / "got",
+            "--workers", "2" if pooled else "1")
+        assert rc == 0
+        assert started == ([2] if pooled else [])
+        # The figure goes on as if it had no sidecar, plus one audit line.
+        assert report == {**want_report, "unreadable_ocr": 1}
+        assert got_pairs == want_pairs
+        bad_line = {"kind": "unreadable_ocr", "pmcid": "PMC1000", "fig_id": "fig1"}
+        assert [e for e in audit if e != bad_line] == want_audit
+        assert audit.count(bad_line) == 1
+        assert '"pmcid": "PMC1000", "fig_id": "fig1"' in got_pairs
+
+    def test_stage_seconds_go_to_the_manifest_only(self, corpus, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        assert main(["ingest", "--root", str(corpus.packages_dir),
+                     "--out", str(pairs)]) == 0
+        out_dir = tmp_path / "fine"
+        rc, report, _, _ = self._finegrain(capsys, pairs, corpus.packages_dir,
+                                           corpus.ocr_dir, out_dir)
+        assert rc == 0
+        manifest = json.loads((out_dir / "fine_pairs.jsonl.manifest.json").read_text())
+        stages = manifest["stages"]
+        assert sorted(stages) == ["crop_write", "decode", "match", "resolve", "split"]
+        assert all(seconds >= 0 for seconds in stages.values())
+        assert stages["split"] > 0
+        assert manifest["counters"] == report
+        assert not set(stages) & set(report)
+
+    def test_workers_setting_is_read_as_for_ingest(self, corpus, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setenv("FIGURELINK_WORKERS", "two")
+        rc = main(["finegrain", "--corpus", str(tmp_path / "absent.jsonl"),
+                   "--images-root", str(tmp_path), "--out-dir", str(tmp_path / "fine")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: FIGURELINK_WORKERS")
+        monkeypatch.setenv("FIGURELINK_WORKERS", "0")
+        rc = main(["finegrain", "--corpus", str(tmp_path / "absent.jsonl"),
+                   "--images-root", str(tmp_path), "--out-dir", str(tmp_path / "fine")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: workers=0")
+
+
 class TestStatsCommand:
     def test_end_to_end(self, tmp_path, capsys):
         truth = make_stats_corpus(tmp_path, n_pairs=200, n_images=40, seed=1)

@@ -1,6 +1,6 @@
 """The one figure-to-file resolver against a per-figure tree search."""
 
-from figurelink.vision.images import IMAGE_EXTENSIONS, index_images
+from figurelink.imageindex import IMAGE_EXTENSIONS, index_images
 
 
 def reference_resolve(root, ref):

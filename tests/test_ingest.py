@@ -2,12 +2,14 @@
 
 import concurrent.futures
 import json
+import logging
 
 import pytest
 
 from figurelink import ingest
 from figurelink.ingest import RootNotFound, enumerate_packages, run_pipeline
 from figurelink.synth import make_corpus
+from test_jats import deep_article
 
 
 def no_pool(*args, **kwargs):
@@ -18,6 +20,40 @@ def no_pool(*args, **kwargs):
 def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     return make_corpus(root, n_articles=25, seed=0)
+
+
+class TestPoolSize:
+    def test_one_process_per_share_of_bytes(self, tmp_path):
+        files = []
+        for i, size in enumerate((100, 250, 50)):
+            files.append(tmp_path / f"f{i}")
+            files[-1].write_bytes(b"x" * size)
+        assert ingest.pool_size(8, files, 100) == 4
+        assert ingest.pool_size(3, files, 100) == 3
+        assert ingest.pool_size(8, files, 1000) == 1
+        # Absent and unreadable files count as empty.
+        assert ingest.pool_size(8, files + [None, tmp_path / "absent"], 100) == 4
+        assert ingest.pool_size(8, [], 100) == 1
+
+
+class TestAtomicLines:
+    def test_block_that_raises_leaves_the_old_file_and_no_temp(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_text("old\n")
+        with pytest.raises(KeyError):
+            with ingest.atomic_lines(out) as write:
+                write("new")
+                raise KeyError("boom")
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+    def test_lines_land_on_normal_exit(self, tmp_path):
+        out = tmp_path / "sub" / "out.jsonl"
+        with ingest.atomic_lines(out) as write:
+            write("a")
+            write("b")
+            assert not out.exists()
+        assert out.read_text() == "a\nb\n"
 
 
 class TestEnumerate:
@@ -103,11 +139,11 @@ class TestPipeline:
     def test_ordered_map_is_serial_when_one_process_would_do(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(ingest.os, "cpu_count", lambda: 4)
-        assert ingest.ordered_map(abs, [-1, -2, -3], workers=1) == [1, 2, 3]
-        assert ingest.ordered_map(abs, [-5], workers=1024) == [5]
-        assert ingest.ordered_map(abs, [], workers=8) == []
+        assert list(ingest.ordered_map(abs, [-1, -2, -3], workers=1)) == [1, 2, 3]
+        assert list(ingest.ordered_map(abs, [-5], workers=1024)) == [5]
+        assert list(ingest.ordered_map(abs, [], workers=8)) == []
         monkeypatch.setattr(ingest.os, "cpu_count", lambda: 1)
-        assert ingest.ordered_map(abs, [-1, -2], workers=8) == [1, 2]
+        assert list(ingest.ordered_map(abs, [-1, -2], workers=8)) == [1, 2]
 
     def test_skip_reason_counters_match_skip_log(self, tmp_path):
         packages = make_corpus(tmp_path / "corpus", n_articles=25, seed=0).packages_dir
@@ -147,6 +183,20 @@ class TestPipeline:
         article_level = [r for r in rows if "fig_id" not in r]
         assert len(article_level) == (report.articles_seen
                                       - report.articles_emitted)
+
+    def test_deeply_nested_xml_is_a_quiet_malformed_skip(self, tmp_path, caplog):
+        root = tmp_path / "root"
+        (root / "PMC1").mkdir(parents=True)
+        (root / "PMC1" / "article.xml").write_bytes(deep_article(3000))
+        (root / "PMC1" / "g1.ppm").write_bytes(b"P6\n1 1\n255\n\0\0\0")
+        skips = tmp_path / "skips.jsonl"
+        with caplog.at_level(logging.DEBUG, logger="figurelink"):
+            report = run_pipeline(root, tmp_path / "o.jsonl", skip_log_path=skips,
+                                  workers=1)
+        assert report.skipped_malformed == 1
+        assert [json.loads(line) for line in skips.read_text().splitlines()] == [
+            {"pmcid": "PMC1", "reason": "malformed_xml"}]
+        assert caplog.records == []
 
     def test_empty_root_gives_empty_output(self, tmp_path):
         root = tmp_path / "root"

@@ -11,6 +11,15 @@ from figurelink.jats import (
     serialize_article,
 )
 
+def deep_article(depth: int) -> bytes:
+    """An article with a pmcid and a figure, its body `depth` <sec>s deep."""
+    return (b"<article><front><article-meta>"
+            b"<article-id pub-id-type='pmcid'>PMC1</article-id></article-meta></front>"
+            b"<body>" + b"<sec>" * depth + b"<p>deep</p>" + b"</sec>" * depth +
+            b"<fig id='f1'><caption><p>A figure.</p></caption>"
+            b"<graphic href='g1'/></fig></body></article>")
+
+
 ARTICLE = b"""<?xml version="1.0"?>
 <article>
   <front>
@@ -74,6 +83,10 @@ class TestParse:
     def test_malformed_xml_raises(self):
         with pytest.raises(MalformedXml):
             parse_article(b"<article><fig></article>")
+
+    def test_nesting_deeper_than_the_recursion_limit_is_malformed(self):
+        with pytest.raises(MalformedXml, match="nested too deep"):
+            parse_article(deep_article(3000))
 
     def test_no_figures_raises(self):
         xml = (b"<article><front><article-meta>"

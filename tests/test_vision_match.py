@@ -12,6 +12,8 @@ from figurelink.vision.match import (
     match_labels_to_panels,
     match_score,
 )
+from figurelink.jsonshape import MalformedJson
+from figurelink.vision.ocr import boxes_from_obj, load_ocr_file, save_ocr_file
 from figurelink.vision.split import PanelBox
 
 
@@ -139,3 +141,31 @@ class TestAnnotatedFixture:
                     correct += placed.get(label) == truth_idx
         assert total >= 200
         assert correct / total >= 0.95
+
+
+class TestOcrDocument:
+    def test_round_trip(self, tmp_path):
+        boxes = [OcrBox((1, 2, 10, 12), "A", 0.5), OcrBox((20, 2, 30, 12), "B", 1.0)]
+        save_ocr_file(tmp_path / "g.json", "g", boxes)
+        assert load_ocr_file(tmp_path / "g.json") == boxes
+
+    @pytest.mark.parametrize("doc, where", [
+        ([1], "doc must be an object"),
+        ({"boxes": {}}, "doc boxes must be an array"),
+        ({"boxes": [1]}, r"doc boxes\[0\] must be an object"),
+        ({"boxes": [{"x0": "1", "y0": 0, "x1": 1, "y1": 1, "text": "A"}]},
+         r"doc boxes\[0\]\.x0 must be a number"),
+        ({"boxes": [{"x0": 0, "y0": float("inf"), "x1": 1, "y1": 1, "text": "A"}]},
+         r"doc boxes\[0\]\.y0 must be finite"),
+        ({"boxes": [{"x0": 0, "y0": 0, "x1": 1, "y1": 1, "text": 7}]},
+         r"doc boxes\[0\]\.text must be a string"),
+        ({"boxes": [{"x0": 0, "y0": 0, "x1": 1, "y1": 1, "text": "A", "conf": None}]},
+         r"doc boxes\[0\]\.conf must be a number"),
+    ])
+    def test_wrong_shape_is_malformed_json(self, doc, where):
+        with pytest.raises(MalformedJson, match=where):
+            boxes_from_obj(doc, "doc")
+
+    def test_missing_box_field_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            boxes_from_obj({"boxes": [{"x0": 0, "y0": 0, "x1": 1, "text": "A"}]})
