@@ -147,6 +147,12 @@ def _load_embedder(args, dim_hint: int):
     return HashTextEmbedder(dim=dim_hint)
 
 
+def _embedder_flag(args) -> dict:
+    """What zeroshot and census add to their output and manifest counters:
+    a mark when prompts were embedded by the hash stand-in, not a file."""
+    return {} if args.text_emb else {"text_embedder": "hash"}
+
+
 def cmd_ingest(args) -> int:
     cfg = load_config(args.config, {"workers": _workers_flag(args.workers)})
     report = ingest.run_pipeline(args.root, args.out, args.skip_log,
@@ -391,10 +397,12 @@ def cmd_zeroshot(args) -> int:
         obj["accuracy"] = accuracy(result, labels)
         if len(classes) == 2:
             obj["auroc"] = binary_auroc(result, labels, classes[1].class_name)
+    flag = _embedder_flag(args)
+    obj.update(flag)
     _emit_report(obj, args.out, args.pretty)
     if args.out:
         _write_manifest(args.out, cfg, [args.images, args.classes],
-                        {"n_images": images.n})
+                        {"n_images": images.n, **flag})
     return EXIT_OK
 
 
@@ -411,12 +419,13 @@ def cmd_census(args) -> int:
         for kw in need_list(entry["keywords"], str, f"{where}.keywords"):
             keywords.append(TaxonomyKeyword(type_name, embed_text(embedder, kw)))
     histogram = taxonomy_census(images, keywords)
+    flag = _embedder_flag(args)
     obj = {"histogram": [{"type_name": t, "count": c} for t, c in histogram[:30]],
-           "total": images.n}
+           "total": images.n, **flag}
     _emit_report(obj, args.out, args.pretty)
     if args.out:
         _write_manifest(args.out, cfg, [args.images, args.taxonomy],
-                        {"n_images": images.n})
+                        {"n_images": images.n, **flag})
     return EXIT_OK
 
 

@@ -44,6 +44,11 @@ class EmbeddingStore:
         if self.modality not in _MODALITY_CODES:
             raise ValueError(f"unknown modality {self.modality!r}")
         norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
+        # A row holding a NaN or an infinity has a non-finite norm, and a
+        # NaN norm would pass the tolerance test below.
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise ValueError(f"store row {bad[0]} is not finite")
         if self.vectors.shape[0] and np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
             raise ValueError("store rows must be unit-normalized")
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from figurelink.captioner import (
     Citance,
@@ -141,6 +143,43 @@ class TestConservationFuzz:
                 got += len("".join(
                     caption[marker.text_span[0]:marker.text_span[1]].split()))
             assert got == total, caption
+
+
+def _non_whitespace(text: str) -> int:
+    return len("".join(text.split()))
+
+
+# Captions built from pieces that each marker pattern can match (parenthesized
+# and bare labels, ranges, roman numerals, repeats), caption words, Unicode
+# whitespace and arbitrary text, so that markers, near-misses and noise meet.
+_MARKER_PIECES = st.builds(
+    str.format,
+    st.sampled_from(["({})", "( {} )", "{})", "{}.", "{}:", "[{}]"]),
+    st.sampled_from(["A", "a", "B", "c", "D", "A1", "1", "2", "12", "i", "ii", "iv",
+                     "IX", "A-C", "a\u2013d", "1-3", "B \u2014 E", "Z-A"]))
+_CAPTION_PIECES = st.one_of(
+    _MARKER_PIECES,
+    st.sampled_from(["lorem", "cells", "Fig.", "(n=3)", "p<0.05", "e.g.", "vs.", "x1"]),
+    st.sampled_from([" ", "  ", "\n", "\t", "\u00a0", "\u2003", "\x1c"]),
+    st.text(max_size=5),
+)
+
+
+class TestConservationProperty:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_CAPTION_PIECES, min_size=1, max_size=24).map("".join)
+           .filter(bool))
+    def test_split_conserves_non_whitespace_characters(self, caption):
+        # Preamble, marker spans and sub-caption text spans together hold
+        # every non-whitespace character of the caption, each exactly once.
+        result = split_caption(caption)
+        got = _non_whitespace(result.preamble)
+        for marker in result.markers:
+            for start, end in (marker.span, marker.text_span):
+                got += _non_whitespace(caption[start:end])
+        assert got == _non_whitespace(caption)
+        edges = [i for marker in result.markers for i in (*marker.span, *marker.text_span)]
+        assert edges == sorted(edges)
 
 
 class TestSentences:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -460,6 +461,18 @@ MALFORMED_JSON = [
      ["--images-root", "."]),
 ]
 
+GOOD_TAXONOMY = [{"type_name": "plot", "keywords": ["bar chart"]}]
+
+# Damage done to a good EMB1 store of six 4-d rows, with the error it gives.
+MALFORMED_STORES = {
+    "bad_magic": (lambda data: b"EMB2" + data[4:], "StoreFormatError: bad magic"),
+    "truncated_id_table": (lambda data: data[:15], "StoreFormatError: truncated id table"),
+    "truncated_payload": (lambda data: data[:-5], "StoreFormatError: truncated vector"),
+    "trailing_bytes": (lambda data: data + b"\0\0", "StoreFormatError: 2 trailing bytes"),
+    "nan_row": (lambda data: data[:-4] + struct.pack("<f", float("nan")),
+                "ValueError: store row 5 is not finite"),
+}
+
 
 class TestMalformedJson:
     @pytest.mark.parametrize("command, flag, content, extra", MALFORMED_JSON)
@@ -481,3 +494,52 @@ class TestMalformedJson:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: MalformedJson: bad.json")
+
+    @pytest.mark.parametrize("command", ["retrieval", "zeroshot", "census"])
+    @pytest.mark.parametrize("damage", sorted(MALFORMED_STORES))
+    def test_malformed_store_exits_1_with_one_error_line(self, tmp_path, capsys,
+                                                         monkeypatch, damage, command):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(6)
+        write_store(tmp_path / "img.emb", EmbeddingStore.from_raw(
+            [f"i{k}" for k in range(6)], rng.standard_normal((6, 4)), MODALITY_IMAGE))
+        mutate, error = MALFORMED_STORES[damage]
+        (tmp_path / "bad.emb").write_bytes(mutate((tmp_path / "img.emb").read_bytes()))
+        (tmp_path / "classes.json").write_text(json.dumps(GOOD_CLASSES))
+        (tmp_path / "tax.json").write_text(json.dumps(GOOD_TAXONOMY))
+        argv = {
+            "retrieval": ["retrieval", "--queries", "bad.emb", "--targets", "img.emb"],
+            "zeroshot": ["zeroshot", "--images", "bad.emb", "--classes", "classes.json"],
+            "census": ["census", "--images", "bad.emb", "--taxonomy", "tax.json"],
+        }[command]
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {error}")
+
+
+class TestStandInEmbedder:
+    """zeroshot and census mark a result whose prompts the hash stand-in
+    embedded; with --text-emb their output has no such mark."""
+
+    @pytest.mark.parametrize("command", ["zeroshot", "census"])
+    def test_hash_flag_only_without_text_emb(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(8)
+        write_store(tmp_path / "img.emb", EmbeddingStore.from_raw(
+            [f"i{k}" for k in range(6)], rng.standard_normal((6, 4)), MODALITY_IMAGE))
+        prompts = ["an image of mri", "an image of ct", "bar chart"]
+        write_store(tmp_path / "text.emb", EmbeddingStore.from_raw(
+            prompts, rng.standard_normal((3, 4)), MODALITY_TEXT))
+        (tmp_path / "classes.json").write_text(json.dumps(GOOD_CLASSES))
+        (tmp_path / "tax.json").write_text(json.dumps(GOOD_TAXONOMY))
+        argv = {"zeroshot": ["zeroshot", "--images", "img.emb", "--classes", "classes.json"],
+                "census": ["census", "--images", "img.emb", "--taxonomy", "tax.json"]}[command]
+        for name, extra, flag in (("hash", [], {"text_embedder": "hash"}),
+                                  ("file", ["--text-emb", "text.emb"], {})):
+            assert main(argv + extra + ["--out", f"{name}.json"]) == 0
+            out = json.loads((tmp_path / f"{name}.json").read_text())
+            counters = json.loads(
+                (tmp_path / f"{name}.json.manifest.json").read_text())["counters"]
+            assert {k: out[k] for k in out if k == "text_embedder"} == flag
+            assert counters == {"n_images": 6, **flag}

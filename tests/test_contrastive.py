@@ -1,10 +1,12 @@
 """Contrastive loss: scalar oracle, analytic gradients, a monolithic reference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from figurelink import contrastive
 from figurelink.contrastive import (
     EmbeddingBatch,
     NonFiniteInput,
@@ -218,6 +220,46 @@ class TestSharded:
         quarter = info_nce_sharded(batch, temp, shards=4).peak_block_elems
         assert full == 20 * 20
         assert quarter == 20 * 5
+
+
+def traced_peak_bytes(fn, *args):
+    """(result, bytes): fn's result and the peak of memory traced while it
+    ran. numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Each call holds two shard-sized float64 buffers and one row tile of
+    logits, plus O(N·D): no other N x ceil(N/K) array is made."""
+
+    N, D = 512, 16
+
+    def batch(self):
+        return random_batch(np.random.default_rng(40), self.N, self.D)
+
+    def test_single_shard_peak_is_under_three_blocks(self):
+        report, peak = traced_peak_bytes(info_nce, self.batch(),
+                                         TemperatureParam.from_tau(0.07))
+        block = 8 * report.peak_block_elems
+        assert block == 8 * self.N * self.N
+        assert peak <= 3 * block
+
+    @pytest.mark.parametrize("shards", [2, 4, 8])
+    def test_sharded_peak_is_two_blocks_a_tile_and_o_n_d(self, shards):
+        report, peak = traced_peak_bytes(info_nce_sharded, self.batch(),
+                                         TemperatureParam.from_tau(0.07), shards)
+        block = 8 * report.peak_block_elems
+        tile = 8 * min(contrastive._TILE_ROWS * self.N, report.peak_block_elems)
+        # The normalized inputs, their gradients and the temporaries of the
+        # gradient GEMMs and of the normalization backprop.
+        n_by_d = 12 * 8 * self.N * self.D
+        assert peak <= 2 * block + tile + n_by_d
 
 
 class TestValidation:

@@ -131,6 +131,13 @@ class TestStore:
         with pytest.raises(ValueError):
             EmbeddingStore.from_raw(["a", "a"], np.ones((2, 3)), MODALITY_TEXT)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        vectors = np.eye(3, 4, dtype=np.float32)
+        vectors[1, 2] = bad
+        with pytest.raises(ValueError, match="row 1 is not finite"):
+            EmbeddingStore(["a", "b", "c"], vectors, MODALITY_TEXT)
+
     def test_unicode_ids_survive(self, tmp_path):
         store = EmbeddingStore.from_raw(["PMC1_figé"], np.ones((1, 3)),
                                         MODALITY_TEXT)
