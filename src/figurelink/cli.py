@@ -5,9 +5,10 @@ writes a manifest JSON (config hash, input digests, tool version, counters)
 next to its primary output; outputs are written to a temp file and renamed,
 so interrupted runs never leave truncated artifacts.
 
-Importing this module loads no numpy: the vision and evaluate names the
-commands use are imported when a command first needs them, so `ingest`, and
-each pool process a command starts, import only what their work needs.
+Importing this module loads no numpy, and no ingest, JATS, caption or
+vision code: each command imports what it uses when it runs, so every
+command, and each pool process a command starts, imports only what its
+work needs.
 """
 
 from __future__ import annotations
@@ -22,26 +23,18 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, captioner, ingest
+from . import __version__
+from .batch import (
+    IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines, atomic_write_lines,
+)
 from .config import ConfigError, PipelineConfig, load_config
 from .imageindex import index_images
-from .jats import FigureEntry
 from .jsonshape import need, need_list, read_jsonl
 from .stages import StageTimer
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
-
-# finegrain gives each pool process at least this many bytes of image files.
-# A spawned process spends 0.15-0.3 s starting and importing numpy and the
-# vision code before it splits a figure. On prefixes of the perfbench
-# `panels` corpus (2-vCPU box, median of 5 runs) a forced 2-process pool
-# lost to the serial run at 23 MB of PPM (0.96 s against 0.79 s), tied at
-# 45 MB (1.15 s) and won from 68 MB on (1.12 s against 1.19 s; 2.33 s
-# against 3.19 s at 236 MB). At 64 MB per process a pool starts only from
-# 128 MB, well past that break-even.
-IMAGE_BYTES_PER_PROCESS = 64 << 20
 
 # The names the commands use from the vision and evaluate packages, each
 # with the module that defines it. Those packages load numpy, so importing
@@ -103,8 +96,8 @@ def _write_manifest(out_path, cfg, inputs: list, counters: dict,
     }
     if stages is not None:
         manifest["stages"] = {name: round(s, 6) for name, s in stages.items()}
-    ingest.atomic_write_lines(str(out_path) + ".manifest.json",
-                              [json.dumps(manifest, indent=1, sort_keys=True)])
+    atomic_write_lines(str(out_path) + ".manifest.json",
+                       [json.dumps(manifest, indent=1, sort_keys=True)])
 
 
 def _emit_report(obj: dict, out: str | None, pretty: bool) -> None:
@@ -114,7 +107,7 @@ def _emit_report(obj: dict, out: str | None, pretty: bool) -> None:
     else:
         text = json.dumps(obj, indent=1, sort_keys=True)
     if out:
-        ingest.atomic_write_lines(out, [text])
+        atomic_write_lines(out, [text])
     else:
         sys.stdout.write(text + "\n")
 
@@ -154,6 +147,10 @@ def _embedder_flag(args) -> dict:
 
 
 def cmd_ingest(args) -> int:
+    # ingest.run_pipeline is looked up on the module, where perfbench/op.py
+    # wraps it.
+    from . import ingest
+
     cfg = load_config(args.config, {"workers": _workers_flag(args.workers)})
     report = ingest.run_pipeline(args.root, args.out, args.skip_log,
                                  workers=cfg.workers)
@@ -164,6 +161,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_finegrain(args) -> int:
+    from . import ingest
+
     cfg = load_config(args.config, {"workers": _workers_flag(args.workers)})
     out_dir = Path(args.out_dir)
     # Every line is checked before any work starts, so a malformed corpus
@@ -184,8 +183,8 @@ def cmd_finegrain(args) -> int:
     # imports the vision code.
     counters: dict[str, int] = {}
     pairs_path = out_dir / "fine_pairs.jsonl"
-    with ingest.atomic_lines(pairs_path) as write_pair, \
-            ingest.atomic_lines(out_dir / "audit.jsonl") as write_audit:
+    with atomic_lines(pairs_path) as write_pair, \
+            atomic_lines(out_dir / "audit.jsonl") as write_audit:
         results = ingest.ordered_map(functools.partial(finegrain_article, run),
                                      articles, workers)
         for pair_lines, audit_lines, deltas, seconds in results:
@@ -239,9 +238,12 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
     for fine_pairs.jsonl and audit.jsonl, this article's share of the
     report counters, and the seconds spent per stage. Writes the panel
     crops. Runs in a finegrain pool process or in the command's own; the
-    vision functions are looked up in this module's globals, so that a
-    wrapper installed there sees the calls made in this process.
+    vision functions are looked up in this module's globals, and the
+    captioner functions on their module, so that a wrapper installed there
+    sees the calls made in this process.
     """
+    from . import captioner
+
     _bind(_VISION)
     counters = _finegrain_counters()
     pmcid = article.pmcid
@@ -328,6 +330,8 @@ def _corpus_article(where: str, article: dict):
 
 
 def captioner_entry(fig: dict):
+    from .jats import FigureEntry
+
     return FigureEntry(fig_id=fig["fig_id"], caption=fig["caption"],
                        graphic_ref=fig["graphic_ref"],
                        label_text=fig.get("label_text"))
@@ -369,7 +373,7 @@ def cmd_retrieval(args) -> int:
         rng = np.random.default_rng(cfg.seed)
         sample = rng.choice(queries.n, size=min(64, queries.n), replace=False)
         obj["ann_measured_recall@10"] = measure_recall(
-            index, targets, queries.vectors64[sample],
+            index, targets, queries.vectors[sample].astype(np.float64),
             min(10, targets.n))
     _emit_report(obj, args.out, args.pretty)
     if args.out:
@@ -448,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--skip-log", default=None)
-    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP % f"{ingest.XML_BYTES_PER_PROCESS >> 20} MB of XML")
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP % f"{XML_BYTES_PER_PROCESS >> 20} MB of XML")
     p.add_argument("--config", default=None)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_ingest)

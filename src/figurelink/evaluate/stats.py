@@ -14,7 +14,6 @@ import numpy as np
 
 from ..imageindex import index_images
 from ..jsonshape import need, need_list, read_jsonl
-from ..vision.images import UnreadableImage, load_image
 
 PERCENTILES = (5, 25, 50, 75, 95)
 CAPTION_TOKEN_BUDGET = 256
@@ -67,6 +66,10 @@ def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
     counted, not fatal. With no images_root, only caption statistics are
     produced.
     """
+    # Imported here, so that importing the evaluate package (as retrieval,
+    # zeroshot and census do) loads no vision code.
+    from ..vision.images import UnreadableImage, load_image
+
     images = None if images_root is None else index_images(Path(images_root).rglob("*"))
     token_counts: list[int] = []
     widths: list[int] = []

@@ -22,6 +22,9 @@ _MODALITY_NAMES = {v: k for k, v in _MODALITY_CODES.items()}
 
 UNIT_NORM_TOL = 1e-6
 
+# Values per block of the float64 norm check: 2**16, 512 KB.
+_NORM_BLOCK_ELEMS = 1 << 16
+
 
 class StoreFormatError(ValueError):
     pass
@@ -43,7 +46,7 @@ class EmbeddingStore:
             raise ValueError("ids must be unique")
         if self.modality not in _MODALITY_CODES:
             raise ValueError(f"unknown modality {self.modality!r}")
-        norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
+        norms = row_norms(self.vectors)
         # A row holding a NaN or an infinity has a non-finite norm, and a
         # NaN norm would pass the tolerance test below.
         bad = np.flatnonzero(~np.isfinite(norms))
@@ -87,6 +90,18 @@ class EmbeddingStore:
         if np.any(norms == 0):
             raise ValueError("zero-norm row")
         return cls(list(ids), (vectors / norms).astype(np.float32), modality)
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """The float64 Euclidean norm of each row, computed on row blocks of at
+    most `_NORM_BLOCK_ELEMS` values. A row's norm depends on that row alone,
+    so each is bitwise the norm of the row in a whole float64 copy."""
+    norms = np.empty(vectors.shape[0])
+    height = max(1, _NORM_BLOCK_ELEMS // max(1, vectors.shape[1]))
+    for start in range(0, vectors.shape[0], height):
+        rows = slice(start, start + height)
+        norms[rows] = np.linalg.norm(vectors[rows].astype(np.float64), axis=1)
+    return norms
 
 
 def write_store(path, store: EmbeddingStore) -> None:

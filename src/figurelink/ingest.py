@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 import time
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import jats
+from .batch import (  # noqa: F401  (atomic_lines, OutputUnwritable: public here too)
+    XML_BYTES_PER_PROCESS, OutputUnwritable, atomic_lines, atomic_write_lines,
+)
 from .imageindex import index_images
 
 log = logging.getLogger(__name__)
@@ -27,12 +28,6 @@ SKIP_NO_FIGURES = "no_figures"
 SKIP_MISSING_MEDIA = "missing_media"
 SKIP_REASONS = (SKIP_MALFORMED_XML, SKIP_NO_FIGURES, SKIP_MISSING_MEDIA)
 
-# A spawned pool process takes 0.1-0.15 s to start and import what ingest
-# needs (not numpy), about what parsing a few MB of JATS takes, so ingest
-# gives each one at least this much XML (about half a second of parsing)
-# and parses smaller corpora serially.
-XML_BYTES_PER_PROCESS = 16 << 20
-
 # ordered_map hands each pool process about this many chunks of the input:
 # small enough that the processes finish within one short chunk of each
 # other, large enough that per-chunk pickling stays negligible.
@@ -40,10 +35,6 @@ CHUNKS_PER_PROCESS = 16
 
 
 class RootNotFound(FileNotFoundError):
-    pass
-
-
-class OutputUnwritable(OSError):
     pass
 
 
@@ -179,55 +170,6 @@ def ordered_map(fn, items: list, workers: int):
     chunksize = -(-len(items) // (size * CHUNKS_PER_PROCESS))
     with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("spawn")) as pool:
         yield from pool.map(fn, items, chunksize=chunksize)
-
-
-@contextmanager
-def atomic_lines(path):
-    """Yield a function that writes one line plus "\n" to a temp file beside
-    path. When the block ends normally the temp file is renamed over path,
-    so an interrupted run never leaves a truncated output; when it raises,
-    the temp file is removed. A failed write, close or rename raises
-    OutputUnwritable; an exception from the block passes through as is."""
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
-        fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OutputUnwritable(str(exc)) from exc
-
-    def write(line: str) -> None:
-        try:
-            fh.write(line)
-            fh.write("\n")
-        except OSError as exc:
-            raise OutputUnwritable(str(exc)) from exc
-
-    try:
-        yield write
-    except BaseException:
-        _discard(fh, tmp)
-        raise
-    try:
-        fh.close()
-        os.replace(tmp, path)
-    except OSError as exc:
-        _discard(fh, tmp)
-        raise OutputUnwritable(str(exc)) from exc
-
-
-def _discard(fh, tmp) -> None:
-    with suppress(OSError):
-        fh.close()
-    with suppress(OSError):
-        os.unlink(tmp)
-
-
-def atomic_write_lines(path, lines) -> None:
-    """Write each of lines through atomic_lines(path)."""
-    with atomic_lines(path) as write:
-        for line in lines:
-            write(line)
 
 
 def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> IngestReport:

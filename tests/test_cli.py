@@ -21,6 +21,7 @@ from figurelink.synth import (
     make_compound_image, make_corpus, make_stats_corpus, paired_stores,
 )
 from figurelink.vision.images import save_image
+from test_jats import deep_article
 
 
 @pytest.fixture(scope="module")
@@ -474,7 +475,62 @@ MALFORMED_STORES = {
 }
 
 
+# Damage done to the image file of a one-figure corpus. Each becomes an
+# `unreadable_image` audit line in finegrain and a count in stats.
+MALFORMED_IMAGES = {
+    "empty": b"",
+    "bad_magic": b"P9\n1 1\n255\n\0\0\0",
+    "truncated_header": b"P6\n4",
+    "header_not_decimal": b"P6\n4 x\n255\n",
+    "zero_width": b"P6\n0 4\n255\n",
+    "maxval_16_bit": b"P6\n1 1\n65535\n\0\0\0\0\0\0",
+    "huge_dimensions": b"P6\n999999999 999999999\n255\n\0\0\0",
+    "truncated_pixels": b"P6\n4 4\n255\n" + b"\0" * 10,
+}
+
+GOOD_ARTICLE = (b"<article><front><article-meta>"
+                b"<article-id pub-id-type='pmcid'>PMC1</article-id></article-meta></front>"
+                b"<body><p>See Fig. 1.</p><fig id='f1'><caption><p>A figure.</p></caption>"
+                b"<graphic href='g1'/></fig></body></article>")
+GOOD_IMAGE = b"P6\n1 1\n255\n\0\0\0"
+
+# Package PMC1's files, with the skip-log reason ingest gives it (None: the
+# article is emitted).
+MALFORMED_PACKAGES = {
+    "good": ({"article.xml": GOOD_ARTICLE, "g1.ppm": GOOD_IMAGE}, None),
+    "truncated_xml": ({"article.xml": GOOD_ARTICLE[:90], "g1.ppm": GOOD_IMAGE},
+                      "malformed_xml"),
+    "not_xml": ({"article.xml": b"\xff\xfe\0 not xml", "g1.ppm": GOOD_IMAGE},
+                "malformed_xml"),
+    "empty_xml": ({"article.xml": b"", "g1.ppm": GOOD_IMAGE}, "malformed_xml"),
+    "no_xml_file": ({"g1.ppm": GOOD_IMAGE}, "malformed_xml"),
+    "no_pmcid": ({"article.xml": GOOD_ARTICLE.replace(b"pmcid", b"doi"),
+                  "g1.ppm": GOOD_IMAGE}, "malformed_xml"),
+    "deep_nesting": ({"article.xml": deep_article(3000), "g1.ppm": GOOD_IMAGE},
+                     "malformed_xml"),
+    "no_figures": ({"article.xml": GOOD_ARTICLE.split(b"<fig ")[0] + b"</body></article>",
+                    "g1.ppm": GOOD_IMAGE}, "no_figures"),
+    "missing_media": ({"article.xml": GOOD_ARTICLE}, "missing_media"),
+}
+
+# Config file contents that read but do not validate, with the start of
+# the one error line each gives, for every subcommand: exit 2.
+MALFORMED_CONFIGS = {
+    "no_equals": ("workers\n", "line 1: expected key=value"),
+    "unknown_key": ("wrokers = 3\n", "unknown config key 'wrokers'"),
+    "bad_int": ("workers = soon\n", "bad value for workers"),
+    "bad_float": ("bg_fraction = half\n", "bad value for bg_fraction"),
+    "out_of_range": ("workers = 0\n", "workers=0 outside [1, 1024]"),
+    "nan": ("bg_fraction = nan\n", "bg_fraction=nan outside"),
+    "bad_k_values": ("k_values = 1,x\n", "bad k_values"),
+    "zero_k": ("k_values = 0,5\n", "k_values must be positive"),
+}
+
+
 class TestMalformedJson:
+    """Malformed inputs of every kind: each gives its documented exit code,
+    or an audit or skip entry, and at most one stderr line."""
+
     @pytest.mark.parametrize("command, flag, content, extra", MALFORMED_JSON)
     def test_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch,
                                          command, flag, content, extra):
@@ -543,3 +599,53 @@ class TestStandInEmbedder:
                 (tmp_path / f"{name}.json.manifest.json").read_text())["counters"]
             assert {k: out[k] for k in out if k == "text_embedder"} == flag
             assert counters == {"n_images": 6, **flag}
+
+    @pytest.mark.parametrize("command", ["finegrain", "stats"])
+    @pytest.mark.parametrize("damage", sorted(MALFORMED_IMAGES))
+    def test_malformed_image_is_counted_and_audited(self, tmp_path, capsys, monkeypatch,
+                                                    damage, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "corpus.jsonl").write_text(
+            json.dumps({"pmcid": "P1", "figures": [GOOD_FIGURE]}) + "\n")
+        (tmp_path / "img1.ppm").write_bytes(MALFORMED_IMAGES[damage])
+        if command == "finegrain":
+            rc = main(["finegrain", "--corpus", "corpus.jsonl", "--images-root", ".",
+                       "--out-dir", "fine", "--workers", "1"])
+            report = json.loads(capsys.readouterr().out)
+            assert report["unreadable_images"] == 1 and report["fine_pairs"] == 0
+            assert [json.loads(line) for line in
+                    (tmp_path / "fine" / "audit.jsonl").read_text().splitlines()] == [
+                {"kind": "unreadable_image", "pmcid": "P1", "fig_id": "f1"}]
+        else:
+            rc = main(["stats", "--pairs", "corpus.jsonl", "--images-root", "."])
+            report = json.loads(capsys.readouterr().out)
+            assert (report["n_unreadable_images"], report["n_images"]) == (1, 0)
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED_PACKAGES))
+    def test_malformed_package_is_one_skip_entry(self, tmp_path, capsys, damage):
+        files, reason = MALFORMED_PACKAGES[damage]
+        (tmp_path / "root" / "PMC1").mkdir(parents=True)
+        for name, data in files.items():
+            (tmp_path / "root" / "PMC1" / name).write_bytes(data)
+        skips = tmp_path / "skips.jsonl"
+        rc = main(["ingest", "--root", str(tmp_path / "root"),
+                   "--out", str(tmp_path / "corpus.jsonl"), "--skip-log", str(skips)])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert json.loads(out)["articles_emitted"] == (reason is None)
+        assert [json.loads(line) for line in skips.read_text().splitlines()] == (
+            [] if reason is None else [{"pmcid": "PMC1", "reason": reason}])
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    @pytest.mark.parametrize("content", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                    content, command):
+        monkeypatch.chdir(tmp_path)
+        text, message = MALFORMED_CONFIGS[content]
+        (tmp_path / "run.cfg").write_text(text)
+        rc = main([command, *MINIMAL_ARGV[command], "--config", "run.cfg"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}")

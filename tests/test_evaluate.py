@@ -1,10 +1,13 @@
 """Embedding store format, exact retrieval against a brute-force oracle, ANN."""
 
+import math
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from figurelink.evaluate import retrieval
@@ -61,6 +64,43 @@ def quantized_store(rng, n, ids, modality=MODALITY_TEXT):
 def shuffled_ids(rng, prefix, n):
     """Unique ids whose str order does not follow row order."""
     return [f"{prefix}{i}" for i in rng.permutation(n)]
+
+
+def reference_ranks(queries64, store, targets):
+    """The blocked float64 kernel that ranked for recall_at_k before the
+    float32 screen: one GEMM per block of query rows, then one plus the
+    strictly higher scores plus the tied rows whose id sorts lower."""
+    id_rank = store.id_rank
+    targets = np.asarray(targets)
+    ranks = np.empty(len(targets), dtype=np.int64)
+    vectors = store.vectors.astype(np.float64).T
+    height = max(1, retrieval._BLOCK_ELEMS // max(1, store.n))
+    for start in range(0, len(queries64), height):
+        rows = slice(start, start + height)
+        scores = queries64[rows] @ vectors
+        own_col = targets[rows]
+        own = scores[np.arange(len(own_col)), own_col][:, None]
+        ahead = (scores > own).sum(axis=1)
+        tied = scores == own
+        multi = np.flatnonzero(tied.sum(axis=1) > 1)
+        tie_row, tie_col = np.nonzero(tied[multi])
+        lower = id_rank[tie_col] < id_rank[own_col[multi[tie_row]]]
+        ahead[multi] += np.bincount(tie_row[lower], minlength=len(multi))
+        ranks[rows] = 1 + ahead
+    return ranks
+
+
+def reference_hits(queries, targets, pairing):
+    """recall_at_k's hits in both directions, from reference_ranks."""
+    inverse = {v: k for k, v in pairing.items()}
+    return {
+        f"{queries.modality}_to_{targets.modality}": reference_ranks(
+            queries.vectors.astype(np.float64), targets,
+            [targets.index_of(pairing[i]) for i in queries.ids]).tolist(),
+        f"{targets.modality}_to_{queries.modality}": reference_ranks(
+            targets.vectors.astype(np.float64), queries,
+            [queries.index_of(inverse[i]) for i in targets.ids]).tolist(),
+    }
 
 
 class TestStore:
@@ -137,6 +177,27 @@ class TestStore:
         vectors[1, 2] = bad
         with pytest.raises(ValueError, match="row 1 is not finite"):
             EmbeddingStore(["a", "b", "c"], vectors, MODALITY_TEXT)
+
+    def test_read_store_peak_memory(self, tmp_path):
+        """The unit-norm check works on row blocks, not on a float64 copy."""
+        rng = np.random.default_rng(36)
+        n, dim = 4000, 256
+        vectors = rng.standard_normal((n, dim)).astype(np.float32)
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        path = tmp_path / "big.emb"
+        write_store(path, EmbeddingStore([f"r{i}" for i in range(n)], vectors,
+                                         MODALITY_IMAGE))
+        payload = n * dim * 4
+        tracemalloc.start()
+        try:
+            store = read_store(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(store.vectors, vectors)
+        # the file's bytes and the store's copy of the payload, plus 2 MiB
+        # for the ids and one norm block
+        assert peak < 2 * payload + (2 << 20)
 
     def test_unicode_ids_survive(self, tmp_path):
         store = EmbeddingStore.from_raw(["PMC1_figé"], np.ones((1, 3)),
@@ -245,7 +306,7 @@ class TestRankingKernel:
         targets = rng.integers(0, store.n, size=queries.n)
         want = [reference_rank(q, store, store.ids[t])
                 for q, t in zip(queries.vectors, targets)]
-        got = retrieval._ranks(queries.vectors64, store, targets)
+        got, _ = retrieval._ranks(queries.vectors64, store, targets)
         assert got.tolist() == want
         assert [rank_of(q, store, store.ids[t])
                 for q, t in zip(queries.vectors, targets)] == want
@@ -327,6 +388,110 @@ class TestRankingKernel:
             exact_topk(np.ones(3), store, 1)
         with pytest.raises(DimensionMismatch):
             rank_of(np.ones(3), store, "a")
+
+
+def clustered_rows(rng, n, dim):
+    """(images, texts) raw rows: every text lies near one direction, offset
+    from it by an amount spread over 1e-7..1e-2, so many scores sit within
+    the float32 screen's error of each other."""
+    base = rng.standard_normal(dim)
+    scale = 10.0 ** rng.uniform(-7, -2, size=(n, 1))
+    return (base + 0.5 * rng.standard_normal((n, dim)),
+            base + scale * rng.standard_normal((n, dim)))
+
+
+def paired(rng, images, texts):
+    return (EmbeddingStore.from_raw(shuffled_ids(rng, "i", len(images)), images,
+                                    MODALITY_IMAGE),
+            EmbeddingStore.from_raw(shuffled_ids(rng, "t", len(texts)), texts,
+                                    MODALITY_TEXT))
+
+
+def exact_hits(queries, targets, pairing):
+    """recall_at_k's hits in both directions under exact arithmetic: each
+    product of float32 values is exact in float64 and math.fsum rounds
+    their sum once, so identical rows tie wherever they sit. The float64
+    GEMM of reference_ranks does not promise that."""
+    rows = [[math.fsum(np.asarray(q, np.float64) * t) for t in targets.vectors]
+            for q in queries.vectors]
+    scores = np.array(rows).reshape(queries.n, targets.n)
+
+    def ranks(scores, ids, own):
+        return [1 + sum(s > row[j] or (s == row[j] and ids[k] < ids[j])
+                        for k, s in enumerate(row) if k != j)
+                for row, j in zip(scores, own)]
+
+    inverse = {v: k for k, v in pairing.items()}
+    return {
+        f"{queries.modality}_to_{targets.modality}": ranks(
+            scores, targets.ids, [targets.index_of(pairing[i]) for i in queries.ids]),
+        f"{targets.modality}_to_{queries.modality}": ranks(
+            scores.T, queries.ids, [queries.index_of(inverse[i]) for i in targets.ids]),
+    }
+
+
+@st.composite
+def ranking_cases(draw):
+    """(images, texts, pairing, block_elems): random, quantized (exact
+    ties) or clustered stores with shuffled ids, an identity or shuffled
+    pairing, and a block size that splits the rows unevenly. Rows are
+    distinct unless quantized, where every score is exact."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "quantized", "clustered"]))
+    if kind == "random":
+        dim = draw(st.integers(1, 48))
+        images, texts = paired(rng, rng.standard_normal((n, dim)),
+                               rng.standard_normal((n, dim)))
+    elif kind == "quantized":
+        images = quantized_store(rng, n, shuffled_ids(rng, "i", n), MODALITY_IMAGE)
+        texts = quantized_store(rng, n, shuffled_ids(rng, "t", n))
+    else:
+        images, texts = paired(rng, *clustered_rows(rng, n, draw(st.integers(2, 64))))
+        assume(all(len(np.unique(s.vectors, axis=0)) == n for s in (images, texts)))
+    order = np.arange(n) if draw(st.booleans()) else rng.permutation(n)
+    pairing = {images.ids[i]: texts.ids[order[i]] for i in range(n)}
+    return images, texts, pairing, draw(st.integers(1, 3 * n))
+
+
+class TestScreenMatchesReference:
+    """The float32 screen with its float64 band ranks exactly as the
+    float64 kernel it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ranking_cases())
+    def test_both_directions_match_reference(self, case):
+        images, texts, pairing, block_elems = case
+        with mock.patch.object(retrieval, "_BLOCK_ELEMS", block_elems):
+            runs = recall_at_k(images, texts, pairing)
+            assert "vectors64" not in images.__dict__
+            assert "vectors64" not in texts.__dict__
+            want = reference_hits(images, texts, pairing)
+        assert {d: run.hits for d, run in runs.items()} == want
+
+    def test_pairs_inside_and_just_outside_the_band(self):
+        rng = np.random.default_rng(37)
+        n, dim = 80, 64
+        raw_images, raw_texts = clustered_rows(rng, n, dim)
+        for rows in (raw_images, raw_texts):   # row 7k + 1 copies row 7k
+            rows[1::7] = rows[::7][:len(rows[1::7])]
+        images, texts = paired(rng, raw_images, raw_texts)
+        pairing = dict(zip(images.ids, texts.ids))
+        exact = images.vectors.astype(np.float64) @ texts.vectors.astype(np.float64).T
+        gap = np.abs(exact - np.diag(exact)[:, None])
+        np.fill_diagonal(gap, np.inf)
+        delta = retrieval._score_error(dim)
+        assert np.count_nonzero(gap == 0) > 0                      # exact ties
+        assert np.count_nonzero((gap > 0) & (gap <= delta)) > 100  # rescored
+        assert np.count_nonzero((gap > delta) & (gap <= 4 * delta)) > 100
+        # float32 scores put some of these pairs in the wrong order
+        screen = (images.vectors @ texts.vectors.T).astype(np.float64)
+        flipped = np.sign(screen - np.diag(screen)[:, None]) != np.sign(
+            exact - np.diag(exact)[:, None])
+        assert np.count_nonzero(flipped) > 0
+        runs = recall_at_k(images, texts, pairing)
+        assert {d: run.hits for d, run in runs.items()} == exact_hits(
+            images, texts, pairing)
 
 
 class TestAnn:

@@ -10,10 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import figurelink
-from figurelink.synth import make_corpus
+from figurelink.evaluate.store import write_store
+from figurelink.synth import make_corpus, paired_stores
 
 SRC = Path(figurelink.__file__).resolve().parent.parent
 OP = Path(__file__).resolve().parent.parent / "perfbench" / "op.py"
@@ -26,10 +28,10 @@ def python(*argv, cwd=None) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def loaded_after(code: str) -> dict:
-    """Which of numpy and xml.sax are in sys.modules after running code."""
+def loaded_after(code: str, modules=("numpy", "xml.sax"), cwd=None) -> dict:
+    """Which of modules are in sys.modules after running code."""
     probe = python("-c", code + "\nimport json, sys\nprint(json.dumps("
-                   "{m: m in sys.modules for m in ('numpy', 'xml.sax')}))")
+                   f"{{m: m in sys.modules for m in {tuple(modules)!r}}}))", cwd=cwd)
     assert probe.returncode == 0, probe.stderr
     return json.loads(probe.stdout.splitlines()[-1])
 
@@ -66,3 +68,30 @@ def test_traced_finegrain_records_vision_and_captioner_spans(synth):
     names = {s["name"] for s in json.loads(spans.read_text())["spans"] if s}
     assert {"cli.finegrain", "vision.split_panels", "vision.load_image",
             "captioner.split_caption"} <= names
+
+
+# What an evaluation command has no use for.
+NOT_FOR_EVALUATION = ("figurelink.vision", "figurelink.captioner", "figurelink.ingest",
+                      "figurelink.jats", "logging", "xml.etree")
+EVALUATION_ARGV = {
+    "retrieval": ["retrieval", "--queries", "q.emb", "--targets", "t.emb", "--ann",
+                  "--out", "r.json"],
+    "zeroshot": ["zeroshot", "--images", "q.emb", "--classes", "classes.json",
+                 "--out", "z.json"],
+    "census": ["census", "--images", "q.emb", "--taxonomy", "tax.json", "--out", "c.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EVALUATION_ARGV))
+def test_evaluation_command_loads_no_pipeline_code(tmp_path, command):
+    images, texts, _ = paired_stores(np.random.default_rng(0), 40, 8)
+    write_store(tmp_path / "q.emb", images)
+    write_store(tmp_path / "t.emb", texts)
+    (tmp_path / "classes.json").write_text(json.dumps(
+        [{"class_name": c, "prompt_templates": ["an image of {}"]} for c in ("mri", "ct")]))
+    (tmp_path / "tax.json").write_text(json.dumps(
+        [{"type_name": "plot", "keywords": ["bar chart"]}]))
+    code = ("from figurelink.cli import main\n"
+            f"assert main({EVALUATION_ARGV[command]!r}) == 0")
+    loaded = loaded_after(code, NOT_FOR_EVALUATION, cwd=tmp_path)
+    assert loaded == dict.fromkeys(NOT_FOR_EVALUATION, False)
