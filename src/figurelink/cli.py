@@ -28,7 +28,7 @@ from .batch import (
     IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines, atomic_write_lines,
 )
 from .config import ConfigError, PipelineConfig, load_config
-from .imageindex import index_images
+from .imageindex import index_tree
 from .jsonshape import need, need_list, read_jsonl
 from .stages import StageTimer
 
@@ -37,8 +37,8 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 # The names the commands use from the vision and evaluate packages, each
-# with the module that defines it. Those packages load numpy, so importing
-# this module does not import them: a name is bound in this module's
+# with the module that defines it. All but corpus_stats load numpy, so
+# importing this module does not import them: a name is bound in this module's
 # globals on first use, by the module __getattr__ below when read as an
 # attribute, or by _bind before a command runs. perfbench/op.py reads and
 # replaces several of them as attributes of this module to trace their
@@ -170,7 +170,7 @@ def cmd_finegrain(args) -> int:
     checked = [_corpus_article(where, obj) for where, obj in read_jsonl(args.corpus)]
     timer = StageTimer()
     with timer.stage("resolve"):
-        images = index_images(Path(args.images_root).rglob("*"))
+        images = index_tree(args.images_root)
         articles = [FinegrainArticle(pmcid, figures, paragraphs,
                                      [images.get(fig["graphic_ref"]) for fig in figures])
                     for pmcid, figures, paragraphs in checked]
@@ -339,7 +339,9 @@ def captioner_entry(fig: dict):
 
 def cmd_stats(args) -> int:
     cfg = load_config(args.config)
-    _bind(_EVALUATE)
+    # Only corpus_stats: the rest of _EVALUATE loads numpy, which stats on
+    # a PNM corpus does without.
+    _bind(("corpus_stats",))
     report = corpus_stats(args.pairs, args.images_root)
     obj = report.to_json_obj()
     _emit_report(obj, args.out, args.pretty)

@@ -3,17 +3,19 @@
 Token counts use whitespace splitting, a documented proxy for the subword
 tokenizer used to size text-encoder contexts. Thresholds of interest:
 captions within 256 tokens and images whose shorter side exceeds 336px.
+
+A PGM/PPM figure's size comes from its header and its file size, with no
+pixel decoded; other formats are decoded by vision.load_image. Over a PNM
+tree this module loads no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
-import numpy as np
-
-from ..imageindex import index_images
+from ..imageindex import index_tree
 from ..jsonshape import need, need_list, read_jsonl
+from ..pnm import UnreadableImage, probe_pnm
 
 PERCENTILES = (5, 25, 50, 75, 95)
 CAPTION_TOKEN_BUDGET = 256
@@ -51,26 +53,49 @@ class StatsReport:
         }
 
 
+def percentile(ordered: list, p: float) -> float:
+    """np.percentile(ordered, p) with numpy's default `linear` method, to the
+    bit, for ascending ordered values exact in float64: interpolate between
+    the two values around index (n-1)*p/100 from the nearer one."""
+    index = (len(ordered) - 1) * (p / 100)
+    if index >= len(ordered) - 1:
+        return float(ordered[-1])
+    below = int(index)
+    g = index - below
+    x, y = float(ordered[below]), float(ordered[below + 1])
+    return x + (y - x) * g if g < 0.5 else y - (y - x) * (1 - g)
+
+
 def _percentile_map(values) -> dict[str, float | None]:
-    if not len(values):
+    if not values:
         return {f"p{p}": None for p in PERCENTILES}
-    arr = np.asarray(values, dtype=np.float64)
-    return {f"p{p}": float(np.percentile(arr, p)) for p in PERCENTILES}
+    ordered = sorted(values)
+    return {f"p{p}": percentile(ordered, p) for p in PERCENTILES}
+
+
+def _image_size(path) -> tuple[int, int]:
+    """(width, height) of the image at path, or UnreadableImage. A .ppm or
+    .pgm file gives its header, checked against the file size; any other
+    file is decoded."""
+    if path.suffix.lower() in (".ppm", ".pgm"):
+        header = probe_pnm(path)
+        return header.width, header.height
+    # Imported here, so that a PNM-only corpus loads no numpy.
+    from ..vision.images import load_image
+
+    image = load_image(path)
+    return image.width, image.height
 
 
 def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
     """Compute the stats report over a corpus JSONL file.
 
     Each figure's image is found anywhere under images_root by its
-    graphic_ref (see index_images). Unreadable or unresolvable images are
-    counted, not fatal. With no images_root, only caption statistics are
-    produced.
+    graphic_ref (see imageindex.index_tree). Unreadable or unresolvable
+    images are counted, not fatal. With no images_root, only caption
+    statistics are produced.
     """
-    # Imported here, so that importing the evaluate package (as retrieval,
-    # zeroshot and census do) loads no vision code.
-    from ..vision.images import UnreadableImage, load_image
-
-    images = None if images_root is None else index_images(Path(images_root).rglob("*"))
+    images = None if images_root is None else index_tree(images_root)
     token_counts: list[int] = []
     widths: list[int] = []
     heights: list[int] = []
@@ -90,13 +115,13 @@ def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
                 unreadable += 1
                 continue
             try:
-                img = load_image(path)
+                width, height = _image_size(path)
             except UnreadableImage:
                 unreadable += 1
                 continue
-            widths.append(img.width)
-            heights.append(img.height)
-            min_sides.append(min(img.width, img.height))
+            widths.append(width)
+            heights.append(height)
+            min_sides.append(min(width, height))
 
     report = StatsReport(
         n_captions=len(token_counts),

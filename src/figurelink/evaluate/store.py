@@ -7,10 +7,10 @@ UTF-8, then N*D float32 row-major values.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -118,33 +118,57 @@ def write_store(path, store: EmbeddingStore) -> None:
         fh.write(np.ascontiguousarray(store.vectors, dtype="<f4").tobytes())
 
 
-def read_store(path) -> EmbeddingStore:
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise StoreFormatError("bad magic bytes")
-    if len(data) < 13:
-        raise StoreFormatError("truncated header")
-    n, dim, modality_code = struct.unpack_from("<IIB", data, 4)
-    if modality_code not in _MODALITY_NAMES:
-        raise StoreFormatError(f"unknown modality code {modality_code}")
-    pos = 13
+def _parse_ids(table: bytes, n: int):
+    """The first n length-prefixed ids of table and the offset after them,
+    or None when table ends before them."""
     ids = []
+    pos = 0
     for _ in range(n):
-        if pos + 2 > len(data):
-            raise StoreFormatError("truncated id table")
-        (length,) = struct.unpack_from("<H", data, pos)
+        if pos + 2 > len(table):
+            return None
+        (length,) = struct.unpack_from("<H", table, pos)
         pos += 2 + length
-        if pos > len(data):
-            raise StoreFormatError("truncated id table")
+        if pos > len(table):
+            return None
         try:
-            ids.append(data[pos - length:pos].decode("utf-8"))
+            ids.append(table[pos - length:pos].decode("utf-8"))
         except UnicodeDecodeError:
             raise StoreFormatError(f"id {len(ids)} is not valid UTF-8") from None
-    expected = n * dim * 4
-    if len(data) - pos < expected:
-        raise StoreFormatError("truncated vector payload")
-    if len(data) - pos > expected:
-        raise StoreFormatError(f"{len(data) - pos - expected} trailing bytes")
-    vectors = np.frombuffer(data, dtype="<f4", count=n * dim, offset=pos)
-    return EmbeddingStore(ids, vectors.reshape(n, dim).copy(),
-                          _MODALITY_NAMES[modality_code])
+    return ids, pos
+
+
+def read_store(path) -> EmbeddingStore:
+    """Read an EMB1 file. The payload is read straight into the store's
+    array, so the file's bytes are never held beside it; the truncation
+    and trailing-byte checks come from the file size."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(13)
+        if head[:4] != MAGIC:
+            raise StoreFormatError("bad magic bytes")
+        if len(head) < 13:
+            raise StoreFormatError("truncated header")
+        n, dim, modality_code = struct.unpack_from("<IIB", head, 4)
+        if modality_code not in _MODALITY_NAMES:
+            raise StoreFormatError(f"unknown modality code {modality_code}")
+        expected = n * dim * 4
+        # In a well-formed file the id table is what the payload leaves;
+        # when that is too short, the file is damaged, and the rest of it
+        # decides which error applies.
+        table = fh.read(max(0, size - 13 - expected))
+        parsed = _parse_ids(table, n)
+        if parsed is None:
+            parsed = _parse_ids(table + fh.read(), n)
+            if parsed is None:
+                raise StoreFormatError("truncated id table")
+        ids, table_bytes = parsed
+        pos = 13 + table_bytes
+        if size - pos < expected:
+            raise StoreFormatError("truncated vector payload")
+        if size - pos > expected:
+            raise StoreFormatError(f"{size - pos - expected} trailing bytes")
+        vectors = np.empty((n, dim), dtype="<f4")
+        fh.seek(pos)
+        if fh.readinto(vectors.reshape(-1).view(np.uint8)) != expected:
+            raise StoreFormatError("truncated vector payload")
+    return EmbeddingStore(ids, vectors, _MODALITY_NAMES[modality_code])

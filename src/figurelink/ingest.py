@@ -2,7 +2,8 @@
 emit one JSON object per article to a JSONL corpus file.
 
 Per-article failures are caught and become skip-log entries, never run
-aborts. Results are canonically ordered by pmcid before writing, so output
+aborts. Packages are enumerated in pmcid order and their results come back
+in that order, so both outputs stream to disk as they arrive and their
 bytes are identical for any worker count.
 """
 
@@ -12,14 +13,17 @@ import json
 import logging
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 
 from . import jats
-from .batch import (  # noqa: F401  (atomic_lines, OutputUnwritable: public here too)
-    XML_BYTES_PER_PROCESS, OutputUnwritable, atomic_lines, atomic_write_lines,
+from .batch import (  # noqa: F401  (OutputUnwritable: public here too)
+    XML_BYTES_PER_PROCESS, OutputUnwritable, atomic_lines,
 )
-from .imageindex import index_images
+from .imageindex import entry_is, index_listing, split_name
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +44,24 @@ class RootNotFound(FileNotFoundError):
 
 @dataclass
 class ArticlePackage:
+    """The package directory root/pmcid: the name of its XML file (None when
+    it has none) and of each image file, by stem. Holding names, not paths,
+    keeps the list of every package small and cheap to send to a pool."""
+
+    root: Path
     pmcid: str
-    xml_path: Path | None
-    images: dict[str, Path]
+    xml_name: str | None
+    image_names: dict[str, str]
+
+    @property
+    def xml_path(self) -> Path | None:
+        return None if self.xml_name is None else self.root / self.pmcid / self.xml_name
+
+    @property
+    def images(self) -> dict[str, Path]:
+        """The package's image files by stem (imageindex.index_images)."""
+        pkg_dir = self.root / self.pmcid
+        return {stem: pkg_dir / name for stem, name in self.image_names.items()}
 
 
 @dataclass
@@ -79,23 +98,51 @@ def enumerate_packages(root):
     if not root.is_dir():
         raise RootNotFound(str(root))
     try:
-        entries = sorted(p for p in root.iterdir() if p.is_dir())
+        with os.scandir(root) as listing:
+            names = sorted(entry.name for entry in listing if entry_is(entry.is_dir))
     except PermissionError as exc:
         raise PermissionError(f"cannot list {root}") from exc
-    for pkg_dir in entries:
-        children = list(pkg_dir.iterdir())
-        xml_path = min((p for p in children if p.suffix == ".xml"), default=None)
-        yield ArticlePackage(pkg_dir.name, xml_path, index_images(children))
+    for name in names:
+        with os.scandir(root / name) as listing:
+            entries = list(listing)
+        xml_name = min((e.name for e in entries if split_name(e.name)[1] == ".xml"),
+                       default=None)
+        yield ArticlePackage(root, name, xml_name, index_listing(entries))
+
+
+def json_string(text: str) -> str:
+    """json.dumps(text, ensure_ascii=False). A string with no quote, no
+    backslash and nothing that str.isprintable() rejects (which covers every
+    control character) needs no escape and is only quoted; any other goes
+    through json's own escaper, so the bytes are the same either way."""
+    if text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return encode_basestring(text)
+
+
+def corpus_line(record: jats.ArticleRecord, figures) -> str:
+    """The corpus JSONL line of record, with figures (FigureEntry values) in
+    place of its own: json.dumps(obj, ensure_ascii=False) of {"pmid",
+    "pmcid", "figures": [{"fig_id", "graphic_ref", "caption"}],
+    "body_paragraphs"}, built without json.dumps."""
+    pmid = "null" if record.pmid is None else json_string(record.pmid)
+    figure_objs = ", ".join(
+        f'{{"fig_id": {json_string(f.fig_id)}, "graphic_ref": {json_string(f.graphic_ref)}, '
+        f'"caption": {json_string(f.caption)}}}' for f in figures)
+    paragraphs = ", ".join(map(json_string, record.body_paragraphs))
+    return (f'{{"pmid": {pmid}, "pmcid": {json_string(record.pmcid)}, '
+            f'"figures": [{figure_objs}], "body_paragraphs": [{paragraphs}]}}')
 
 
 def _process_package(package: ArticlePackage):
     """Returns ("ok", pmcid, json_line, n_pairs, fig_skips) or
     ("skip", pmcid, reason). The corpus line is serialized here, so a pool
     process sends back one string per article instead of a nested dict."""
-    if package.xml_path is None:
+    xml_path = package.xml_path
+    if xml_path is None:
         return ("skip", package.pmcid, SKIP_MALFORMED_XML)
     try:
-        record = jats.parse_article(package.xml_path.read_bytes())
+        record = jats.parse_article(xml_path.read_bytes())
     except jats.MalformedXml:
         return ("skip", package.pmcid, SKIP_MALFORMED_XML)
     except jats.MissingPmcid:
@@ -116,16 +163,7 @@ def _process_package(package: ArticlePackage):
         return ("skip", package.pmcid, SKIP_MISSING_MEDIA)
 
     resolved_ids = {p.fig_id for p in pairs}
-    obj = {
-        "pmid": record.pmid,
-        "pmcid": record.pmcid,
-        "figures": [
-            {"fig_id": f.fig_id, "graphic_ref": f.graphic_ref, "caption": f.caption}
-            for f in record.figures if f.fig_id in resolved_ids
-        ],
-        "body_paragraphs": record.body_paragraphs,
-    }
-    line = json.dumps(obj, ensure_ascii=False, sort_keys=False)
+    line = corpus_line(record, [f for f in record.figures if f.fig_id in resolved_ids])
     return ("ok", package.pmcid, line, len(pairs), fig_skips)
 
 
@@ -176,8 +214,10 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
     """Parse every package under root and write the corpus JSONL.
 
     Output order is ascending pmcid regardless of completion order; skip
-    reasons go to the sidecar skip log. Per-article exceptions never abort
-    the run. Up to `workers` processes parse, each given at least
+    reasons go to the sidecar skip log, an article's rows ordered by fig_id.
+    Each article's lines are written as its result arrives, so memory does
+    not grow with the corpus. Per-article exceptions never abort the run.
+    Up to `workers` processes parse, each given at least
     XML_BYTES_PER_PROCESS of XML; below that the parse is serial.
     """
     if workers < 1:
@@ -188,34 +228,29 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
 
     workers = pool_size(workers, (p.xml_path for p in packages), XML_BYTES_PER_PROCESS)
 
-    emitted: list[tuple[str, str]] = []
-    skips: list[dict] = []
-    for outcome in ordered_map(_process_package, packages, workers):
-        if outcome[0] == "ok":
-            _, pmcid, line, n_pairs, fig_skips = outcome
-            emitted.append((pmcid, line))
-            report.articles_emitted += 1
-            report.pairs_emitted += n_pairs
-            for fig_id, reason in fig_skips:
-                skips.append({"pmcid": pmcid, "reason": reason, "fig_id": fig_id})
-        else:
-            _, pmcid, reason = outcome
-            # missing_media articles count as no-figure skips: they carry
-            # no emittable pair even though the XML parsed.
-            if reason in (SKIP_NO_FIGURES, SKIP_MISSING_MEDIA):
-                report.skipped_no_figures += 1
+    skip_log = nullcontext() if skip_log_path is None else atomic_lines(skip_log_path)
+    with atomic_lines(out_path) as write_line, skip_log as write_skip:
+        for outcome in ordered_map(_process_package, packages, workers):
+            if outcome[0] == "ok":
+                _, pmcid, line, n_pairs, fig_skips = outcome
+                write_line(line)
+                report.articles_emitted += 1
+                report.pairs_emitted += n_pairs
+                skips = [{"pmcid": pmcid, "reason": reason, "fig_id": fig_id}
+                         for fig_id, reason in sorted(fig_skips, key=itemgetter(0))]
             else:
-                report.skipped_malformed += 1
-            skips.append({"pmcid": pmcid, "reason": reason})
-
-    emitted.sort(key=lambda kv: kv[0])
-    skips.sort(key=lambda s: (s["pmcid"], s.get("fig_id", "")))
-    for skip in skips:
-        report.skip_reasons[skip["reason"]] += 1
-    atomic_write_lines(out_path, (line for _, line in emitted))
-    if skip_log_path is not None:
-        atomic_write_lines(
-            skip_log_path, (json.dumps(s, ensure_ascii=False) for s in skips))
+                _, pmcid, reason = outcome
+                # missing_media articles count as no-figure skips: they carry
+                # no emittable pair even though the XML parsed.
+                if reason in (SKIP_NO_FIGURES, SKIP_MISSING_MEDIA):
+                    report.skipped_no_figures += 1
+                else:
+                    report.skipped_malformed += 1
+                skips = [{"pmcid": pmcid, "reason": reason}]
+            for skip in skips:
+                report.skip_reasons[skip["reason"]] += 1
+                if write_skip is not None:
+                    write_skip(json.dumps(skip, ensure_ascii=False))
 
     report.wall_time = time.monotonic() - start
     return report

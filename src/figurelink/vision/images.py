@@ -1,6 +1,7 @@
 """Raster images and bit-exact PGM/PPM (binary P5/P6) decoding.
 
-PNM keeps the test path dependency-free; other codecs plug in through
+The PNM header rules live in `figurelink.pnm`, which `stats` uses without
+numpy. PNM keeps the test path dependency-free; other codecs plug in through
 register_decoder. Pillow, when importable, is auto-registered for the
 common web formats.
 """
@@ -12,9 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-
-class UnreadableImage(ValueError):
-    pass
+from ..pnm import UnreadableImage, check_payload, parse_pnm_header
 
 
 @dataclass
@@ -49,48 +48,12 @@ class RasterImage:
         return RasterImage(self.pixels[y0:y1, x0:x1].copy())
 
 
-def _read_pnm_token(data: bytes, pos: int):
-    while pos < len(data):
-        if data[pos:pos + 1].isspace():
-            pos += 1
-        elif data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos:pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
-
-
 def decode_pnm(data: bytes) -> RasterImage:
-    magic = data[:2]
-    if magic not in (b"P5", b"P6"):
-        raise UnreadableImage(f"not a binary PNM file (magic {magic!r})")
-    pos = 2
-    header = []
-    while len(header) < 3:
-        token, pos = _read_pnm_token(data, pos)
-        if not token:
-            raise UnreadableImage("truncated PNM header")
-        if not token.isdigit() or len(token) > 18:
-            raise UnreadableImage(
-                f"PNM header value {token[:20]!r} is not a decimal integer below 10**18")
-        header.append(int(token))
-    width, height, maxval = header
-    if width < 1 or height < 1:
-        raise UnreadableImage(f"PNM dimensions must be positive, got {width}x{height}")
-    if maxval != 255:
-        raise UnreadableImage("only maxval 255 supported")
-    pos += 1  # single whitespace after maxval
-    channels = 1 if magic == b"P5" else 3
-    expected = width * height * channels
-    raw = data[pos:pos + expected]
-    if len(raw) != expected:
-        raise UnreadableImage("truncated PNM pixel data")
+    header = parse_pnm_header(data)
+    check_payload(header, len(data))
+    raw = data[header.offset:header.offset + header.payload_bytes]
     arr = np.frombuffer(raw, dtype=np.uint8)
-    shape = (height, width) if channels == 1 else (height, width, 3)
+    shape = (header.height, header.width) + ((3,) if header.channels == 3 else ())
     return RasterImage(arr.reshape(shape))
 
 

@@ -547,3 +547,25 @@ class TestAnn:
         a = AnnIndex(IndexParams(seed=5)).build(store).search(q, 10)
         b = AnnIndex(IndexParams(seed=5)).build(store).search(q, 10)
         assert a == b
+
+
+class TestReadStoreInPlace:
+    def test_payload_is_read_once_into_the_array(self, tmp_path):
+        """read_store reads the payload into the store's own array: its peak
+        is the payload plus one norm block (1 MiB) and the ids, where a
+        whole-file read held the bytes beside the array (2.1x here)."""
+        rng = np.random.default_rng(37)
+        n, dim = 2000, 1024
+        vectors = rng.standard_normal((n, dim)).astype(np.float32)
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        path = tmp_path / "big.emb"
+        write_store(path, EmbeddingStore([f"r{i}" for i in range(n)], vectors,
+                                         MODALITY_IMAGE))
+        tracemalloc.start()
+        try:
+            store = read_store(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(store.vectors, vectors)
+        assert peak <= 1.3 * n * dim * 4

@@ -6,6 +6,7 @@ since imported numpy.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -95,3 +96,103 @@ def test_evaluation_command_loads_no_pipeline_code(tmp_path, command):
             f"assert main({EVALUATION_ARGV[command]!r}) == 0")
     loaded = loaded_after(code, NOT_FOR_EVALUATION, cwd=tmp_path)
     assert loaded == dict.fromkeys(NOT_FOR_EVALUATION, False)
+
+
+def reference_stats(pairs, images_root) -> dict:
+    """The stats report as computed before stats read PNM headers: every
+    figure's image decoded whole, percentiles from numpy."""
+    from figurelink.evaluate.stats import CAPTION_TOKEN_BUDGET, MIN_SIDE_THRESHOLD, PERCENTILES
+    from figurelink.imageindex import index_images
+    from figurelink.vision.images import UnreadableImage, load_image
+
+    images = index_images(Path(images_root).rglob("*"))
+    tokens, sizes, unreadable = [], [], 0
+    for line in Path(pairs).read_text().splitlines():
+        for fig in json.loads(line)["figures"]:
+            tokens.append(len(fig["caption"].split()))
+            try:
+                image = load_image(images[fig["graphic_ref"]])
+            except (KeyError, UnreadableImage):
+                unreadable += 1
+                continue
+            sizes.append((image.width, image.height))
+
+    def pcts(values):
+        return {f"p{p}": float(np.percentile(np.asarray(values, dtype=np.float64), p))
+                for p in PERCENTILES}
+
+    min_sides = [min(s) for s in sizes]
+    return {
+        "n_captions": len(tokens), "n_images": len(sizes), "n_unreadable_images": unreadable,
+        "caption_token_percentiles": pcts(tokens),
+        "image_width_percentiles": pcts([w for w, _ in sizes]),
+        "image_height_percentiles": pcts([h for _, h in sizes]),
+        "image_min_side_percentiles": pcts(min_sides),
+        "fraction_captions_within_budget":
+            sum(t <= CAPTION_TOKEN_BUDGET for t in tokens) / len(tokens),
+        "fraction_images_min_side_above_threshold":
+            sum(s > MIN_SIDE_THRESHOLD for s in min_sides) / len(min_sides),
+        "caption_token_budget": CAPTION_TOKEN_BUDGET,
+        "min_side_threshold": MIN_SIDE_THRESHOLD,
+    }
+
+
+@pytest.fixture(scope="module")
+def stats_tree(synth, tmp_path_factory):
+    """The synth packages and their corpus, and a copy of the packages in
+    which one referenced figure is a .png (PPM bytes, so no decoder reads
+    it)."""
+    root, truth = synth
+    corpus = root / "stats_corpus.jsonl"
+    assert python("-m", "figurelink.cli", "ingest", "--root", str(truth.packages_dir),
+                  "--out", str(corpus)).returncode == 0
+    mixed = tmp_path_factory.mktemp("mixed") / "packages"
+    shutil.copytree(truth.packages_dir, mixed)
+    ppm = mixed / "PMC1001" / "pmc1001_fig1.ppm"
+    ppm.rename(ppm.with_suffix(".png"))
+    return corpus, truth.packages_dir, mixed
+
+
+def stats_code(corpus, images_root, out) -> str:
+    return ("from figurelink.cli import main\n"
+            f"assert main(['stats', '--pairs', {str(corpus)!r}, "
+            f"'--images-root', {str(images_root)!r}, '--out', {str(out)!r}]) == 0")
+
+
+def test_stats_on_a_pnm_tree_loads_no_numpy(stats_tree, tmp_path):
+    corpus, packages, _ = stats_tree
+    out = tmp_path / "stats.json"
+    assert loaded_after(stats_code(corpus, packages, out)) == {
+        "numpy": False, "xml.sax": False}
+    assert json.loads(out.read_text()) == reference_stats(corpus, packages)
+
+
+def test_stats_with_a_png_figure_exits_0_with_the_reference_counts(stats_tree, tmp_path):
+    corpus, _, mixed = stats_tree
+    out = tmp_path / "stats.json"
+    loaded_after(stats_code(corpus, mixed, out))
+    report = json.loads(out.read_text())
+    assert report == reference_stats(corpus, mixed)
+    assert report["n_unreadable_images"] == 1
+
+
+def test_streamed_ingest_with_skip_log_loads_no_numpy(synth):
+    root, truth = synth
+    code = ("from figurelink.cli import main\n"
+            f"assert main(['ingest', '--root', {str(truth.packages_dir)!r}, '--workers', '1', "
+            f"'--out', {str(root / 'streamed.jsonl')!r}, "
+            f"'--skip-log', {str(root / 'streamed_skips.jsonl')!r}]) == 0")
+    assert loaded_after(code) == {"numpy": False, "xml.sax": False}
+    assert len((root / "streamed_skips.jsonl").read_text().splitlines()) == 4
+
+
+def test_traced_stats_records_its_span_and_counters(stats_tree, tmp_path):
+    corpus, packages, _ = stats_tree
+    spans = tmp_path / "spans.json"
+    run = python(str(OP), "--spans", str(spans), "cli", "stats", "--pairs", str(corpus),
+                 "--images-root", str(packages))
+    assert run.returncode == 0, run.stderr
+    trace = json.loads(spans.read_text())
+    assert "evaluate.corpus_stats" in {s["name"] for s in trace["spans"] if s}
+    assert trace["counters"]["stats.n_images"] == json.loads(run.stdout)["n_images"] > 0
+    assert trace["counters"]["stats.unreadable_images"] == 0

@@ -1,12 +1,19 @@
 """Corpus ingestion: counters, determinism, skip logging."""
 
 import concurrent.futures
+import itertools
 import json
 import logging
+import os
+import shutil
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from figurelink import ingest
+from figurelink import ingest, jats
+from figurelink.imageindex import index_images
 from figurelink.ingest import RootNotFound, enumerate_packages, run_pipeline
 from figurelink.synth import make_corpus
 from test_jats import deep_article
@@ -211,3 +218,150 @@ class TestPipeline:
         counters = report.counters()
         assert counters["articles_seen"] == 25
         assert counters["pairs_emitted"] == report.pairs_emitted
+
+
+def write_packages(root, n):
+    """n packages, each ~24 KB of body text, two figures with an image and
+    two without (two missing_media skip-log rows per article)."""
+    paragraph = " ".join(f"word{k}" for k in range(400))
+    for i in range(n):
+        pkg = root / f"PMC{100000 + i}"
+        pkg.mkdir(parents=True)
+        figures = "".join(
+            f'<fig id="f{j}"><caption><p>Caption {j} of article {i}.</p></caption>'
+            f'<graphic xlink:href="g{i}_{j}"/></fig>' for j in (3, 2, 1, 0))
+        (pkg / "article.xml").write_text(
+            '<article xmlns:xlink="http://www.w3.org/1999/xlink"><front><article-meta>'
+            f'<article-id pub-id-type="pmc">{100000 + i}</article-id></article-meta></front>'
+            f"<body>{''.join(f'<p>{paragraph}</p>' for _ in range(8))}{figures}</body>"
+            "</article>")
+        for j in (0, 2):
+            (pkg / f"g{i}_{j}.ppm").write_bytes(b"P6\n1 1\n255\n\0\0\0")
+
+
+class TestStreamedOutputs:
+    def peak(self, root, n):
+        write_packages(root / "in", n)
+        tracemalloc.start()
+        try:
+            report = run_pipeline(root / "in", root / "corpus.jsonl",
+                                  skip_log_path=root / "skips.jsonl", workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.articles_emitted == n and report.skip_reasons["missing_media"] == 2 * n
+        return peak
+
+    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        # Each corpus line is ~24 KB; holding 160 of them would be ~4 MB.
+        # What still grows is the list of packages, ~0.6 KB per article.
+        small = self.peak(tmp_path / "small", 40)
+        large = self.peak(tmp_path / "large", 160)
+        assert large < 1.5 * small
+
+    def test_skip_rows_sorted_by_fig_id_within_each_article(self, tmp_path):
+        write_packages(tmp_path / "in", 3)
+        run_pipeline(tmp_path / "in", tmp_path / "corpus.jsonl",
+                     skip_log_path=tmp_path / "skips.jsonl", workers=1)
+        rows = [json.loads(line) for line in
+                (tmp_path / "skips.jsonl").read_text().splitlines()]
+        assert [(r["pmcid"], r["fig_id"]) for r in rows] == [
+            (f"PMC{100000 + i}", f"f{j}") for i in range(3) for j in (1, 3)]
+
+
+# Characters json escapes or might: quote, backslash, every C0 control,
+# DEL, NBSP, the line and paragraph separators, an astral character, a
+# lone surrogate, and a non-printable format character.
+AWKWARD = '"\\' + "".join(map(chr, range(0x20))) + "\x7f\xa0\u2028\u2029\U0001f600\ud800\u200b"
+TEXTS = st.one_of(st.text(), st.text(st.sampled_from(AWKWARD + "aé "), max_size=20))
+
+
+@st.composite
+def records(draw):
+    figures = [jats.FigureEntry(fig_id=draw(TEXTS), caption=draw(TEXTS),
+                                graphic_ref=draw(TEXTS), label_text=draw(TEXTS))
+               for _ in range(draw(st.integers(0, 3)))]
+    return jats.ArticleRecord(pmcid=draw(TEXTS), pmid=draw(st.one_of(st.none(), TEXTS)),
+                              figures=figures,
+                              body_paragraphs=draw(st.lists(TEXTS, max_size=4)))
+
+
+class TestCorpusLine:
+    @settings(max_examples=400, deadline=None)
+    @given(TEXTS)
+    def test_string_equals_json_dumps(self, text):
+        assert ingest.json_string(text) == json.dumps(text, ensure_ascii=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records())
+    def test_line_equals_json_dumps(self, record):
+        obj = {
+            "pmid": record.pmid,
+            "pmcid": record.pmcid,
+            "figures": [{"fig_id": f.fig_id, "graphic_ref": f.graphic_ref,
+                         "caption": f.caption} for f in record.figures],
+            "body_paragraphs": record.body_paragraphs,
+        }
+        line = ingest.corpus_line(record, record.figures)
+        assert line == json.dumps(obj, ensure_ascii=False, sort_keys=False)
+
+
+def reference_packages(root):
+    """(pmcid, xml_path, images) of each package, as enumerate_packages
+    found them with Path.iterdir before it listed with os.scandir."""
+    for pkg_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        children = list(pkg_dir.iterdir())
+        xml_path = min((p for p in children if p.suffix == ".xml"), default=None)
+        yield pkg_dir.name, xml_path, index_images(children)
+
+
+PACKAGE_NAMES = ["PMC1", "PMC2", "PMC1-x", "PMC1.x", ".PMC3"]
+CHILD_NAMES = ["a.xml", "b.xml", ".xml", "c.XML", "x.", "g.ppm", "g.PNG", "g.pgm", ".g.ppm",
+               "h.jpg", "notes.txt"]
+_package_trees = itertools.count()
+
+
+@st.composite
+def package_trees(draw):
+    packages = draw(st.dictionaries(
+        st.sampled_from(PACKAGE_NAMES),
+        st.lists(st.tuples(st.sampled_from(CHILD_NAMES),
+                           st.sampled_from(["file", "file", "dir", "link", "broken",
+                                            "loop"])),
+                 max_size=6),
+        max_size=4))
+    return packages, draw(st.booleans())
+
+
+class TestEnumerateMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(package_trees())
+    def test_same_packages_as_iterdir(self, tmp_path_factory, tree):
+        packages, linked_package = tree
+        work = tmp_path_factory.getbasetemp() / f"packages{next(_package_trees)}"
+        root = work / "root"
+        root.mkdir(parents=True)
+        (work / "elsewhere.ppm").write_bytes(b"x")
+        (root / "stray.xml").write_bytes(b"x")  # a file beside the packages
+        for pmcid, children in packages.items():
+            (root / pmcid).mkdir()
+            for name, kind in children:
+                path = root / pmcid / name
+                if os.path.lexists(path):
+                    continue
+                if kind == "file":
+                    path.write_bytes(b"x")
+                elif kind == "dir":
+                    path.mkdir()
+                elif kind == "loop":
+                    path.symlink_to(path)
+                else:
+                    path.symlink_to(work / ("elsewhere.ppm" if kind == "link" else "absent"))
+        if linked_package and packages:
+            (root / "PMC9").symlink_to(root / sorted(packages)[0])
+        (root / "PMC8").symlink_to(root / "PMC8")  # a loop beside the packages
+        try:
+            got = [(p.pmcid, p.xml_path, p.images) for p in enumerate_packages(root)]
+            assert got == list(reference_packages(root))
+        finally:
+            shutil.rmtree(work)

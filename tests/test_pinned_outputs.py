@@ -83,3 +83,17 @@ def digests(out, fine) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_output_bytes_are_pinned(run, name):
     assert digests(*run)[name] == PINNED[name]
+
+
+# stats.json of `stats` over the same run's corpus and image tree, where the
+# image deleted after ingest counts as unreadable. Computed while stats
+# still decoded every image, before it read PNM headers only.
+PINNED_STATS = "e2fe6db1fedc9a1b06fab52791a11ef59e4c51a0d779d7f279248f55b0bcae9e"
+
+
+def test_stats_bytes_are_pinned(run):
+    out, _ = run
+    packages = out.parent / "in" / "packages"
+    assert main(["stats", "--pairs", str(out / "corpus.jsonl"),
+                 "--images-root", str(packages), "--out", str(out / "stats.json")]) == 0
+    assert _sha((out / "stats.json").read_bytes()) == PINNED_STATS
