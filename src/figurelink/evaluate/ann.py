@@ -1,7 +1,8 @@
 """Approximate nearest-neighbor search over an embedding store.
 
 A partition (inverted-file) index: rows are clustered by spherical k-means
-and a query probes only the n_probe nearest clusters. With n_probe >=
+and a query probes only the n_probe nearest clusters, whose rows
+`exact_topk_batch` ranks and scores as `exact_topk` does. With n_probe >=
 n_lists the search is exhaustive and matches exact_topk entry for entry.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .retrieval import exact_topk, exact_topk_batch, select_top_k
+from .retrieval import exact_topk, exact_topk_batch
 from .store import EmbeddingStore
 
 KMEANS_ITERS = 10
@@ -64,8 +65,9 @@ class AnnIndex:
             raise ValueError("cannot index an empty store")
         k = self.params.n_lists or max(1, math.ceil(math.sqrt(store.n)))
         k = min(k, store.n)
+        # One float64 copy for the whole clustering, freed on return.
         self._centroids, assign = _spherical_kmeans(
-            store.vectors64, k, self.params.seed)
+            store.vectors.astype(np.float64), k, self.params.seed)
         self._lists = [np.nonzero(assign == c)[0] for c in range(k)]
         self._store = store
         self.n_lists = k
@@ -91,9 +93,8 @@ class AnnIndex:
         candidates = np.concatenate([self._lists[c] for c in probed])
         if candidates.size == 0:
             return []
-        sims = store.vectors64[candidates] @ query
-        top = select_top_k(sims, store.id_rank[candidates], min(k, candidates.size))
-        return [(store.ids[candidates[i]], float(sims[i])) for i in top]
+        return exact_topk_batch(query[None], store, min(k, candidates.size),
+                                candidates)[0]
 
 
 def measure_recall(index: AnnIndex, store: EmbeddingStore,

@@ -3,14 +3,13 @@
 Ordering is always descending similarity with ties broken by ascending id
 (Python str order), so every ranking here is deterministic.
 
-Top-k search goes through `_score_blocks`: a block of query rows against
-every target row as a single float64 matrix product.
-
-Ranking (`recall_at_k`, `rank_of`) goes through `_ranks`, which decides
-almost every comparison from one float32 matrix product per tile and
-rescores in float64 only the pairs that product cannot decide. The score
-that decides a rank is `_rescore`'s: the float64 sum of the exact products
-of the two rows' components.
+Every exact answer (`recall_at_k`, `rank_of`, `exact_topk` and the ANN
+index's re-ranking of its candidates) comes from one float32 matrix
+product per block of scores, with float64 only where that product cannot
+decide: `_ranks` rescores the pairs inside a band around each pair's own
+score, `exact_topk_batch` the rows near each query's k-th best score. The
+score that decides an order, and the one top-k reports, is `_rescore`'s:
+the float64 sum of the exact products of the two rows' components.
 
 Each kernel holds at most `_BLOCK_ELEMS` scores at a time, so memory stays
 bounded whatever the store size.
@@ -59,16 +58,6 @@ def _query_rows(queries, store: EmbeddingStore) -> np.ndarray:
     return queries
 
 
-def _score_blocks(queries: np.ndarray, store: EmbeddingStore):
-    """Yield (rows, scores): the scores of each block of query rows against
-    every store row, from one float64 GEMM per block."""
-    targets = store.vectors64.T
-    height = max(1, _BLOCK_ELEMS // max(1, store.n))
-    for start in range(0, queries.shape[0], height):
-        rows = slice(start, start + height)
-        yield rows, queries[rows] @ targets
-
-
 def _gamma(n: int, u: float) -> float:
     """Higham's gamma_n: |fl(x.y) - x.y| <= gamma_n |x|.|y| for a length-n
     dot product in any summation order, fused multiply-adds included."""
@@ -81,6 +70,21 @@ def _score_error(dim: int) -> float:
     to float32 (u32 + gamma_D(u32)) and the float64 dot product
     (gamma_D(u64)), both bounded by |q| |t| through Cauchy-Schwarz."""
     return _U32 + (1 + _U32) * _gamma(dim, _U32) + _gamma(dim, _U64)
+
+
+def _screen_error(queries: np.ndarray, dim: int) -> np.ndarray:
+    """Bound on |S - r| for each query row against any store row: the
+    float32 screen score S and the float64 rescore r of the same pair.
+
+    A row that passed the store's check (or a query norm computed here) is
+    within a factor 1 + UNIT_NORM_TOL of its float64 norm, whose own
+    rounding error, below D * 2**-53, adds at most that factor again. Each
+    of the D products and D sums in float32, and the cast of each query
+    component, loses less than the smallest normal float32 when it
+    underflows, flushed to zero or not.
+    """
+    q_norm = row_norms(queries) * (1 + UNIT_NORM_TOL)
+    return _score_error(dim) * q_norm * (1 + UNIT_NORM_TOL) ** 2 + 3 * dim * _TINY32
 
 
 def _rescore(queries: np.ndarray, targets: np.ndarray, rows, cols) -> np.ndarray:
@@ -135,9 +139,8 @@ def _ranks(queries: np.ndarray, store: EmbeddingStore, targets: np.ndarray,
     row j among all query rows for store row j; else backward is None.
 
     Each tile of float32 scores S is compared with a band of half-width
-    delta around each pair's own float64 score, where delta is
-    `_score_error` times the row norms, plus underflow. A target above the
-    band is ahead, one below it is not, and only those inside it are
+    `_screen_error` around each pair's own float64 score. A target above
+    the band is ahead, one below it is not, and only those inside it are
     rescored by `_rescore` and put to the tie rule.
     """
     m, n, dim = len(queries), store.n, store.dim
@@ -149,23 +152,12 @@ def _ranks(queries: np.ndarray, store: EmbeddingStore, targets: np.ndarray,
     t32 = store.vectors
     t_rank = store.id_rank
     own = _rescore(queries, t32, np.arange(m), targets)
-
-    # A row that passed the store's check (or a query norm computed here)
-    # is within a factor 1 + UNIT_NORM_TOL of its float64 norm, whose own
-    # rounding error, below D * 2**-53, adds at most that factor again.
-    q_norm = row_norms(queries) * (1 + UNIT_NORM_TOL)
-    t_norm = (1 + UNIT_NORM_TOL) ** 2
-    relative = _score_error(dim)
-    # Each of the D products and D sums in float32, and the cast of each
-    # query component, loses less than the smallest normal float32 when it
-    # underflows, flushed to zero or not.
-    underflow = 3 * dim * _TINY32
-    row_lo, row_hi = _band(own, relative * q_norm * t_norm + underflow)
+    delta = _screen_error(queries, dim)
+    row_lo, row_hi = _band(own, delta)
     if backward is not None:
         owner = np.empty(n, dtype=np.int64)
         owner[targets] = np.arange(m)
-        col_lo, col_hi = _band(own[owner],
-                               relative * q_norm.max() * t_norm + underflow)
+        col_lo, col_hi = _band(own[owner], delta.max())
 
     # Tiles of at most _BLOCK_ELEMS scores and at most sqrt(_BLOCK_ELEMS)
     # columns: a GEMM of a few query rows against a whole wide store would
@@ -215,26 +207,39 @@ def _ranks(queries: np.ndarray, store: EmbeddingStore, targets: np.ndarray,
     return forward, backward
 
 
-def select_top_k(scores: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best scores, by descending score then ascending key.
+def exact_topk_batch(queries, store: EmbeddingStore, k: int, cols=None):
+    """exact_topk for every row of a query matrix, over the store rows cols
+    (default: all), as lists of (id, `_rescore` score).
 
-    argpartition finds the k-th best score; every entry tied with it stays a
-    candidate, so the key decides the cut exactly.
+    Per block of query rows, one float32 GEMM gives each query's k-th best
+    screen score K32. The k best screen rows rescore at least K32 - delta
+    (`_screen_error`), so the true k-th best rescore does too, and every
+    row of the true top k screens at least K32 - 2 delta. Only the rows
+    above that cut are rescored, then ordered by (-score, id).
     """
-    kth = scores[np.argpartition(scores, len(scores) - k)[len(scores) - k]]
-    cut = np.flatnonzero(scores >= kth)
-    return cut[np.lexsort((keys[cut], -scores[cut]))[:k]]
-
-
-def exact_topk_batch(queries, store: EmbeddingStore, k: int):
-    """exact_topk for every row of a query matrix, scored block by block."""
-    if k < 1 or k > store.n:
-        raise ValueError(f"k={k} out of range for store of {store.n}")
+    queries = _query_rows(queries, store)
+    t32 = store.vectors if cols is None else store.vectors[cols]
+    n = len(t32)
+    if k < 1 or k > n:
+        raise ValueError(f"k={k} out of range for {n} store rows")
+    q32 = queries.astype(np.float32)
+    delta = _screen_error(queries, store.dim)
+    height = max(1, _BLOCK_ELEMS // n)
     hits = []
-    for _, scores in _score_blocks(_query_rows(queries, store), store):
-        for row in scores:
-            top = select_top_k(row, store.id_rank, k)
-            hits.append([(store.ids[i], float(row[i])) for i in top])
+    for r0 in range(0, len(queries), height):
+        s = q32[r0:r0 + height] @ t32.T
+        kth = np.partition(s, n - k, axis=1)[:, n - k]
+        cut, _ = _band(kth, 2 * delta[r0:r0 + height])
+        i, j = _positions(s >= cut[:, None], r0, 0)
+        if cols is not None:
+            j = cols[j]
+        score = _rescore(queries, store.vectors, i, j)
+        # i ascends, so each query's candidates stay together, best first;
+        # every query keeps at least its k best screen scores.
+        order = np.lexsort((store.id_rank[j], -score, i))
+        starts = np.searchsorted(i, np.arange(r0, r0 + len(s)))
+        for top in order[starts[:, None] + np.arange(k)]:
+            hits.append([(store.ids[c], float(x)) for c, x in zip(j[top], score[top])])
     return hits
 
 

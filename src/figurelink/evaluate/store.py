@@ -64,13 +64,6 @@ class EmbeddingStore:
         return self.vectors.shape[1]
 
     @cached_property
-    def vectors64(self) -> np.ndarray:
-        """Read-only float64 copy of the vectors, made once per store."""
-        vectors = self.vectors.astype(np.float64)
-        vectors.flags.writeable = False
-        return vectors
-
-    @cached_property
     def id_rank(self) -> np.ndarray:
         """Position of each row's id in Python str order of the ids."""
         rank = np.empty(self.n, dtype=np.int64)

@@ -86,7 +86,7 @@ def zero_shot_classify(images: EmbeddingStore, classes: list[ClassSpec],
     if class_mat.shape[1] != images.dim:
         raise EmbedderFailure(
             f"embedder dim {class_mat.shape[1]} vs image dim {images.dim}")
-    scores = images.vectors64 @ class_mat.T
+    scores = images.vectors @ class_mat.T
     preds = [classes[j].class_name for j in scores.argmax(axis=1)]
     return ZeroShotResult([c.class_name for c in classes], scores, preds)
 
@@ -143,7 +143,7 @@ def taxonomy_census(images: EmbeddingStore,
     if not keywords:
         raise ValueError("need at least one keyword")
     kw_mat = np.stack([k.keyword_embedding for k in keywords])
-    sims = images.vectors64 @ kw_mat.T
+    sims = images.vectors @ kw_mat.T
     winners = sims.argmax(axis=1)  # argmax returns the first maximum
     counts: dict[str, int] = {}
     for k in keywords:  # preserve first-listed order for deterministic ties

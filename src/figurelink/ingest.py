@@ -20,9 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import jats
-from .batch import (  # noqa: F401  (OutputUnwritable: public here too)
-    XML_BYTES_PER_PROCESS, OutputUnwritable, atomic_lines,
-)
+from .batch import XML_BYTES_PER_PROCESS, atomic_lines
 from .imageindex import entry_is, index_listing, split_name
 
 log = logging.getLogger(__name__)

@@ -306,12 +306,12 @@ class TestRankingKernel:
         targets = rng.integers(0, store.n, size=queries.n)
         want = [reference_rank(q, store, store.ids[t])
                 for q, t in zip(queries.vectors, targets)]
-        got, _ = retrieval._ranks(queries.vectors64, store, targets)
+        got, _ = retrieval._ranks(queries.vectors.astype(np.float64), store, targets)
         assert got.tolist() == want
         assert [rank_of(q, store, store.ids[t])
                 for q, t in zip(queries.vectors, targets)] == want
         # the scores really do tie: each query sees at most 17 distinct values
-        sims = queries.vectors64 @ store.vectors64.T
+        sims = queries.vectors.astype(np.float64) @ store.vectors.astype(np.float64).T
         assert max(len(np.unique(row)) for row in sims) <= 17
 
     def test_uneven_blocks_match_reference(self, monkeypatch):
@@ -322,9 +322,8 @@ class TestRankingKernel:
         pairing = dict(zip(images.ids, texts.ids))
         whole = recall_at_k(images, texts, pairing)
         monkeypatch.setattr(retrieval, "_BLOCK_ELEMS", 8 * n)   # 7 blocks, last of 5
-        heights = [len(scores) for _, scores in
-                   retrieval._score_blocks(images.vectors64, texts)]
-        assert len(heights) >= 3 and heights[-1] < heights[0]
+        topk = retrieval.exact_topk_batch(images.vectors, texts, 10)
+        assert topk == [oracle_topk(q, texts, 10) for q in images.vectors]
         blocked = recall_at_k(images, texts, pairing)
         for direction, (q, t, pairs) in {
             "image_to_text": (images, texts, pairing),
@@ -373,14 +372,6 @@ class TestRankingKernel:
         store = EmbeddingStore.from_raw(["a\x00", "a", "b"], vecs, MODALITY_TEXT)
         assert [i for i, _ in exact_topk(np.array([1.0, 0.0]), store, 2)] == ["a", "a\x00"]
         assert rank_of(np.array([1.0, 0.0]), store, "a\x00") == 2
-
-    def test_float64_view_cached_and_read_only(self):
-        rng = np.random.default_rng(34)
-        store = EmbeddingStore.from_raw(["a", "b"], rng.standard_normal((2, 3)),
-                                        MODALITY_TEXT)
-        assert store.vectors64 is store.vectors64
-        assert np.array_equal(store.vectors64, store.vectors.astype(np.float64))
-        assert not store.vectors64.flags.writeable
 
     def test_query_dim_mismatch(self):
         store = EmbeddingStore.from_raw(["a", "b"], np.eye(2), MODALITY_TEXT)
@@ -464,8 +455,6 @@ class TestScreenMatchesReference:
         images, texts, pairing, block_elems = case
         with mock.patch.object(retrieval, "_BLOCK_ELEMS", block_elems):
             runs = recall_at_k(images, texts, pairing)
-            assert "vectors64" not in images.__dict__
-            assert "vectors64" not in texts.__dict__
             want = reference_hits(images, texts, pairing)
         assert {d: run.hits for d, run in runs.items()} == want
 
@@ -494,6 +483,58 @@ class TestScreenMatchesReference:
             images, texts, pairing)
 
 
+@st.composite
+def topk_cases(draw):
+    """(store, queries, k, block_elems): stores of duplicated rows, of rows
+    permuted from one another, of random rows or of quantized rows, with
+    shuffled ids; constant, quantized or random queries; a cut k; and a
+    block size that splits the query rows unevenly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["duplicated", "permuted", "random", "quantized"]))
+    ids = shuffled_ids(rng, "v", n)
+    if kind == "quantized":
+        store = quantized_store(rng, n, ids)
+    else:
+        dim = draw(st.integers(1, 64))
+        rows = rng.standard_normal((n, dim))
+        rows = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+        if kind == "duplicated":     # a few distinct rows, each repeated
+            rows = rows[rng.integers(0, max(1, n // 4), size=n)]
+        elif kind == "permuted":     # one row's components in n orders
+            rows = np.stack([rng.permutation(rows[0]) for _ in range(n)])
+        store = EmbeddingStore(ids, rows, MODALITY_TEXT)
+    m, dim = draw(st.integers(1, 6)), store.dim
+    queries = {
+        "constant": lambda: np.full((m, dim), rng.standard_normal()),
+        "quantized": lambda: rng.choice([-0.25, 0.25], size=(m, dim)),
+        "random": lambda: rng.standard_normal((m, dim)),
+    }[draw(st.sampled_from(["constant", "quantized", "random"]))]()
+    return store, queries, draw(st.integers(1, n)), draw(st.integers(1, 3 * n))
+
+
+class TestOneScoringRule:
+    """Top-k search, rank_of and the ANN index order rows by one rule."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(topk_cases())
+    def test_topk_rank_of_and_ann_agree(self, case):
+        store, queries, k, block_elems = case
+        with mock.patch.object(retrieval, "_BLOCK_ELEMS", block_elems):
+            everything = retrieval.exact_topk_batch(queries, store, store.n)
+            best = retrieval.exact_topk_batch(queries, store, k)
+        index = AnnIndex(IndexParams(n_lists=store.n, n_probe=store.n // 2)).build(store)
+        assert not index.exhaustive
+        for q, hits, top in zip(queries, everything, best):
+            assert exact_topk(q, store, store.n) == hits
+            assert top == hits[:k]
+            position = {item: p for p, (item, _) in enumerate(hits, 1)}
+            assert [rank_of(q, store, i) for i in store.ids] == [
+                position[i] for i in store.ids]
+            found = [i for i, _ in index.search(q, store.n)]
+            assert found == sorted(found, key=position.__getitem__)
+
+
 class TestAnn:
     def test_exhaustive_mode_equals_exact(self):
         rng = np.random.default_rng(20)
@@ -518,7 +559,7 @@ class TestAnn:
     def test_measured_recall_matches_per_query_exact(self):
         rng = np.random.default_rng(24)
         store = quantized_store(rng, 200, shuffled_ids(rng, "v", 200))
-        queries = quantized_store(rng, 30, shuffled_ids(rng, "q", 30)).vectors64
+        queries = quantized_store(rng, 30, shuffled_ids(rng, "q", 30)).vectors.astype(np.float64)
         index = AnnIndex(IndexParams(n_lists=14, n_probe=3)).build(store)
         want = sum(len({i for i, _ in exact_topk(q, store, 10)}
                        & {i for i, _ in index.search(q, 10)}) / 10

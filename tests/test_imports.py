@@ -71,6 +71,20 @@ def test_traced_finegrain_records_vision_and_captioner_spans(synth):
             "captioner.split_caption"} <= names
 
 
+def test_traced_retrieval_records_evaluate_spans(tmp_path):
+    images, texts, _ = paired_stores(np.random.default_rng(0), 300, 8)
+    write_store(tmp_path / "q.emb", images)
+    write_store(tmp_path / "t.emb", texts)
+    spans = tmp_path / "spans.json"
+    run = python(str(OP), "--spans", str(spans), "cli", "retrieval",
+                 "--queries", str(tmp_path / "q.emb"), "--targets", str(tmp_path / "t.emb"),
+                 "--ann", "--ann-n-probe", "3", "--out", str(tmp_path / "r.json"))
+    assert run.returncode == 0, run.stderr
+    names = {s["name"] for s in json.loads(spans.read_text())["spans"] if s}
+    assert {"evaluate.recall_at_k", "evaluate.ann_build", "evaluate.ann_search",
+            "evaluate.measure_recall"} <= names
+
+
 # What an evaluation command has no use for.
 NOT_FOR_EVALUATION = ("figurelink.vision", "figurelink.captioner", "figurelink.ingest",
                       "figurelink.jats", "logging", "xml.etree")

@@ -1,4 +1,5 @@
-"""Pinned output digests of a fixed synthetic ingest + finegrain run.
+"""Pinned output digests of a fixed synthetic ingest + finegrain run, and of
+the evaluation commands on a fixed store pair.
 
 A refactor that claims to keep behaviour must keep these bytes. The
 digests were computed once and are compared literally; when a change is
@@ -12,11 +13,14 @@ missing_image audit line) and a quarter of the OCR sidecars removed
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from figurelink.cli import main
-from figurelink.synth import make_corpus
+from figurelink.evaluate.store import write_store
+from figurelink.synth import make_corpus, paired_stores
 from figurelink.vision.images import RasterImage, load_image, save_image
 
 PINNED = {
@@ -97,3 +101,51 @@ def test_stats_bytes_are_pinned(run):
     assert main(["stats", "--pairs", str(out / "corpus.jsonl"),
                  "--images-root", str(packages), "--out", str(out / "stats.json")]) == 0
     assert _sha((out / "stats.json").read_bytes()) == PINNED_STATS
+
+
+# Report digests of the evaluation commands on a fixed, seeded store pair:
+# `retrieval --ann` with a non-exhaustive probe, `zeroshot --labels` with two
+# classes (so the report holds an AUROC) and `census`, the last two on the
+# hash text embedder. Computed while top-k search still scored in float64,
+# before it moved onto the float32 screen that ranks Recall@k.
+PINNED_EMBED = {
+    "retrieval.json":
+        "c2614ae9acd06cf5ffda86583da2a0dc8ff0e0e8a4bf41f96fa8ae777fdea044",
+    "zeroshot.json":
+        "b3bcc9c73e66f28060eadad0ad68c1973f7d5a0a34145fdc878321e92c8827e2",
+    "census.json":
+        "c5e6a0bc740117a0c38d80ecaa8381fb777c70881b3f0f0fad3eec4870aa5af7",
+}
+
+
+@pytest.fixture(scope="module")
+def embed_reports(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned_embed")
+    images, texts, _ = paired_stores(np.random.default_rng(11), 500, 24, noise=1.2)
+    img, txt = str(root / "images.emb"), str(root / "texts.emb")
+    write_store(img, images)
+    write_store(txt, texts)
+    (root / "classes.json").write_text(json.dumps(
+        [{"class_name": c, "prompt_templates": ["an image of {}", "a {} scan"]}
+         for c in ("mri", "ct")]))
+    (root / "labels.json").write_text(json.dumps(
+        {i: ("mri", "ct")[k % 3 == 0] for k, i in enumerate(images.ids)}))
+    (root / "taxonomy.json").write_text(json.dumps(
+        [{"type_name": t, "keywords": kws} for t, kws in (
+            ("plot", ["bar chart", "line plot"]), ("micro", ["microscopy"]),
+            ("radio", ["x-ray", "mri scan", "ct slice"]))]))
+    argv = {
+        "retrieval.json": ["retrieval", "--queries", img, "--targets", txt, "--ann",
+                           "--ann-n-probe", "5"],
+        "zeroshot.json": ["zeroshot", "--images", img, "--classes", str(root / "classes.json"),
+                          "--labels", str(root / "labels.json")],
+        "census.json": ["census", "--images", img, "--taxonomy", str(root / "taxonomy.json")],
+    }
+    for name, args in argv.items():
+        assert main([*args, "--out", str(root / name)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EMBED))
+def test_evaluation_report_bytes_are_pinned(embed_reports, name):
+    assert _sha((embed_reports / name).read_bytes()) == PINNED_EMBED[name]
