@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
+# --workers is set on the command line only, not in PipelineConfig: the pool
+# size changes no output byte, so it stays out of the manifests' config hash.
+MAX_WORKERS = 1024
+
 # The names the commands use from the vision and evaluate packages, each
 # with the module that defines it. All but corpus_stats load numpy, so
 # importing this module does not import them: a name is bound in this module's
@@ -51,7 +55,7 @@ _VISION = {
 }
 _EVALUATE = {
     **dict.fromkeys((
-        "AnnIndex", "ClassSpec", "DimensionMismatch", "IndexParams", "TaxonomyKeyword",
+        "AnnIndex", "ClassSpec", "DimensionMismatch", "TaxonomyKeyword",
         "accuracy", "binary_auroc", "corpus_stats", "embed_text", "measure_recall",
         "read_store", "recall_at_k", "taxonomy_census", "zero_shot_classify"), ".evaluate"),
     "HashTextEmbedder": ".mockembed",
@@ -112,18 +116,9 @@ def _emit_report(obj: dict, out: str | None, pretty: bool) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _workers_flag(flag: int | None) -> int | None:
-    """--workers, else FIGURELINK_WORKERS, else None: the config file's
-    `workers`, whose default is the CPU count."""
-    if flag is not None:
-        return flag
-    env = os.environ.get("FIGURELINK_WORKERS")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"FIGURELINK_WORKERS must be an integer, got {env!r}") from None
+def _check_workers(workers: int) -> None:
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigError(f"workers={workers} outside [1, {MAX_WORKERS}]")
 
 
 def _load_embedder(args, dim_hint: int):
@@ -151,9 +146,10 @@ def cmd_ingest(args) -> int:
     # wraps it.
     from . import ingest
 
-    cfg = load_config(args.config, {"workers": _workers_flag(args.workers)})
+    cfg = load_config(args.config)
+    _check_workers(args.workers)
     report = ingest.run_pipeline(args.root, args.out, args.skip_log,
-                                 workers=cfg.workers)
+                                 workers=args.workers)
     _write_manifest(args.out, cfg, [], report.counters())
     _emit_report({**report.counters(), "wall_time": round(report.wall_time, 3)},
                  None, args.pretty)
@@ -163,7 +159,8 @@ def cmd_ingest(args) -> int:
 def cmd_finegrain(args) -> int:
     from . import ingest
 
-    cfg = load_config(args.config, {"workers": _workers_flag(args.workers)})
+    cfg = load_config(args.config)
+    _check_workers(args.workers)
     out_dir = Path(args.out_dir)
     # Every line is checked before any work starts, so a malformed corpus
     # fails with one error and no output.
@@ -175,7 +172,7 @@ def cmd_finegrain(args) -> int:
                                      [images.get(fig["graphic_ref"]) for fig in figures])
                     for pmcid, figures, paragraphs in checked]
     workers = ingest.pool_size(
-        cfg.workers, (p for a in articles for p in a.image_paths), IMAGE_BYTES_PER_PROCESS)
+        args.workers, (p for a in articles for p in a.image_paths), IMAGE_BYTES_PER_PROCESS)
     run = FinegrainRun(out_dir / "crops", Path(args.ocr_dir) if args.ocr_dir else None, cfg)
 
     # Each article's counters hold every key, in report order, so the sums
@@ -249,7 +246,6 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
     pmcid = article.pmcid
     timer = StageTimer()
     pair_lines, audit_lines = [], []
-    split_cfg = run.cfg.split_config()
 
     def audit_line(kind: str, fig_id: str) -> None:
         audit_lines.append(json.dumps({"kind": kind, "pmcid": pmcid, "fig_id": fig_id}))
@@ -287,7 +283,7 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
                     counters["unreadable_ocr"] += 1
                     audit_line("unreadable_ocr", fig["fig_id"])
         with timer.stage("split"):
-            panels = split_panels(image, split_cfg)
+            panels = split_panels(image, run.cfg)
         with timer.stage("match"):
             box_assignments, deficit = match_labels_to_boxes(labels, boxes)
             assignments, unresolved = match_labels_to_panels(
@@ -369,9 +365,7 @@ def cmd_retrieval(args) -> int:
     obj = {direction: {f"recall@{k}": run.recall_at[k] for k in run.k_values}
            for direction, run in runs.items()}
     if args.ann:
-        params = IndexParams(n_lists=cfg.ann_n_lists or None, n_probe=cfg.ann_n_probe,
-                             seed=cfg.seed)
-        index = AnnIndex(params).build(targets)
+        index = AnnIndex(cfg).build(targets)
         rng = np.random.default_rng(cfg.seed)
         sample = rng.choice(queries.n, size=min(64, queries.n), replace=False)
         obj["ann_measured_recall@10"] = measure_recall(
@@ -435,9 +429,7 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
-WORKERS_HELP = ("pool processes, at most the CPU count and one per %s "
-                "(default: FIGURELINK_WORKERS, else the config file's workers, "
-                "else the CPU count)")
+WORKERS_HELP = "pool processes, at most the CPU count and one per %s (default: the CPU count)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,11 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--pretty", action="store_true")
 
+    workers = min(os.cpu_count() or 1, MAX_WORKERS)
+
     p = sub.add_parser("ingest", help="parse article packages into corpus JSONL")
     p.add_argument("--root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--skip-log", default=None)
-    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP % f"{XML_BYTES_PER_PROCESS >> 20} MB of XML")
+    p.add_argument("--workers", type=int, default=workers,
+                   help=WORKERS_HELP % f"{XML_BYTES_PER_PROCESS >> 20} MB of XML")
     p.add_argument("--config", default=None)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_ingest)
@@ -464,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images-root", required=True)
     p.add_argument("--ocr-dir", default=None)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=int, default=workers,
                    help=WORKERS_HELP % f"{IMAGE_BYTES_PER_PROCESS >> 20} MB of image files")
     p.add_argument("--config", default=None)
     p.add_argument("--pretty", action="store_true")

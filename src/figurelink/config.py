@@ -1,10 +1,15 @@
 """Flat key=value configuration with comments; CLI flags override file
-values. Unknown keys are rejected."""
+values. Unknown keys are rejected.
+
+PipelineConfig holds every setting that decides a command's outputs, and
+is the only place their defaults are written; its canonical text is what
+each manifest's config hash covers. This module imports only the standard
+library, so every package module can read it.
+"""
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -12,26 +17,21 @@ class ConfigError(ValueError):
     pass
 
 
-def _cpu_count() -> int:
-    """The default `workers`: the CPU count, within its accepted range."""
-    return min(os.cpu_count() or 1, 1024)
-
-
 @dataclass
 class PipelineConfig:
-    workers: int = field(default_factory=_cpu_count)
-    bg_intensity: float = 240.0
-    bg_fraction: float = 0.98
-    max_gutter_var: float = 200.0
+    # Panel splitting (vision.split).
+    bg_intensity: float = 240.0   # pixel counts as background at or above this
+    bg_fraction: float = 0.98     # fraction of band pixels that must be background
+    max_gutter_var: float = 200.0 # per-line intensity variance ceiling
     min_gutter_px: int = 8
     min_panel_frac: float = 0.02
+    # Retrieval: Recall@k cut-offs and the ANN index (evaluate.ann).
     k_values: tuple[int, ...] = (1, 5, 10)
-    ann_n_lists: int = 0          # 0: default ceil(sqrt(N))
+    ann_n_lists: int = 0          # 0: ceil(sqrt(N))
     ann_n_probe: int = 28
     seed: int = 0
 
     RANGES = {
-        "workers": (1, 1024),
         "bg_intensity": (0.0, 255.0),
         "bg_fraction": (0.0, 1.0),
         "max_gutter_var": (0.0, 65025.0),
@@ -49,20 +49,6 @@ class PipelineConfig:
         if any(k < 1 for k in self.k_values):
             raise ConfigError("k_values must be positive")
         return self
-
-    def split_config(self):
-        """The panel-splitting settings, as a vision.split.SplitConfig."""
-        # Imported here: the vision package loads numpy, and most commands
-        # never split a panel.
-        from .vision.split import SplitConfig
-
-        return SplitConfig(
-            bg_intensity=self.bg_intensity,
-            bg_fraction=self.bg_fraction,
-            max_gutter_var=self.max_gutter_var,
-            min_gutter_px=self.min_gutter_px,
-            min_panel_frac=self.min_panel_frac,
-        )
 
     def canonical_text(self) -> str:
         lines = []

@@ -10,8 +10,8 @@ _EXPORTS = {
     **dict.fromkeys(("EmbeddingStore", "StoreFormatError", "read_store", "write_store",
                      "MODALITY_IMAGE", "MODALITY_TEXT"), ".store"),
     **dict.fromkeys(("DimensionMismatch", "MissingPair", "RetrievalRun", "exact_topk",
-                     "rank_of", "recall_at_k", "DEFAULT_K_VALUES"), ".retrieval"),
-    **dict.fromkeys(("AnnIndex", "IndexNotBuilt", "IndexParams", "measure_recall"), ".ann"),
+                     "rank_of", "recall_at_k"), ".retrieval"),
+    **dict.fromkeys(("AnnIndex", "IndexNotBuilt", "measure_recall"), ".ann"),
     **dict.fromkeys(("ClassSpec", "EmbedderFailure", "TaxonomyKeyword", "ZeroShotResult",
                      "accuracy", "auroc", "binary_auroc", "embed_text", "taxonomy_census",
                      "zero_shot_classify"), ".zeroshot"),

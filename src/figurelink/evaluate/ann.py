@@ -9,10 +9,10 @@ n_lists the search is exhaustive and matches exact_topk entry for entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import PipelineConfig
 from .retrieval import exact_topk, exact_topk_batch
 from .store import EmbeddingStore
 
@@ -21,13 +21,6 @@ KMEANS_ITERS = 10
 
 class IndexNotBuilt(RuntimeError):
     pass
-
-
-@dataclass
-class IndexParams:
-    n_lists: int | None = None   # default: ceil(sqrt(N))
-    n_probe: int = 28
-    seed: int = 0
 
 
 def _spherical_kmeans(vectors: np.ndarray, k: int, seed: int):
@@ -54,20 +47,21 @@ def _spherical_kmeans(vectors: np.ndarray, k: int, seed: int):
 
 
 class AnnIndex:
-    """Partition index with a fixed search interface."""
+    """Partition index with a fixed search interface, built with cfg's
+    ann_n_lists (0: ceil(sqrt(N))), ann_n_probe and seed."""
 
-    def __init__(self, params: IndexParams | None = None):
-        self.params = params or IndexParams()
+    def __init__(self, cfg: PipelineConfig | None = None):
+        self.cfg = cfg or PipelineConfig()
         self._store: EmbeddingStore | None = None
 
     def build(self, store: EmbeddingStore) -> "AnnIndex":
         if store.n == 0:
             raise ValueError("cannot index an empty store")
-        k = self.params.n_lists or max(1, math.ceil(math.sqrt(store.n)))
+        k = self.cfg.ann_n_lists or max(1, math.ceil(math.sqrt(store.n)))
         k = min(k, store.n)
         # One float64 copy for the whole clustering, freed on return.
         self._centroids, assign = _spherical_kmeans(
-            store.vectors.astype(np.float64), k, self.params.seed)
+            store.vectors.astype(np.float64), k, self.cfg.seed)
         self._lists = [np.nonzero(assign == c)[0] for c in range(k)]
         self._store = store
         self.n_lists = k
@@ -77,7 +71,7 @@ class AnnIndex:
     def exhaustive(self) -> bool:
         if self._store is None:
             raise IndexNotBuilt("call build() first")
-        return self.params.n_probe >= self.n_lists
+        return self.cfg.ann_n_probe >= self.n_lists
 
     def search(self, query: np.ndarray, k: int):
         """Top-k candidates ranked by exact similarity within probed lists."""
@@ -87,7 +81,7 @@ class AnnIndex:
         query = np.asarray(query, dtype=np.float64).ravel()
         if self.exhaustive:
             return exact_topk(query, store, min(k, store.n))
-        probe = min(self.params.n_probe, self.n_lists)
+        probe = min(self.cfg.ann_n_probe, self.n_lists)
         centroid_sims = self._centroids @ query
         probed = np.argsort(-centroid_sims)[:probe]
         candidates = np.concatenate([self._lists[c] for c in probed])

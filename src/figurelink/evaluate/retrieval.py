@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import PipelineConfig
 from .store import UNIT_NORM_TOL, EmbeddingStore, row_norms
-
-DEFAULT_K_VALUES = (1, 5, 10)
 
 # Scores held at a time: 2**22 values, 32 MB in float64 and 16 MB in float32.
 _BLOCK_ELEMS = 1 << 22
@@ -277,7 +276,7 @@ def _run(ranks: np.ndarray, k_values) -> RetrievalRun:
 
 
 def recall_at_k(queries: EmbeddingStore, targets: EmbeddingStore,
-                pairing: dict[str, str], k_values=DEFAULT_K_VALUES):
+                pairing: dict[str, str], k_values=PipelineConfig.k_values):
     """Recall@k in both directions, from one pass of `_ranks`.
 
     pairing maps query ids to target ids and must be a bijection; the

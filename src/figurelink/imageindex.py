@@ -1,7 +1,10 @@
 """The one figure-to-file resolver: index image files by stem.
 
-Kept apart from `vision` so that `ingest` and `stats` resolve media without
-loading numpy.
+A figure's graphic_ref names its image file by stem. The index keeps the
+regular files whose lower-cased suffix is in IMAGE_EXTENSIONS; when files
+share a stem, the earlier extension in IMAGE_EXTENSIONS wins, then the
+smaller path. Kept apart from `vision` so that `ingest` and `stats` resolve
+media without loading numpy.
 """
 
 from __future__ import annotations
@@ -12,26 +15,6 @@ from pathlib import Path
 # Image file suffixes, matched lower-cased, in resolver precedence order.
 IMAGE_EXTENSIONS = (".ppm", ".pgm", ".png", ".jpg", ".jpeg", ".gif", ".tif", ".tiff")
 _EXTENSION_RANK = {ext: rank for rank, ext in enumerate(IMAGE_EXTENSIONS)}
-
-
-def index_images(paths) -> dict[str, Path]:
-    """Index the image files among paths by stem, which is a graphic_ref.
-
-    Keeps regular files whose lower-cased suffix is in IMAGE_EXTENSIONS.
-    When files share a stem, the earlier extension in IMAGE_EXTENSIONS
-    wins, then the smaller path. index_tree and index_listing apply this
-    rule to os.scandir entries, which is what the commands use; this form
-    takes any iterable of paths and stats each one.
-    """
-    best: dict[str, tuple[int, Path]] = {}
-    for path in paths:
-        rank = _EXTENSION_RANK.get(path.suffix.lower())
-        if rank is None or not path.is_file():
-            continue
-        held = best.get(path.stem)
-        if held is None or (rank, path) < held:
-            best[path.stem] = (rank, path)
-    return {stem: path for stem, (_, path) in best.items()}
 
 
 def split_name(name: str) -> tuple[str, str]:
@@ -70,17 +53,19 @@ def _rank_entries(best: dict, entries, parts: tuple) -> None:
 
 
 def index_listing(entries) -> dict[str, str]:
-    """index_images over one directory's os.scandir entries, as the name of
-    each stem's file. It stats nothing but symlinks."""
+    """The image files among one directory's os.scandir entries by stem,
+    under the module's stem rule, as the name of each stem's file. It stats
+    nothing but symlinks."""
     best: dict = {}
     _rank_entries(best, entries, ())
     return {stem: entry.name for stem, (_, _, entry) in best.items()}
 
 
 def index_tree(root) -> dict[str, Path]:
-    """index_images(Path(root).rglob("*")) from one os.scandir walk: it does
-    not descend into symlinked directories, follows symlinked files, and
-    skips directories it cannot list."""
+    """The image files under root by stem, under the module's stem rule,
+    from one os.scandir walk: it does not descend into symlinked
+    directories, follows symlinked files, and skips directories it cannot
+    list."""
     best: dict = {}
     stack = [(os.fspath(Path(root)), ())]
     while stack:

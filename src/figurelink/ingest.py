@@ -55,12 +55,6 @@ class ArticlePackage:
     def xml_path(self) -> Path | None:
         return None if self.xml_name is None else self.root / self.pmcid / self.xml_name
 
-    @property
-    def images(self) -> dict[str, Path]:
-        """The package's image files by stem (imageindex.index_images)."""
-        pkg_dir = self.root / self.pmcid
-        return {stem: pkg_dir / name for stem, name in self.image_names.items()}
-
 
 @dataclass
 class IngestReport:
@@ -151,18 +145,15 @@ def _process_package(package: ArticlePackage):
         log.exception("unexpected failure parsing %s", package.pmcid)
         return ("skip", package.pmcid, SKIP_MALFORMED_XML)
 
-    pairs, unresolved = jats.extract_pairs(record, package.images)
+    resolved, unresolved = jats.extract_pairs(record, package.image_names)
     fig_skips = [(fig.fig_id, SKIP_MISSING_MEDIA) for fig in unresolved]
     fig_skips += [
         (fig_id, SKIP_NO_FIGURES if reason == jats.DROP_EMPTY_CAPTION else SKIP_MISSING_MEDIA)
         for fig_id, reason in record.dropped_figures
     ]
-    if not pairs:
+    if not resolved:
         return ("skip", package.pmcid, SKIP_MISSING_MEDIA)
-
-    resolved_ids = {p.fig_id for p in pairs}
-    line = corpus_line(record, [f for f in record.figures if f.fig_id in resolved_ids])
-    return ("ok", package.pmcid, line, len(pairs), fig_skips)
+    return ("ok", package.pmcid, corpus_line(record, resolved), len(resolved), fig_skips)
 
 
 def pool_size(workers: int, paths, bytes_per_process: int) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from pathlib import Path
 from xml.etree import ElementTree
 
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
@@ -52,15 +51,6 @@ class ArticleRecord:
     body_paragraphs: list[str]
     # (fig_id, reason) for figure elements that could not become entries
     dropped_figures: list[tuple[str, str]] = field(default_factory=list)
-
-
-@dataclass
-class FigurePair:
-    pmid: str | None
-    pmcid: str
-    fig_id: str
-    image_path: str
-    caption: str
 
 
 def normalize_text(text: str) -> str:
@@ -214,49 +204,14 @@ def parse_article(xml_bytes: bytes) -> ArticleRecord:
                          body_paragraphs=walk.paragraphs, dropped_figures=dropped)
 
 
-def _escape(text: str) -> str:
-    """Escape &, < and > for XML character data, as
-    xml.sax.saxutils.escape does, without importing xml.sax."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def extract_pairs(record: ArticleRecord, image_names: dict[str, str]):
+    """Split the record's figures by whether their graphic_ref is a stem in
+    image_names, a package's image files by stem.
 
-
-def serialize_article(record: ArticleRecord) -> bytes:
-    """Emit a minimal JATS document representing the record.
-
-    Used for round-trip testing: parse(serialize(parse(x))) == parse(x).
+    Returns (resolved, unresolved), two lists of FigureEntry in record order.
     """
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
-             '<article xmlns:xlink="http://www.w3.org/1999/xlink"><front><article-meta>']
-    pmc_num = record.pmcid[3:] if record.pmcid.upper().startswith("PMC") else record.pmcid
-    parts.append(f'<article-id pub-id-type="pmc">{_escape(pmc_num)}</article-id>')
-    if record.pmid:
-        parts.append(f'<article-id pub-id-type="pmid">{_escape(record.pmid)}</article-id>')
-    parts.append("</article-meta></front><body>")
-    for para in record.body_paragraphs:
-        parts.append(f"<p>{_escape(para)}</p>")
-    for fig in record.figures:
-        parts.append(f'<fig id="{_escape(fig.fig_id)}">')
-        if fig.label_text:
-            parts.append(f"<label>{_escape(fig.label_text)}</label>")
-        parts.append(f"<caption><p>{_escape(fig.caption)}</p></caption>")
-        parts.append(f'<graphic xlink:href="{_escape(fig.graphic_ref)}"/>')
-        parts.append("</fig>")
-    parts.append("</body></article>")
-    return "".join(parts).encode("utf-8")
-
-
-def extract_pairs(record: ArticleRecord, images: dict[str, Path]):
-    """Resolve each figure's graphic_ref against an index_images index.
-
-    Returns (pairs, unresolved): one FigurePair per figure whose graphic_ref
-    resolves, and the list of FigureEntry values that did not.
-    """
-    pairs: list[FigurePair] = []
+    resolved: list[FigureEntry] = []
     unresolved: list[FigureEntry] = []
     for fig in record.figures:
-        path = images.get(fig.graphic_ref)
-        if path is None:
-            unresolved.append(fig)
-            continue
-        pairs.append(FigurePair(record.pmid, record.pmcid, fig.fig_id, str(path), fig.caption))
-    return pairs, unresolved
+        (resolved if fig.graphic_ref in image_names else unresolved).append(fig)
+    return resolved, unresolved

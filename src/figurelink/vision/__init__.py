@@ -1,5 +1,5 @@
-from .images import RasterImage, UnreadableImage, decode_pnm, encode_pnm, load_image, save_image, register_decoder
-from .split import PanelBox, SplitConfig, split_panels
+from .images import RasterImage, UnreadableImage, decode_pnm, encode_pnm, load_image, save_image
+from .split import PanelBox, split_panels
 from .match import (
     OcrBox, BoxMatch, LabelAssignment,
     match_labels_to_boxes, match_labels_to_panels, match_score,
@@ -9,7 +9,7 @@ from .finegrain import FinePair, AuditEntry, emit_fine_grained_pairs, audit_unus
 
 __all__ = [
     "RasterImage", "UnreadableImage", "decode_pnm", "encode_pnm", "load_image",
-    "save_image", "register_decoder", "PanelBox", "SplitConfig", "split_panels",
+    "save_image", "PanelBox", "split_panels",
     "OcrBox", "BoxMatch", "LabelAssignment", "match_labels_to_boxes",
     "match_labels_to_panels", "match_score", "EVIDENCE_EXACT", "EVIDENCE_FUZZY",
     "EVIDENCE_INFERRED", "FinePair", "AuditEntry", "emit_fine_grained_pairs",

@@ -1,9 +1,8 @@
 """Raster images and bit-exact PGM/PPM (binary P5/P6) decoding.
 
 The PNM header rules live in `figurelink.pnm`, which `stats` uses without
-numpy. PNM keeps the test path dependency-free; other codecs plug in through
-register_decoder. Pillow, when importable, is auto-registered for the
-common web formats.
+numpy. PNM keeps the test path dependency-free; Pillow, when importable,
+decodes the common web formats.
 """
 
 from __future__ import annotations
@@ -68,11 +67,6 @@ def _decode_pnm_file(path: Path) -> RasterImage:
 
 
 _DECODERS: dict[str, object] = {".pgm": _decode_pnm_file, ".ppm": _decode_pnm_file}
-
-
-def register_decoder(extension: str, decoder) -> None:
-    """Register decoder(path) -> RasterImage for a file extension."""
-    _DECODERS[extension.lower()] = decoder
 
 
 def _register_pillow():

@@ -12,16 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import PipelineConfig
 from .images import RasterImage
-
-
-@dataclass
-class SplitConfig:
-    bg_intensity: float = 240.0   # pixel counts as background at or above this
-    bg_fraction: float = 0.98     # fraction of band pixels that must be background
-    max_gutter_var: float = 200.0 # per-line intensity variance ceiling
-    min_gutter_px: int = 8
-    min_panel_frac: float = 0.02
 
 
 @dataclass
@@ -59,7 +51,7 @@ class _LineStats:
     how a float grey image rounds, so the mask is the one it would give.
     """
 
-    def __init__(self, image: RasterImage, cfg: SplitConfig):
+    def __init__(self, image: RasterImage, cfg: PipelineConfig):
         pixels = image.pixels
         self.c = image.channels
         if self.c == 1:
@@ -185,9 +177,10 @@ def reading_order(rects: list[tuple[int, int, int, int]]) -> list[tuple[int, int
     return ordered
 
 
-def split_panels(image: RasterImage, cfg: SplitConfig | None = None) -> list[PanelBox]:
-    """Segment a figure into panels; degenerate inputs come back whole."""
-    cfg = cfg or SplitConfig()
+def split_panels(image: RasterImage, cfg: PipelineConfig | None = None) -> list[PanelBox]:
+    """Segment a figure into panels with cfg's splitting settings;
+    degenerate inputs come back whole."""
+    cfg = cfg or PipelineConfig()
     w, h = image.width, image.height
     total = float(w * h)
     whole = [PanelBox((0, 0, w, h), 1.0)]

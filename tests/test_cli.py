@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,14 +34,14 @@ def corpus(tmp_path_factory):
 class TestConfig:
     def test_defaults_validate(self):
         cfg = load_config()
-        assert cfg.workers >= 1
+        assert cfg.min_gutter_px == 8
         assert cfg.k_values == (1, 5, 10)
 
     def test_file_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# run settings\nworkers = 3\nann_n_probe = 7\n")
+        path.write_text("# run settings\nmin_gutter_px = 3\nann_n_probe = 7\n")
         cfg = load_config(path)
-        assert cfg.workers == 3
+        assert cfg.min_gutter_px == 3
         assert cfg.ann_n_probe == 7
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -50,7 +52,7 @@ class TestConfig:
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("workers = soon\n")
+        path.write_text("min_gutter_px = soon\n")
         with pytest.raises(ConfigError):
             load_config(path)
 
@@ -77,36 +79,6 @@ class TestIngestCommand:
                    "--out", str(tmp_path / "o.jsonl")])
         assert rc == 1
 
-    def test_non_integer_workers_env_exits_2(self, corpus, tmp_path, capsys,
-                                             monkeypatch):
-        monkeypatch.setenv("FIGURELINK_WORKERS", "two")
-        rc = main(["ingest", "--root", str(corpus.packages_dir),
-                   "--out", str(tmp_path / "o.jsonl")])
-        assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error:")
-
-    @pytest.mark.parametrize("flag, env, want", [
-        (None, None, 3),    # the config file's workers = 3
-        (None, "2", 2),     # FIGURELINK_WORKERS over the config file
-        ("4", "2", 4),      # --workers over both
-    ])
-    def test_workers_precedence(self, corpus, tmp_path, capsys, monkeypatch,
-                                flag, env, want):
-        if env is None:
-            monkeypatch.delenv("FIGURELINK_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("FIGURELINK_WORKERS", env)
-        cfg = tmp_path / "w.cfg"
-        cfg.write_text("workers = 3\n")
-        out = tmp_path / "o.jsonl"
-        argv = ["ingest", "--root", str(corpus.packages_dir), "--out", str(out),
-                "--config", str(cfg)]
-        assert main(argv + (["--workers", flag] if flag else [])) == 0
-        manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
-        expected = PipelineConfig(workers=want).canonical_text().encode()
-        assert manifest["config_hash"] == hashlib.sha256(expected).hexdigest()
-
     def test_bad_config_exits_2(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
@@ -118,7 +90,7 @@ class TestIngestCommand:
 # Every way reading a --config file can fail: each is a configuration error.
 CONFIG_READ_FAILURES = {
     "missing": None,
-    "not_utf8": b"workers = 2  # \xff\xfe latin-1 bytes\n",
+    "not_utf8": b"min_gutter_px = 2  # \xff\xfe latin-1 bytes\n",
     "directory": "dir",
 }
 # Each subcommand with its required flags; config is read before any input.
@@ -148,6 +120,48 @@ class TestConfigReadErrors:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: cannot read {cfg}: ")
+
+
+def _config_hash(out) -> str:
+    return json.loads(Path(f"{out}.manifest.json").read_text())["config_hash"]
+
+
+class TestWorkers:
+    """The pool size comes from --workers alone and, like the CPU count its
+    default is read from, stays out of the manifests' config hash."""
+
+    def test_hash_is_the_same_for_any_worker_count(self, corpus, tmp_path, capsys):
+        hashes = set()
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.jsonl"
+            assert main(["ingest", "--root", str(corpus.packages_dir), "--out", str(out),
+                         "--workers", workers]) == 0
+            hashes.add(_config_hash(out))
+        defaults = PipelineConfig().canonical_text().encode()
+        assert hashes == {hashlib.sha256(defaults).hexdigest()}
+
+    def test_hash_does_not_depend_on_the_cpu_count(self, tmp_path, capsys, monkeypatch):
+        images, texts, _ = paired_stores(np.random.default_rng(4), 20, 8)
+        write_store(tmp_path / "q.emb", images)
+        write_store(tmp_path / "t.emb", texts)
+        hashes = []
+        for cpus in (2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            out = tmp_path / f"cpus{cpus}.json"
+            assert main(["retrieval", "--queries", str(tmp_path / "q.emb"),
+                         "--targets", str(tmp_path / "t.emb"), "--out", str(out)]) == 0
+            hashes.append(_config_hash(out))
+        assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("workers", ["0", "1025"])
+    @pytest.mark.parametrize("command", ["ingest", "finegrain"])
+    def test_out_of_range_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                command, workers):
+        monkeypatch.chdir(tmp_path)
+        rc = main([command, *MINIMAL_ARGV[command], "--workers", workers])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: workers={workers} outside [1, 1024]"]
 
 
 class TestFinegrainCommand:
@@ -309,20 +323,6 @@ class TestFinegrainCommand:
         assert manifest["counters"] == report
         assert not set(stages) & set(report)
 
-    def test_workers_setting_is_read_as_for_ingest(self, corpus, tmp_path, capsys,
-                                                   monkeypatch):
-        monkeypatch.setenv("FIGURELINK_WORKERS", "two")
-        rc = main(["finegrain", "--corpus", str(tmp_path / "absent.jsonl"),
-                   "--images-root", str(tmp_path), "--out-dir", str(tmp_path / "fine")])
-        assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: FIGURELINK_WORKERS")
-        monkeypatch.setenv("FIGURELINK_WORKERS", "0")
-        rc = main(["finegrain", "--corpus", str(tmp_path / "absent.jsonl"),
-                   "--images-root", str(tmp_path), "--out-dir", str(tmp_path / "fine")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("config error: workers=0")
-
 
 class TestStatsCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -400,22 +400,6 @@ class TestCensusCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == 20
         assert sum(e["count"] for e in payload["histogram"]) == 20
-
-
-class TestWorkersEnv:
-    def test_other_commands_ignore_it(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FIGURELINK_WORKERS", "two")
-        rng = np.random.default_rng(5)
-        store = EmbeddingStore.from_raw(
-            [f"i{k}" for k in range(6)], rng.standard_normal((6, 4)),
-            MODALITY_IMAGE)
-        write_store(tmp_path / "img.emb", store)
-        (tmp_path / "tax.json").write_text(json.dumps(
-            [{"type_name": "plot", "keywords": ["bar chart"]}]))
-        rc = main(["census", "--images", str(tmp_path / "img.emb"),
-                   "--taxonomy", str(tmp_path / "tax.json")])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["total"] == 6
 
 
 class TestParser:
@@ -518,12 +502,13 @@ MALFORMED_PACKAGES = {
 MALFORMED_CONFIGS = {
     "no_equals": ("workers\n", "line 1: expected key=value"),
     "unknown_key": ("wrokers = 3\n", "unknown config key 'wrokers'"),
-    "bad_int": ("workers = soon\n", "bad value for workers"),
+    "bad_int": ("min_gutter_px = soon\n", "bad value for min_gutter_px"),
     "bad_float": ("bg_fraction = half\n", "bad value for bg_fraction"),
-    "out_of_range": ("workers = 0\n", "workers=0 outside [1, 1024]"),
+    "out_of_range": ("min_gutter_px = 0\n", "min_gutter_px=0 outside [1, 10000]"),
     "nan": ("bg_fraction = nan\n", "bg_fraction=nan outside"),
     "bad_k_values": ("k_values = 1,x\n", "bad k_values"),
     "zero_k": ("k_values = 0,5\n", "k_values must be positive"),
+    "workers_key": ("workers = 2\n", "unknown config key 'workers'"),
 }
 
 

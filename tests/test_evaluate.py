@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from figurelink.config import PipelineConfig
 from figurelink.evaluate import retrieval
-from figurelink.evaluate.ann import AnnIndex, IndexParams, measure_recall
+from figurelink.evaluate.ann import AnnIndex, measure_recall
 from figurelink.evaluate.retrieval import (
     DimensionMismatch,
     MissingPair,
@@ -523,7 +524,8 @@ class TestOneScoringRule:
         with mock.patch.object(retrieval, "_BLOCK_ELEMS", block_elems):
             everything = retrieval.exact_topk_batch(queries, store, store.n)
             best = retrieval.exact_topk_batch(queries, store, k)
-        index = AnnIndex(IndexParams(n_lists=store.n, n_probe=store.n // 2)).build(store)
+        index = AnnIndex(PipelineConfig(ann_n_lists=store.n,
+                                        ann_n_probe=store.n // 2)).build(store)
         assert not index.exhaustive
         for q, hits, top in zip(queries, everything, best):
             assert exact_topk(q, store, store.n) == hits
@@ -541,7 +543,7 @@ class TestAnn:
         store = EmbeddingStore.from_raw(
             [f"v{i:03d}" for i in range(80)], rng.standard_normal((80, 6)),
             MODALITY_TEXT)
-        index = AnnIndex(IndexParams(n_lists=4, n_probe=4)).build(store)
+        index = AnnIndex(PipelineConfig(ann_n_lists=4, ann_n_probe=4)).build(store)
         assert index.exhaustive
         for _ in range(10):
             q = rng.standard_normal(6)
@@ -560,7 +562,7 @@ class TestAnn:
         rng = np.random.default_rng(24)
         store = quantized_store(rng, 200, shuffled_ids(rng, "v", 200))
         queries = quantized_store(rng, 30, shuffled_ids(rng, "q", 30)).vectors.astype(np.float64)
-        index = AnnIndex(IndexParams(n_lists=14, n_probe=3)).build(store)
+        index = AnnIndex(PipelineConfig(ann_n_lists=14, ann_n_probe=3)).build(store)
         want = sum(len({i for i, _ in exact_topk(q, store, 10)}
                        & {i for i, _ in index.search(q, 10)}) / 10
                    for q in queries) / len(queries)
@@ -572,8 +574,8 @@ class TestAnn:
             [f"v{i:04d}" for i in range(800)], rng.standard_normal((800, 24)),
             MODALITY_TEXT)
         queries = rng.standard_normal((40, 24))
-        narrow = AnnIndex(IndexParams(n_lists=28, n_probe=1)).build(store)
-        wide = AnnIndex(IndexParams(n_lists=28, n_probe=20)).build(store)
+        narrow = AnnIndex(PipelineConfig(ann_n_lists=28, ann_n_probe=1)).build(store)
+        wide = AnnIndex(PipelineConfig(ann_n_lists=28, ann_n_probe=20)).build(store)
         r_narrow = measure_recall(narrow, store, queries, k=10)
         r_wide = measure_recall(wide, store, queries, k=10)
         assert r_wide >= r_narrow
@@ -585,8 +587,8 @@ class TestAnn:
         ids = [f"v{i:03d}" for i in range(300)]
         store = EmbeddingStore.from_raw(ids, vecs, MODALITY_TEXT)
         q = rng.standard_normal(12)
-        a = AnnIndex(IndexParams(seed=5)).build(store).search(q, 10)
-        b = AnnIndex(IndexParams(seed=5)).build(store).search(q, 10)
+        a = AnnIndex(PipelineConfig(seed=5)).build(store).search(q, 10)
+        b = AnnIndex(PipelineConfig(seed=5)).build(store).search(q, 10)
         assert a == b
 
 

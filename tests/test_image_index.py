@@ -9,7 +9,24 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from figurelink.imageindex import IMAGE_EXTENSIONS, index_images, index_tree
+from figurelink.imageindex import IMAGE_EXTENSIONS, index_tree
+
+
+def index_images(paths) -> dict[str, Path]:
+    """The reference index: the image files among paths by stem, stat'ing
+    each path. Keeps regular files whose lower-cased suffix is in
+    IMAGE_EXTENSIONS; when files share a stem, the earlier extension in
+    IMAGE_EXTENSIONS wins, then the smaller path."""
+    best: dict[str, tuple[int, Path]] = {}
+    for path in paths:
+        suffix = path.suffix.lower()
+        if suffix not in IMAGE_EXTENSIONS or not path.is_file():
+            continue
+        rank = IMAGE_EXTENSIONS.index(suffix)
+        held = best.get(path.stem)
+        if held is None or (rank, path) < held:
+            best[path.stem] = (rank, path)
+    return {stem: path for stem, (_, path) in best.items()}
 
 
 def reference_resolve(root, ref):

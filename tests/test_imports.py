@@ -23,7 +23,7 @@ OP = Path(__file__).resolve().parent.parent / "perfbench" / "op.py"
 
 
 def python(*argv, cwd=None) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != "FIGURELINK_WORKERS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -116,8 +116,8 @@ def reference_stats(pairs, images_root) -> dict:
     """The stats report as computed before stats read PNM headers: every
     figure's image decoded whole, percentiles from numpy."""
     from figurelink.evaluate.stats import CAPTION_TOKEN_BUDGET, MIN_SIDE_THRESHOLD, PERCENTILES
-    from figurelink.imageindex import index_images
     from figurelink.vision.images import UnreadableImage, load_image
+    from test_image_index import index_images
 
     images = index_images(Path(images_root).rglob("*"))
     tokens, sizes, unreadable = [], [], 0

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from figurelink import ingest, jats
-from figurelink.imageindex import index_images
 from figurelink.ingest import RootNotFound, enumerate_packages, run_pipeline
 from figurelink.synth import make_corpus
+from test_image_index import index_images
 from test_jats import deep_article
 
 
@@ -361,7 +361,9 @@ class TestEnumerateMatchesReference:
             (root / "PMC9").symlink_to(root / sorted(packages)[0])
         (root / "PMC8").symlink_to(root / "PMC8")  # a loop beside the packages
         try:
-            got = [(p.pmcid, p.xml_path, p.images) for p in enumerate_packages(root)]
+            got = [(p.pmcid, p.xml_path,
+                    {stem: root / p.pmcid / name for stem, name in p.image_names.items()})
+                   for p in enumerate_packages(root)]
             assert got == list(reference_packages(root))
         finally:
             shutil.rmtree(work)

@@ -3,13 +3,45 @@
 import pytest
 
 from figurelink.jats import (
+    ArticleRecord,
     MalformedXml,
     NoFigures,
     extract_pairs,
     normalize_text,
     parse_article,
-    serialize_article,
 )
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML character data, as
+    xml.sax.saxutils.escape does, without importing xml.sax."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def serialize_article(record: ArticleRecord) -> bytes:
+    """Emit a minimal JATS document representing the record.
+
+    Used for round-trip testing: parse(serialize(parse(x))) == parse(x).
+    """
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<article xmlns:xlink="http://www.w3.org/1999/xlink"><front><article-meta>']
+    pmc_num = record.pmcid[3:] if record.pmcid.upper().startswith("PMC") else record.pmcid
+    parts.append(f'<article-id pub-id-type="pmc">{_escape(pmc_num)}</article-id>')
+    if record.pmid:
+        parts.append(f'<article-id pub-id-type="pmid">{_escape(record.pmid)}</article-id>')
+    parts.append("</article-meta></front><body>")
+    for para in record.body_paragraphs:
+        parts.append(f"<p>{_escape(para)}</p>")
+    for fig in record.figures:
+        parts.append(f'<fig id="{_escape(fig.fig_id)}">')
+        if fig.label_text:
+            parts.append(f"<label>{_escape(fig.label_text)}</label>")
+        parts.append(f"<caption><p>{_escape(fig.caption)}</p></caption>")
+        parts.append(f'<graphic xlink:href="{_escape(fig.graphic_ref)}"/>')
+        parts.append("</fig>")
+    parts.append("</body></article>")
+    return "".join(parts).encode("utf-8")
+
 
 def deep_article(depth: int) -> bytes:
     """An article with a pmcid and a figure, its body `depth` <sec>s deep."""
@@ -147,9 +179,6 @@ class TestNormalizeText:
 class TestExtractPairs:
     def test_pairs_and_unresolved(self):
         record = parse_article(ARTICLE)
-        media = {"img001": "media/img001.jpg"}
-        pairs, unresolved = extract_pairs(record, media)
-        assert len(pairs) == 1
-        assert pairs[0].pmcid == "PMC123456"
-        assert pairs[0].image_path == "media/img001.jpg"
+        resolved, unresolved = extract_pairs(record, {"img001": "img001.jpg"})
+        assert [f.fig_id for f in resolved] == ["f1"]
         assert [f.fig_id for f in unresolved] == ["f2"]

@@ -19,10 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from figurelink import jats
-from figurelink.jats import (
-    ArticleRecord, FigureEntry, normalize_text, parse_article, serialize_article,
-)
+from figurelink.jats import ArticleRecord, FigureEntry, normalize_text, parse_article
 from figurelink.synth import make_corpus
+from test_jats import serialize_article
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen as perfbench_gen  # noqa: E402

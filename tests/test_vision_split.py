@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from figurelink.config import PipelineConfig
 from figurelink.synth import make_compound_image
 from figurelink.vision import split
 from figurelink.vision.images import RasterImage, UnreadableImage, decode_pnm, encode_pnm
-from figurelink.vision.split import PanelBox, SplitConfig, reading_order, split_panels
+from figurelink.vision.split import PanelBox, reading_order, split_panels
 
 
 def iou(a, b) -> float:
@@ -37,7 +38,7 @@ def _gray(image) -> np.ndarray:
     return image.pixels.astype(np.float64).mean(axis=2)
 
 
-def _gutter_lines(region: np.ndarray, cfg: SplitConfig, axis: int) -> np.ndarray:
+def _gutter_lines(region: np.ndarray, cfg: PipelineConfig, axis: int) -> np.ndarray:
     # axis=0 marks gutter rows, axis=1 gutter columns
     other = 1 - axis
     bg = (region >= cfg.bg_intensity).mean(axis=other) >= cfg.bg_fraction
@@ -59,7 +60,7 @@ def _runs(mask: np.ndarray):
     return runs
 
 
-def _trim(gray: np.ndarray, rect, cfg: SplitConfig):
+def _trim(gray: np.ndarray, rect, cfg: PipelineConfig):
     """Shrink the rect past any background margins; None if all background."""
     x0, y0, x1, y1 = rect
     region = gray[y0:y1, x0:x1]
@@ -86,7 +87,7 @@ def _widest_interior_run(mask: np.ndarray, min_px: int):
     return best
 
 
-def _recurse(gray: np.ndarray, rect, cfg: SplitConfig, out: list):
+def _recurse(gray: np.ndarray, rect, cfg: PipelineConfig, out: list):
     rect = _trim(gray, rect, cfg)
     if rect is None:
         return
@@ -110,9 +111,9 @@ def _recurse(gray: np.ndarray, rect, cfg: SplitConfig, out: list):
         _recurse(gray, (x0 + b, y0, x1, y1), cfg, out)
 
 
-def float_split_rects(image: RasterImage, cfg: SplitConfig | None = None):
+def float_split_rects(image: RasterImage, cfg: PipelineConfig | None = None):
     """Rects, in reading order, of split_panels as first written."""
-    cfg = cfg or SplitConfig()
+    cfg = cfg or PipelineConfig()
     w, h = image.width, image.height
     total = float(w * h)
     whole = [(0, 0, w, h)]
@@ -136,7 +137,7 @@ def exact_variance(intensities, c: int) -> Fraction:
     return Fraction(sum((n * v - total) ** 2 for v in intensities), n ** 3 * c * c)
 
 
-def exact_lines(values: np.ndarray, c: int, cfg: SplitConfig, axis: int) -> np.ndarray:
+def exact_lines(values: np.ndarray, c: int, cfg: PipelineConfig, axis: int) -> np.ndarray:
     """Gutter mask of an integer intensity region under the documented rule.
 
     A pixel is background when the float64 grey level I / c reaches
@@ -158,7 +159,7 @@ def intensities(image: RasterImage) -> np.ndarray:
     return image.pixels.astype(np.int64).reshape(image.height, image.width, -1).sum(axis=2)
 
 
-def is_variance_tie(line, c: int, cfg: SplitConfig) -> bool:
+def is_variance_tie(line, c: int, cfg: PipelineConfig) -> bool:
     """True when the exact variance sits within float64 rounding of the limit."""
     limit = Fraction(cfg.max_gutter_var)
     return abs(exact_variance([int(v) for v in line], c) - limit) <= max(limit, 1) * 1e-9
@@ -177,7 +178,7 @@ def line_rule(lines_of_region):
         globals()["_gutter_lines"] = _FLOAT_GUTTER_LINES
 
 
-def exact_reference_rects(image: RasterImage, cfg: SplitConfig):
+def exact_reference_rects(image: RasterImage, cfg: PipelineConfig):
     """The float64 recursion with every line test evaluated by exact_lines."""
     c = image.channels
 
@@ -188,7 +189,7 @@ def exact_reference_rects(image: RasterImage, cfg: SplitConfig):
         return float_split_rects(image, cfg)
 
 
-def checked_float_rects(image: RasterImage, cfg: SplitConfig):
+def checked_float_rects(image: RasterImage, cfg: PipelineConfig):
     """The float64 rule's rects, and the lines on which its test and the
     exact rule disagreed; each such line must be a variance tie."""
     c = image.channels
@@ -207,7 +208,7 @@ def checked_float_rects(image: RasterImage, cfg: SplitConfig):
         return float_split_rects(image, cfg), ties
 
 
-def rects_of(image: RasterImage, cfg: SplitConfig | None = None):
+def rects_of(image: RasterImage, cfg: PipelineConfig | None = None):
     return [p.rect for p in split_panels(image, cfg)]
 
 
@@ -253,7 +254,7 @@ class TestSplitPanels:
         pixels[:, :200] = 90
         pixels[:, 204:] = 90
         assert len(split_panels(RasterImage(pixels))) == 1
-        wide = split_panels(RasterImage(pixels), SplitConfig(min_gutter_px=3))
+        wide = split_panels(RasterImage(pixels), PipelineConfig(min_gutter_px=3))
         assert len(wide) == 2
 
 
@@ -286,7 +287,7 @@ class TestAgainstFloatRule:
         # of an 8-pixel column, reduced along the figure's axis 0, comes out
         # one ulp above, 14762.250000000002, so that rule sees no gutter where
         # the exact rule cuts.
-        cfg = SplitConfig(bg_intensity=0.0, max_gutter_var=14762.25, min_gutter_px=2)
+        cfg = PipelineConfig(bg_intensity=0.0, max_gutter_var=14762.25, min_gutter_px=2)
         # Black-and-white checkerboard panels: every row and column has a grey
         # variance near 16000, well above the limit.
         yy, xx = np.mgrid[0:8, 0:22]
@@ -357,10 +358,10 @@ def gutter_figures(draw):
     max_var = draw(st.one_of(st.just(200.0), st.sampled_from([
         0.0, near_var, math.nextafter(near_var, math.inf),
         math.nextafter(near_var, -math.inf)])))
-    cfg = SplitConfig(bg_intensity=bg_intensity,
-                      bg_fraction=draw(st.sampled_from([0.98, 0.9, 0.75, 0.5])),
-                      max_gutter_var=max_var, min_gutter_px=min_px,
-                      min_panel_frac=draw(st.sampled_from([0.02, 0.0])))
+    cfg = PipelineConfig(bg_intensity=bg_intensity,
+                         bg_fraction=draw(st.sampled_from([0.98, 0.9, 0.75, 0.5])),
+                         max_gutter_var=max_var, min_gutter_px=min_px,
+                         min_panel_frac=draw(st.sampled_from([0.02, 0.0])))
     return image, cfg
 
 
@@ -381,13 +382,13 @@ class TestExactLineRule:
             assert got.tolist() == exact_lines(region, image.channels, cfg, axis).tolist()
 
     def test_tie_column_is_a_gutter_line(self):
-        cfg = SplitConfig(bg_intensity=0.0, max_gutter_var=14762.25)
+        cfg = PipelineConfig(bg_intensity=0.0, max_gutter_var=14762.25)
         column = np.array([[22, 0, 0], [251, 250, 250]] * 12, dtype=np.uint8)
         image = RasterImage(column.reshape(24, 1, 3))
         stats = split._LineStats(image, cfg)
         assert stats.gutter_lines((0, 0, 1, 24), 1).tolist() == [True]
-        tighter = SplitConfig(bg_intensity=0.0,
-                              max_gutter_var=math.nextafter(14762.25, 0.0))
+        tighter = PipelineConfig(bg_intensity=0.0,
+                                 max_gutter_var=math.nextafter(14762.25, 0.0))
         assert split._LineStats(image, tighter).gutter_lines(
             (0, 0, 1, 24), 1).tolist() == [False]
 
@@ -404,7 +405,7 @@ class TestExactLineRule:
         thresholds = {t for g in grey.tolist()
                       for t in (g, math.nextafter(g, -1.0), math.nextafter(g, 256.0))}
         for bg_intensity in sorted(thresholds | {-1.0, 255.5}):
-            stats = split._LineStats(image, SplitConfig(bg_intensity=bg_intensity))
+            stats = split._LineStats(image, PipelineConfig(bg_intensity=bg_intensity))
             assert np.array_equal(stats.background[:, 0] == 1, grey >= bg_intensity)
 
     def test_variance_stays_exact_past_float64_integers(self):
@@ -416,7 +417,7 @@ class TestExactLineRule:
         image = RasterImage(pixels)
         limit = (765 / 2) ** 2 / 9
         for max_var, want in ((limit, True), (math.nextafter(limit, 0.0), False)):
-            cfg = SplitConfig(bg_intensity=0.0, bg_fraction=0.0, max_gutter_var=max_var)
+            cfg = PipelineConfig(bg_intensity=0.0, bg_fraction=0.0, max_gutter_var=max_var)
             assert split._LineStats(image, cfg).gutter_lines(
                 (0, 0, n, 1), 0).tolist() == [want]
 
