@@ -1,5 +1,6 @@
 """What every command shares: output files written atomically, and the
-bytes of input that `ingest` and `finegrain` give each pool process.
+process pool of `ingest` and `finegrain` with the bytes of input each
+command gives one pool process.
 
 It imports only the standard library, so the evaluation commands write
 their outputs through it without loading the ingest or vision code.
@@ -27,6 +28,54 @@ XML_BYTES_PER_PROCESS = 16 << 20
 # against 3.19 s at 236 MB). At 64 MB per process a pool starts only from
 # 128 MB, well past that break-even.
 IMAGE_BYTES_PER_PROCESS = 64 << 20
+
+# ordered_map hands each pool process about this many chunks of the input:
+# small enough that the processes finish within one short chunk of each
+# other, large enough that per-chunk pickling stays negligible.
+CHUNKS_PER_PROCESS = 16
+
+
+def pool_size(workers: int, paths, bytes_per_process: int) -> int:
+    """The process count a command asks ordered_map for: at most `workers`,
+    and one per bytes_per_process of the files at paths, but at least one.
+
+    A path that is None or cannot be read counts as empty; the worker that
+    reads it reports the fault.
+    """
+    total = 0
+    for path in paths:
+        try:
+            total += os.stat(path).st_size if path is not None else 0
+        except OSError:
+            pass
+    return max(1, min(workers, total // bytes_per_process))
+
+
+def ordered_map(fn, items: list, workers: int):
+    """Yield fn(item) for each item, in input order, computed by up to
+    `workers` processes.
+
+    The pool has min(workers, os.cpu_count(), len(items)) processes, started
+    with spawn. With one, no pool is started and fn runs in this process, so
+    workers=1 is serial. Otherwise fn must pickle (a module-level function
+    or a functools.partial of one), items and results must pickle, and a
+    script that calls this must guard its entry point with
+    `if __name__ == "__main__"`, because each process imports the main
+    module. Items go out in contiguous chunks; each result is yielded as
+    soon as it and all before it are done.
+    """
+    size = min(workers, os.cpu_count() or 1, len(items))
+    if size <= 1:
+        yield from map(fn, items)
+        return
+    # Imported here, so that commands that start no pool do not load
+    # multiprocessing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = -(-len(items) // (size * CHUNKS_PER_PROCESS))
+    with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield from pool.map(fn, items, chunksize=chunksize)
 
 
 class OutputUnwritable(OSError):

@@ -26,6 +26,7 @@ from pathlib import Path
 from . import __version__
 from .batch import (
     IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines, atomic_write_lines,
+    ordered_map, pool_size,
 )
 from .config import ConfigError, PipelineConfig, load_config
 from .imageindex import index_tree
@@ -56,9 +57,9 @@ _VISION = {
 _EVALUATE = {
     **dict.fromkeys((
         "AnnIndex", "ClassSpec", "DimensionMismatch", "TaxonomyKeyword",
-        "accuracy", "binary_auroc", "corpus_stats", "embed_text", "measure_recall",
+        "accuracy", "binary_auroc", "embed_text", "measure_recall",
         "read_store", "recall_at_k", "taxonomy_census", "zero_shot_classify"), ".evaluate"),
-    "HashTextEmbedder": ".mockembed",
+    "corpus_stats": ".stats", "HashTextEmbedder": ".mockembed",
 }
 _LAZY = {**_VISION, **_EVALUATE}
 
@@ -157,8 +158,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_finegrain(args) -> int:
-    from . import ingest
-
     cfg = load_config(args.config)
     _check_workers(args.workers)
     out_dir = Path(args.out_dir)
@@ -169,9 +168,9 @@ def cmd_finegrain(args) -> int:
     with timer.stage("resolve"):
         images = index_tree(args.images_root)
         articles = [FinegrainArticle(pmcid, figures, paragraphs,
-                                     [images.get(fig["graphic_ref"]) for fig in figures])
+                                     [images.get(fig.graphic_ref) for fig in figures])
                     for pmcid, figures, paragraphs in checked]
-    workers = ingest.pool_size(
+    workers = pool_size(
         args.workers, (p for a in articles for p in a.image_paths), IMAGE_BYTES_PER_PROCESS)
     run = FinegrainRun(out_dir / "crops", Path(args.ocr_dir) if args.ocr_dir else None, cfg)
 
@@ -182,8 +181,7 @@ def cmd_finegrain(args) -> int:
     pairs_path = out_dir / "fine_pairs.jsonl"
     with atomic_lines(pairs_path) as write_pair, \
             atomic_lines(out_dir / "audit.jsonl") as write_audit:
-        results = ingest.ordered_map(functools.partial(finegrain_article, run),
-                                     articles, workers)
+        results = ordered_map(functools.partial(finegrain_article, run), articles, workers)
         for pair_lines, audit_lines, deltas, seconds in results:
             for line in pair_lines:
                 write_pair(line)
@@ -213,7 +211,7 @@ class FinegrainArticle:
     image_paths[i] is the file of figures[i], or None when it has none."""
 
     pmcid: str
-    figures: list[dict]
+    figures: list  # of jats.FigureEntry
     paragraphs: list[str]
     image_paths: list[Path | None]
 
@@ -251,9 +249,8 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
         audit_lines.append(json.dumps({"kind": kind, "pmcid": pmcid, "fig_id": fig_id}))
 
     with timer.stage("match"):
-        entries = [captioner_entry(fig) for fig in article.figures]
         citances_by_fig: dict[str, list] = {}
-        for citance in captioner.extract_citances(article.paragraphs, entries):
+        for citance in captioner.extract_citances(article.paragraphs, article.figures):
             citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
     for fig, image_path in zip(article.figures, article.image_paths):
         counters["figures"] += 1
@@ -265,23 +262,23 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
         if image is None:
             kind = "missing_image" if image_path is None else "unreadable_image"
             counters[kind + "s"] += 1
-            audit_line(kind, fig["fig_id"])
+            audit_line(kind, fig.fig_id)
             continue
         with timer.stage("split"):
-            split_result = captioner.split_caption(fig["caption"])
+            split_result = captioner.split_caption(fig.caption)
         labels = [s.label for s in split_result.subcaptions]
-        fig_citances = citances_by_fig.get(fig["fig_id"], [])
+        fig_citances = citances_by_fig.get(fig.fig_id, [])
         with timer.stage("match"):
             citance_map, unknown = captioner.split_citances(fig_citances, labels)
         boxes = []
         if run.ocr_dir is not None:
             with timer.stage("resolve"):
-                ocr_path = run.ocr_dir / f"{fig['graphic_ref']}.json"
+                ocr_path = run.ocr_dir / f"{fig.graphic_ref}.json"
                 try:
                     boxes = load_ocr_file(ocr_path) if ocr_path.is_file() else []
                 except (OSError, ValueError, KeyError):
                     counters["unreadable_ocr"] += 1
-                    audit_line("unreadable_ocr", fig["fig_id"])
+                    audit_line("unreadable_ocr", fig.fig_id)
         with timer.stage("split"):
             panels = split_panels(image, run.cfg)
         with timer.stage("match"):
@@ -290,18 +287,14 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
                 box_assignments, panels, labels)
         with timer.stage("crop_write"):
             pairs, audit = emit_fine_grained_pairs(
-                pmcid, fig["fig_id"], image, split_result, assignments,
+                pmcid, fig.fig_id, image, split_result, assignments,
                 citance_map, fig_citances, run.crops_dir)
         if labels:
-            audit += audit_unused_panels(pmcid, fig["fig_id"], panels, assignments)
+            audit += audit_unused_panels(pmcid, fig.fig_id, panels, assignments)
         for pair in pairs:
-            pair_lines.append(json.dumps(pair.to_json_obj(), ensure_ascii=False))
+            pair_lines.append(json.dumps(vars(pair), ensure_ascii=False))
             counters[f"evidence_{pair.evidence}"] += 1
-        for entry in audit:
-            audit_lines.append(json.dumps(
-                {"kind": entry.kind, "pmcid": entry.pmcid,
-                 "fig_id": entry.fig_id, "label": entry.label,
-                 "rect": entry.rect}))
+        audit_lines += [json.dumps(vars(entry)) for entry in audit]
         counters["fine_pairs"] += len(pairs)
         counters["audit_entries"] += len(audit)
         counters["unknown_citance_labels"] += len(unknown)
@@ -312,35 +305,30 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
 
 def _corpus_article(where: str, article: dict):
     """(pmcid, figures, body_paragraphs) of one corpus line, each checked to
-    have the type finegrain reads, figures down to their string fields."""
+    have the type finegrain reads: figures as jats.FigureEntry values built
+    from their checked string fields."""
+    from .jats import FigureEntry
+
     pmcid = need(article["pmcid"], str, f"{where} pmcid")
-    figures = need_list(article["figures"], dict, f"{where} figures")
-    for i, fig in enumerate(figures):
-        for key in ("fig_id", "caption", "graphic_ref"):
-            need(fig[key], str, f"{where} figures[{i}].{key}")
+    figures = []
+    for i, fig in enumerate(need_list(article["figures"], dict, f"{where} figures")):
+        fields = {key: need(fig[key], str, f"{where} figures[{i}].{key}")
+                  for key in ("fig_id", "caption", "graphic_ref")}
         if fig.get("label_text") is not None:
-            need(fig["label_text"], str, f"{where} figures[{i}].label_text")
+            fields["label_text"] = need(fig["label_text"], str,
+                                        f"{where} figures[{i}].label_text")
+        figures.append(FigureEntry(**fields))
     paragraphs = need_list(article.get("body_paragraphs", []), str,
                            f"{where} body_paragraphs")
     return pmcid, figures, paragraphs
 
 
-def captioner_entry(fig: dict):
-    from .jats import FigureEntry
-
-    return FigureEntry(fig_id=fig["fig_id"], caption=fig["caption"],
-                       graphic_ref=fig["graphic_ref"],
-                       label_text=fig.get("label_text"))
-
-
 def cmd_stats(args) -> int:
     cfg = load_config(args.config)
-    # Only corpus_stats: the rest of _EVALUATE loads numpy, which stats on
-    # a PNM corpus does without.
+    # Only corpus_stats: the rest of _EVALUATE loads numpy.
     _bind(("corpus_stats",))
     report = corpus_stats(args.pairs, args.images_root)
-    obj = report.to_json_obj()
-    _emit_report(obj, args.out, args.pretty)
+    _emit_report(vars(report), args.out, args.pretty)
     if args.out:
         _write_manifest(args.out, cfg, [args.pairs],
                         {"n_captions": report.n_captions, "n_images": report.n_images})

@@ -1,10 +1,10 @@
-"""The one figure-to-file resolver: index image files by stem.
+"""The one figure-to-file resolver, and the one table of image suffixes.
 
 A figure's graphic_ref names its image file by stem. The index keeps the
 regular files whose lower-cased suffix is in IMAGE_EXTENSIONS; when files
 share a stem, the earlier extension in IMAGE_EXTENSIONS wins, then the
-smaller path. Kept apart from `vision` so that `ingest` and `stats` resolve
-media without loading numpy.
+smaller path. PNM_EXTENSIONS files are read without Pillow. Kept apart from
+`vision` so that `ingest` and `stats` resolve media without loading numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import os
 from pathlib import Path
 
 # Image file suffixes, matched lower-cased, in resolver precedence order.
-IMAGE_EXTENSIONS = (".ppm", ".pgm", ".png", ".jpg", ".jpeg", ".gif", ".tif", ".tiff")
+PNM_EXTENSIONS = (".ppm", ".pgm")
+IMAGE_EXTENSIONS = PNM_EXTENSIONS + (".png", ".jpg", ".jpeg", ".gif", ".tif", ".tiff")
 _EXTENSION_RANK = {ext: rank for rank, ext in enumerate(IMAGE_EXTENSIONS)}
 
 

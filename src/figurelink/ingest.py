@@ -1,16 +1,16 @@
-"""Walk article package directories, parse them in worker processes, and
-emit one JSON object per article to a JSONL corpus file.
+"""Walk article package directories, parse them in the `batch` process
+pool, and emit one JSON object per article to a JSONL corpus file.
 
 Per-article failures are caught and become skip-log entries, never run
-aborts. Packages are enumerated in pmcid order and their results come back
-in that order, so both outputs stream to disk as they arrive and their
-bytes are identical for any worker count.
+aborts, and print nothing: the skip row is their record. Packages are
+enumerated in pmcid order and their results come back in that order, so
+both outputs stream to disk as they arrive and their bytes are identical
+for any worker count.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import time
 from contextlib import nullcontext
@@ -20,20 +20,13 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import jats
-from .batch import XML_BYTES_PER_PROCESS, atomic_lines
+from .batch import XML_BYTES_PER_PROCESS, atomic_lines, ordered_map, pool_size
 from .imageindex import entry_is, index_listing, split_name
-
-log = logging.getLogger(__name__)
 
 SKIP_MALFORMED_XML = "malformed_xml"
 SKIP_NO_FIGURES = "no_figures"
 SKIP_MISSING_MEDIA = "missing_media"
 SKIP_REASONS = (SKIP_MALFORMED_XML, SKIP_NO_FIGURES, SKIP_MISSING_MEDIA)
-
-# ordered_map hands each pool process about this many chunks of the input:
-# small enough that the processes finish within one short chunk of each
-# other, large enough that per-chunk pickling stays negligible.
-CHUNKS_PER_PROCESS = 16
 
 
 class RootNotFound(FileNotFoundError):
@@ -135,14 +128,9 @@ def _process_package(package: ArticlePackage):
         return ("skip", package.pmcid, SKIP_MALFORMED_XML)
     try:
         record = jats.parse_article(xml_path.read_bytes())
-    except jats.MalformedXml:
-        return ("skip", package.pmcid, SKIP_MALFORMED_XML)
-    except jats.MissingPmcid:
-        return ("skip", package.pmcid, SKIP_MALFORMED_XML)
     except jats.NoFigures:
         return ("skip", package.pmcid, SKIP_NO_FIGURES)
-    except Exception:  # per-article isolation: any fault becomes a skip
-        log.exception("unexpected failure parsing %s", package.pmcid)
+    except Exception:  # MalformedXml, MissingPmcid or any other fault
         return ("skip", package.pmcid, SKIP_MALFORMED_XML)
 
     resolved, unresolved = jats.extract_pairs(record, package.image_names)
@@ -154,49 +142,6 @@ def _process_package(package: ArticlePackage):
     if not resolved:
         return ("skip", package.pmcid, SKIP_MISSING_MEDIA)
     return ("ok", package.pmcid, corpus_line(record, resolved), len(resolved), fig_skips)
-
-
-def pool_size(workers: int, paths, bytes_per_process: int) -> int:
-    """The process count a command asks ordered_map for: at most `workers`,
-    and one per bytes_per_process of the files at paths, but at least one.
-
-    A path that is None or cannot be read counts as empty; the worker that
-    reads it reports the fault.
-    """
-    total = 0
-    for path in paths:
-        try:
-            total += os.stat(path).st_size if path is not None else 0
-        except OSError:
-            pass
-    return max(1, min(workers, total // bytes_per_process))
-
-
-def ordered_map(fn, items: list, workers: int):
-    """Yield fn(item) for each item, in input order, computed by up to
-    `workers` processes.
-
-    The pool has min(workers, os.cpu_count(), len(items)) processes, started
-    with spawn. With one, no pool is started and fn runs in this process, so
-    workers=1 is serial. Otherwise fn must pickle (a module-level function
-    or a functools.partial of one), items and results must pickle, and a
-    script that calls this must guard its entry point with
-    `if __name__ == "__main__"`, because each process imports the main
-    module. Items go out in contiguous chunks; each result is yielded as
-    soon as it and all before it are done.
-    """
-    size = min(workers, os.cpu_count() or 1, len(items))
-    if size <= 1:
-        yield from map(fn, items)
-        return
-    # Imported here, so that commands that start no pool do not load
-    # multiprocessing.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunksize = -(-len(items) // (size * CHUNKS_PER_PROCESS))
-    with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("spawn")) as pool:
-        yield from pool.map(fn, items, chunksize=chunksize)
 
 
 def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> IngestReport:

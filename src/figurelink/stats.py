@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..imageindex import index_tree
-from ..jsonshape import need, need_list, read_jsonl
-from ..pnm import UnreadableImage, probe_pnm
+from .imageindex import PNM_EXTENSIONS, index_tree
+from .jsonshape import need, need_list, read_jsonl
+from .pnm import UnreadableImage, probe_pnm
 
 PERCENTILES = (5, 25, 50, 75, 95)
 CAPTION_TOKEN_BUDGET = 256
@@ -24,6 +24,8 @@ MIN_SIDE_THRESHOLD = 336
 
 @dataclass
 class StatsReport:
+    """The stats output: vars(report), keys in field order."""
+
     n_captions: int = 0
     n_images: int = 0
     n_unreadable_images: int = 0
@@ -35,22 +37,6 @@ class StatsReport:
     fraction_images_min_side_above_threshold: float | None = None
     caption_token_budget: int = CAPTION_TOKEN_BUDGET
     min_side_threshold: int = MIN_SIDE_THRESHOLD
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n_captions": self.n_captions,
-            "n_images": self.n_images,
-            "n_unreadable_images": self.n_unreadable_images,
-            "caption_token_percentiles": self.caption_token_percentiles,
-            "image_width_percentiles": self.image_width_percentiles,
-            "image_height_percentiles": self.image_height_percentiles,
-            "image_min_side_percentiles": self.image_min_side_percentiles,
-            "fraction_captions_within_budget": self.fraction_captions_within_budget,
-            "fraction_images_min_side_above_threshold":
-                self.fraction_images_min_side_above_threshold,
-            "caption_token_budget": self.caption_token_budget,
-            "min_side_threshold": self.min_side_threshold,
-        }
 
 
 def percentile(ordered: list, p: float) -> float:
@@ -77,11 +63,11 @@ def _image_size(path) -> tuple[int, int]:
     """(width, height) of the image at path, or UnreadableImage. A .ppm or
     .pgm file gives its header, checked against the file size; any other
     file is decoded."""
-    if path.suffix.lower() in (".ppm", ".pgm"):
+    if path.suffix.lower() in PNM_EXTENSIONS:
         header = probe_pnm(path)
         return header.width, header.height
     # Imported here, so that a PNM-only corpus loads no numpy.
-    from ..vision.images import load_image
+    from .vision.images import load_image
 
     image = load_image(path)
     return image.width, image.height

@@ -20,6 +20,8 @@ AUDIT_UNASSIGNED_PANEL = "unassigned_panel"
 
 @dataclass
 class FinePair:
+    """One fine_pairs.jsonl line: vars(pair), keys in field order."""
+
     pmcid: str
     fig_id: str
     label: str | None
@@ -28,16 +30,11 @@ class FinePair:
     citances: list[str]
     evidence: str
 
-    def to_json_obj(self) -> dict:
-        return {
-            "pmcid": self.pmcid, "fig_id": self.fig_id, "label": self.label,
-            "panel_path": self.panel_path, "sub_caption": self.sub_caption,
-            "citances": self.citances, "evidence": self.evidence,
-        }
-
 
 @dataclass
 class AuditEntry:
+    """One audit.jsonl line: vars(entry), keys in field order."""
+
     kind: str
     pmcid: str
     fig_id: str

@@ -2,7 +2,7 @@
 
 The PNM header rules live in `figurelink.pnm`, which `stats` uses without
 numpy. PNM keeps the test path dependency-free; Pillow, when importable,
-decodes the common web formats.
+decodes the other suffixes of `imageindex.IMAGE_EXTENSIONS`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ..imageindex import IMAGE_EXTENSIONS, PNM_EXTENSIONS
 from ..pnm import UnreadableImage, check_payload, parse_pnm_header
+
+try:
+    from PIL import Image as PilImage
+except ImportError:
+    PilImage = None
 
 
 @dataclass
@@ -62,38 +68,19 @@ def encode_pnm(image: RasterImage) -> bytes:
     return header + image.pixels.tobytes()
 
 
-def _decode_pnm_file(path: Path) -> RasterImage:
-    return decode_pnm(path.read_bytes())
-
-
-_DECODERS: dict[str, object] = {".pgm": _decode_pnm_file, ".ppm": _decode_pnm_file}
-
-
-def _register_pillow():
-    try:
-        from PIL import Image as PilImage
-    except ImportError:
-        return
-
-    def _decode(path: Path) -> RasterImage:
-        with PilImage.open(path) as img:
-            img = img.convert("RGB")
-            return RasterImage(np.asarray(img))
-
-    for ext in (".png", ".jpg", ".jpeg", ".gif", ".tif", ".tiff", ".bmp"):
-        _DECODERS.setdefault(ext, _decode)
-
-
-_register_pillow()
-
-
 def load_image(path) -> RasterImage:
+    """Decode the image file at path, or raise UnreadableImage: a PNM
+    suffix natively, any other suffix of IMAGE_EXTENSIONS with Pillow when
+    it is installed."""
     path = Path(path)
-    decoder = _DECODERS.get(path.suffix.lower())
-    if decoder is None:
+    suffix = path.suffix.lower()
+    if suffix not in IMAGE_EXTENSIONS or (suffix not in PNM_EXTENSIONS and PilImage is None):
         raise UnreadableImage(f"no decoder for {path.suffix!r}")
     try:
-        return decoder(path)
+        if suffix in PNM_EXTENSIONS:
+            return decode_pnm(path.read_bytes())
+        with PilImage.open(path) as img:
+            return RasterImage(np.asarray(img.convert("RGB")))
     except UnreadableImage:
         raise
     except Exception as exc:

@@ -21,7 +21,7 @@ from figurelink.contrastive import (
 from figurelink.evaluate.ann import AnnIndex, measure_recall
 from figurelink.evaluate.retrieval import exact_topk
 from figurelink.evaluate.store import MODALITY_IMAGE, MODALITY_TEXT, EmbeddingStore
-from figurelink.evaluate.stats import corpus_stats
+from figurelink.stats import corpus_stats
 from figurelink.evaluate.zeroshot import ClassSpec, zero_shot_classify
 from figurelink.ingest import run_pipeline
 from figurelink.mockembed import HashTextEmbedder

@@ -232,6 +232,23 @@ class TestFinegrainCommand:
         assert report["evidence_layout_inferred"] == report["fine_pairs"] == 2
         assert report["unresolved_labels"] == 0
 
+    def test_citance_finds_its_figure_by_label_text(self, tmp_path, capsys):
+        fig = make_compound_image(np.random.default_rng(3), n_panels=2)
+        (tmp_path / "images").mkdir()
+        save_image(tmp_path / "images" / "g1.pgm", fig.image)
+        article = {"pmcid": "PMC1", "pmid": "1",
+                   "figures": [{"fig_id": "results", "graphic_ref": "g1",
+                                "caption": fig.caption, "label_text": "Figure 2"}],
+                   "body_paragraphs": ["Cells grew (Fig. 2B)."]}
+        (tmp_path / "corpus.jsonl").write_text(json.dumps(article) + "\n")
+        assert main(["finegrain", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--images-root", str(tmp_path / "images"),
+                     "--out-dir", str(tmp_path / "fine")]) == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "fine" / "fine_pairs.jsonl").read_text().splitlines()]
+        assert {row["label"]: row["citances"] for row in rows} == {
+            "A": [], "B": ["Cells grew (Fig. 2B)."]}
+
     def test_truncated_image_becomes_audit_entry(self, corpus, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         assert main(["ingest", "--root", str(corpus.packages_dir),

@@ -1,15 +1,20 @@
-"""The one figure-to-file resolver against a per-figure tree search, and
-the os.scandir walk against the rglob index it replaced."""
+"""The one figure-to-file resolver against a per-figure tree search, the
+os.scandir walk against the rglob index it replaced, and the decoder's use
+of the same suffix table."""
 
 import itertools
 import os
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from figurelink.imageindex import IMAGE_EXTENSIONS, index_tree
+from figurelink.imageindex import IMAGE_EXTENSIONS, PNM_EXTENSIONS, index_tree
+from figurelink.vision import images
 
 
 def index_images(paths) -> dict[str, Path]:
@@ -161,3 +166,35 @@ class TestScandirIndex:
         assert index_tree("") == index_images(Path("").rglob("*"))
         assert index_tree(tmp_path / "absent") == {}
         assert index_tree(tmp_path / "notes.txt") == {}
+
+
+class FakePillowImage:
+    """What PIL.Image.open returns, as far as load_image uses it."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def convert(self, mode):
+        return np.zeros((2, 3, 3), dtype=np.uint8)
+
+
+def test_load_image_decodes_exactly_the_indexed_suffixes(tmp_path, monkeypatch):
+    opened = []
+    pillow = SimpleNamespace(open=lambda path: opened.append(path.suffix) or FakePillowImage())
+    monkeypatch.setattr(images, "PilImage", pillow)
+    names = [f"f{ext.upper()}" for ext in IMAGE_EXTENSIONS] + ["f.bmp", "f.txt"]
+    for name in names:
+        (tmp_path / name).write_bytes(b"P6\n3 2\n255\n" + bytes(18))
+    for name in names[:len(IMAGE_EXTENSIONS)]:
+        assert images.load_image(tmp_path / name).pixels.shape == (2, 3, 3)
+    assert opened == [ext.upper() for ext in IMAGE_EXTENSIONS if ext not in PNM_EXTENSIONS]
+    for name in ("f.bmp", "f.txt"):
+        with pytest.raises(images.UnreadableImage, match="no decoder"):
+            images.load_image(tmp_path / name)
+    monkeypatch.setattr(images, "PilImage", None)
+    assert images.load_image(tmp_path / "f.PPM").pixels.shape == (2, 3, 3)
+    with pytest.raises(images.UnreadableImage, match="no decoder"):
+        images.load_image(tmp_path / "f.PNG")

@@ -48,6 +48,11 @@ def test_cli_import_loads_no_numpy_and_no_sax():
     assert loaded_after("import figurelink.cli") == {"numpy": False, "xml.sax": False}
 
 
+def test_numpy_free_modules_load_no_numpy():
+    code = "import figurelink.stats, figurelink.batch, figurelink.imageindex, figurelink.pnm"
+    assert loaded_after(code) == {"numpy": False, "xml.sax": False}
+
+
 def test_ingest_runs_without_numpy(synth):
     root, truth = synth
     code = ("from figurelink.cli import main\n"
@@ -115,7 +120,7 @@ def test_evaluation_command_loads_no_pipeline_code(tmp_path, command):
 def reference_stats(pairs, images_root) -> dict:
     """The stats report as computed before stats read PNM headers: every
     figure's image decoded whole, percentiles from numpy."""
-    from figurelink.evaluate.stats import CAPTION_TOKEN_BUDGET, MIN_SIDE_THRESHOLD, PERCENTILES
+    from figurelink.stats import CAPTION_TOKEN_BUDGET, MIN_SIDE_THRESHOLD, PERCENTILES
     from figurelink.vision.images import UnreadableImage, load_image
     from test_image_index import index_images
 

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from figurelink import ingest, jats
+from figurelink import batch, ingest, jats
 from figurelink.ingest import RootNotFound, enumerate_packages, run_pipeline
 from figurelink.synth import make_corpus
 from test_image_index import index_images
+from test_imports import python
 from test_jats import deep_article
 
 
@@ -35,12 +36,12 @@ class TestPoolSize:
         for i, size in enumerate((100, 250, 50)):
             files.append(tmp_path / f"f{i}")
             files[-1].write_bytes(b"x" * size)
-        assert ingest.pool_size(8, files, 100) == 4
-        assert ingest.pool_size(3, files, 100) == 3
-        assert ingest.pool_size(8, files, 1000) == 1
+        assert batch.pool_size(8, files, 100) == 4
+        assert batch.pool_size(3, files, 100) == 3
+        assert batch.pool_size(8, files, 1000) == 1
         # Absent and unreadable files count as empty.
-        assert ingest.pool_size(8, files + [None, tmp_path / "absent"], 100) == 4
-        assert ingest.pool_size(8, [], 100) == 1
+        assert batch.pool_size(8, files + [None, tmp_path / "absent"], 100) == 4
+        assert batch.pool_size(8, [], 100) == 1
 
 
 class TestAtomicLines:
@@ -145,12 +146,12 @@ class TestPipeline:
 
     def test_ordered_map_is_serial_when_one_process_would_do(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(ingest.os, "cpu_count", lambda: 4)
-        assert list(ingest.ordered_map(abs, [-1, -2, -3], workers=1)) == [1, 2, 3]
-        assert list(ingest.ordered_map(abs, [-5], workers=1024)) == [5]
-        assert list(ingest.ordered_map(abs, [], workers=8)) == []
-        monkeypatch.setattr(ingest.os, "cpu_count", lambda: 1)
-        assert list(ingest.ordered_map(abs, [-1, -2], workers=8)) == [1, 2]
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 4)
+        assert list(batch.ordered_map(abs, [-1, -2, -3], workers=1)) == [1, 2, 3]
+        assert list(batch.ordered_map(abs, [-5], workers=1024)) == [5]
+        assert list(batch.ordered_map(abs, [], workers=8)) == []
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 1)
+        assert list(batch.ordered_map(abs, [-1, -2], workers=8)) == [1, 2]
 
     def test_skip_reason_counters_match_skip_log(self, tmp_path):
         packages = make_corpus(tmp_path / "corpus", n_articles=25, seed=0).packages_dir
@@ -204,6 +205,20 @@ class TestPipeline:
         assert [json.loads(line) for line in skips.read_text().splitlines()] == [
             {"pmcid": "PMC1", "reason": "malformed_xml"}]
         assert caplog.records == []
+
+    def test_unexpected_fault_is_a_skip_row_and_prints_nothing(self, tmp_path):
+        packages = make_corpus(tmp_path / "corpus", n_articles=3, seed=0).packages_dir
+        skips = tmp_path / "skips.jsonl"
+        code = ("from figurelink import cli, jats\n"
+                "def parse_article(data):\n"
+                "    raise RuntimeError('unexpected')\n"
+                "jats.parse_article = parse_article\n"
+                f"raise SystemExit(cli.main(['ingest', '--root', {str(packages)!r}, "
+                f"'--out', {str(tmp_path / 'o.jsonl')!r}, '--skip-log', {str(skips)!r}]))")
+        run = python("-c", code)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert [json.loads(line) for line in skips.read_text().splitlines()] == [
+            {"pmcid": p.name, "reason": "malformed_xml"} for p in sorted(packages.iterdir())]
 
     def test_empty_root_gives_empty_output(self, tmp_path):
         root = tmp_path / "root"

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from figurelink import pnm
-from figurelink.evaluate.stats import PERCENTILES, percentile
 from figurelink.pnm import UnreadableImage, parse_pnm_header, probe_pnm
+from figurelink.stats import PERCENTILES, percentile
 from figurelink.vision.images import decode_pnm
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from figurelink.evaluate.stats import corpus_stats
+from figurelink.stats import corpus_stats
 from figurelink.synth import make_stats_corpus
 from figurelink.vision.images import RasterImage, save_image
 
@@ -117,9 +117,9 @@ class TestCorpusStats:
         assert report.n_images + report.n_unreadable_images == report.n_captions
         assert report.image_min_side_percentiles["p50"] == 21
 
-    def test_to_json_obj_round_trips(self, corpus):
+    def test_vars_round_trips_through_json(self, corpus):
         report = corpus_stats(corpus.jsonl_path, corpus.images_dir)
-        obj = json.loads(json.dumps(report.to_json_obj()))
+        obj = json.loads(json.dumps(vars(report)))
         assert obj["n_captions"] == report.n_captions
         assert obj["caption_token_budget"] == 256
         assert obj["min_side_threshold"] == 336
