@@ -59,7 +59,6 @@ class Citance:
     sentence: str
     target_fig_id: str
     label_refs: list[str]
-    paragraph_index: int
 
 
 def canonical_label(token: str) -> str | None:
@@ -234,7 +233,7 @@ def extract_citances(body_paragraphs: list[str], fig_entries) -> list[Citance]:
         if num is not None and num not in number_to_id:
             number_to_id[num] = entry.fig_id
     citances: list[Citance] = []
-    for para_idx, para in enumerate(body_paragraphs):
+    for para in body_paragraphs:
         for sentence in split_sentences(para):
             per_target: dict[str, list[str]] = {}
             for m in _FIG_REF.finditer(sentence):
@@ -247,7 +246,7 @@ def extract_citances(body_paragraphs: list[str], fig_entries) -> list[Citance]:
                         if lab not in refs:
                             refs.append(lab)
             for fig_id, labels in per_target.items():
-                citances.append(Citance(sentence, fig_id, labels, para_idx))
+                citances.append(Citance(sentence, fig_id, labels))
     return citances
 
 

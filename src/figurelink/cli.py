@@ -1,9 +1,10 @@
 """Command-line entry point: pipeline and evaluation subcommands.
 
-Exit codes: 0 success, 2 configuration error, 1 runtime fault. Every run
-writes a manifest JSON (config hash, input digests, tool version, counters)
-next to its primary output; outputs are written to a temp file and renamed,
-so interrupted runs never leave truncated artifacts.
+Exit codes: 0 success, 2 configuration error, 1 runtime fault. Commands
+return their results and main writes them: the report to --out or stdout,
+then, last, a manifest JSON (config hash, input digests, tool version,
+counters) beside the file the command names, if any. Outputs are written to
+a temp file and renamed, so interrupted runs never leave truncated artifacts.
 
 Importing this module loads no numpy, and no ingest, JATS, caption or
 vision code: each command imports what it uses when it runs, so every
@@ -20,7 +21,7 @@ import importlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -117,11 +118,6 @@ def _emit_report(obj: dict, out: str | None, pretty: bool) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _check_workers(workers: int) -> None:
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ConfigError(f"workers={workers} outside [1, {MAX_WORKERS}]")
-
-
 def _load_embedder(args, dim_hint: int):
     if getattr(args, "text_emb", None):
         store = read_store(args.text_emb)
@@ -142,24 +138,19 @@ def _embedder_flag(args) -> dict:
     return {} if args.text_emb else {"text_embedder": "hash"}
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, cfg):
     # ingest.run_pipeline is looked up on the module, where perfbench/op.py
     # wraps it.
     from . import ingest
 
-    cfg = load_config(args.config)
-    _check_workers(args.workers)
     report = ingest.run_pipeline(args.root, args.out, args.skip_log,
                                  workers=args.workers)
-    _write_manifest(args.out, cfg, [], report.counters())
-    _emit_report({**report.counters(), "wall_time": round(report.wall_time, 3)},
-                 None, args.pretty)
-    return EXIT_OK
+    counters = report.counters()
+    return ({**counters, "wall_time": round(report.wall_time, 3)},
+            args.out, [], counters)
 
 
-def cmd_finegrain(args) -> int:
-    cfg = load_config(args.config)
-    _check_workers(args.workers)
+def cmd_finegrain(args, cfg):
     out_dir = Path(args.out_dir)
     # Every line is checked before any work starts, so a malformed corpus
     # fails with one error and no output.
@@ -191,9 +182,7 @@ def cmd_finegrain(args) -> int:
                 counters[name] = counters.get(name, 0) + value
             timer.add(seconds)
     counters = counters or _finegrain_counters()
-    _write_manifest(pairs_path, cfg, [args.corpus], counters, timer.seconds)
-    _emit_report(counters, None, args.pretty)
-    return EXIT_OK
+    return counters, pairs_path, [args.corpus], counters, timer.seconds
 
 
 @dataclass
@@ -323,21 +312,15 @@ def _corpus_article(where: str, article: dict):
     return pmcid, figures, paragraphs
 
 
-def cmd_stats(args) -> int:
-    cfg = load_config(args.config)
+def cmd_stats(args, cfg):
     # Only corpus_stats: the rest of _EVALUATE loads numpy.
     _bind(("corpus_stats",))
     report = corpus_stats(args.pairs, args.images_root)
-    _emit_report(vars(report), args.out, args.pretty)
-    if args.out:
-        _write_manifest(args.out, cfg, [args.pairs],
-                        {"n_captions": report.n_captions, "n_images": report.n_images})
-    return EXIT_OK
+    return (vars(report), args.report_out, [args.pairs],
+            {"n_captions": report.n_captions, "n_images": report.n_images})
 
 
-def cmd_retrieval(args) -> int:
-    cfg = load_config(args.config, {
-        "ann_n_lists": args.ann_n_lists, "ann_n_probe": args.ann_n_probe})
+def cmd_retrieval(args, cfg):
     _bind(_EVALUATE)
     import numpy as np
     queries = read_store(args.queries)
@@ -352,21 +335,19 @@ def cmd_retrieval(args) -> int:
     runs = recall_at_k(queries, targets, pairing, cfg.k_values)
     obj = {direction: {f"recall@{k}": run.recall_at[k] for k in run.k_values}
            for direction, run in runs.items()}
+    counters = {"n_queries": queries.n, "n_targets": targets.n, "dim": queries.dim}
     if args.ann:
         index = AnnIndex(cfg).build(targets)
+        counters.update(n_lists=index.n_lists, n_probe=cfg.ann_n_probe)
         rng = np.random.default_rng(cfg.seed)
         sample = rng.choice(queries.n, size=min(64, queries.n), replace=False)
         obj["ann_measured_recall@10"] = measure_recall(
             index, targets, queries.vectors[sample].astype(np.float64),
             min(10, targets.n))
-    _emit_report(obj, args.out, args.pretty)
-    if args.out:
-        _write_manifest(args.out, cfg, [args.queries, args.targets], {})
-    return EXIT_OK
+    return obj, args.report_out, [args.queries, args.targets], counters
 
 
-def cmd_zeroshot(args) -> int:
-    cfg = load_config(args.config)
+def cmd_zeroshot(args, cfg):
     _bind(_EVALUATE)
     images = read_store(args.images)
     classes = []
@@ -387,15 +368,10 @@ def cmd_zeroshot(args) -> int:
             obj["auroc"] = binary_auroc(result, labels, classes[1].class_name)
     flag = _embedder_flag(args)
     obj.update(flag)
-    _emit_report(obj, args.out, args.pretty)
-    if args.out:
-        _write_manifest(args.out, cfg, [args.images, args.classes],
-                        {"n_images": images.n, **flag})
-    return EXIT_OK
+    return obj, args.report_out, [args.images, args.classes], {"n_images": images.n, **flag}
 
 
-def cmd_census(args) -> int:
-    cfg = load_config(args.config)
+def cmd_census(args, cfg):
     _bind(_EVALUATE)
     images = read_store(args.images)
     taxonomy = need_list(json.loads(Path(args.taxonomy).read_text()), dict, args.taxonomy)
@@ -410,11 +386,7 @@ def cmd_census(args) -> int:
     flag = _embedder_flag(args)
     obj = {"histogram": [{"type_name": t, "count": c} for t, c in histogram[:30]],
            "total": images.n, **flag}
-    _emit_report(obj, args.out, args.pretty)
-    if args.out:
-        _write_manifest(args.out, cfg, [args.images, args.taxonomy],
-                        {"n_images": images.n, **flag})
-    return EXIT_OK
+    return obj, args.report_out, [args.images, args.taxonomy], {"n_images": images.n, **flag}
 
 
 WORKERS_HELP = "pool processes, at most the CPU count and one per %s (default: the CPU count)"
@@ -427,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", dest="report_out", default=None)
         p.add_argument("--pretty", action="store_true")
 
     workers = min(os.cpu_count() or 1, MAX_WORKERS)
@@ -492,7 +464,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        cfg = load_config(args.config, {
+            f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)})
+        workers = getattr(args, "workers", 1)
+        if not 1 <= workers <= MAX_WORKERS:
+            raise ConfigError(f"workers={workers} outside [1, {MAX_WORKERS}]")
+        report, manifest_path, inputs, counters, *stages = args.func(args, cfg)
+        _emit_report(report, getattr(args, "report_out", None), args.pretty)
+        if manifest_path is not None:
+            _write_manifest(manifest_path, cfg, inputs, counters, *stages)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

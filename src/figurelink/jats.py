@@ -66,12 +66,6 @@ def _element_text(elem) -> str:
     return normalize_text("".join(elem.itertext()))
 
 
-def _strip_ns(tag) -> str:
-    if isinstance(tag, str):
-        return tag.rsplit("}", 1)[-1]
-    return ""
-
-
 def _graphic_href(elem) -> str | None:
     href = elem.get(XLINK_HREF) or elem.get("href")
     if not href:
@@ -114,7 +108,7 @@ class _Walk:
         or caption there, so a nested p is part of its parent's text."""
         tag = self.local_names.get(elem.tag)
         if tag is None:
-            tag = self.local_names[elem.tag] = _strip_ns(elem.tag)
+            tag = self.local_names[elem.tag] = elem.tag.rsplit("}", 1)[-1]
         if body and tag in ("p", "fig", "table-wrap", "caption"):
             if tag == "p":
                 text = _element_text(elem)

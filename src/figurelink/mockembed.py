@@ -13,12 +13,11 @@ import numpy as np
 
 
 class HashTextEmbedder:
-    def __init__(self, dim: int = 32, salt: str = ""):
+    def __init__(self, dim: int = 32):
         self.dim = dim
-        self.salt = salt
 
     def __call__(self, text: str) -> np.ndarray:
-        digest = hashlib.sha256((self.salt + text).encode("utf-8")).digest()
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
         seed = int.from_bytes(digest[:8], "little")
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(self.dim)

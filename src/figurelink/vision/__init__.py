@@ -6,12 +6,3 @@ from .match import (
     EVIDENCE_EXACT, EVIDENCE_FUZZY, EVIDENCE_INFERRED,
 )
 from .finegrain import FinePair, AuditEntry, emit_fine_grained_pairs, audit_unused_panels
-
-__all__ = [
-    "RasterImage", "UnreadableImage", "decode_pnm", "encode_pnm", "load_image",
-    "save_image", "PanelBox", "split_panels",
-    "OcrBox", "BoxMatch", "LabelAssignment", "match_labels_to_boxes",
-    "match_labels_to_panels", "match_score", "EVIDENCE_EXACT", "EVIDENCE_FUZZY",
-    "EVIDENCE_INFERRED", "FinePair", "AuditEntry", "emit_fine_grained_pairs",
-    "audit_unused_panels",
-]

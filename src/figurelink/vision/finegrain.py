@@ -3,7 +3,7 @@ and write panel crops to disk."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..captioner import Citance, SplitResult
@@ -68,18 +68,15 @@ def emit_fine_grained_pairs(pmcid: str, fig_id: str, image: RasterImage,
         return pairs, audit
 
     assigned_labels = set()
-    used_panels = set()
     for assignment in assignments:
-        sub = sub_by_label.get(assignment.label)
-        if sub is None:
-            continue
+        # match_labels_to_panels only returns the sub-captions' own labels.
+        sub = sub_by_label[assignment.label]
         crop_path = out_dir / f"{pmcid}_{fig_id}_{assignment.label}{ext}"
         save_image(crop_path, image.crop(assignment.panel.rect))
         citances = [c.sentence for c in citance_map.get(assignment.label, [])]
         pairs.append(FinePair(pmcid, fig_id, assignment.label, str(crop_path),
                               sub.text, citances, assignment.evidence))
         assigned_labels.add(assignment.label)
-        used_panels.add(id(assignment.panel))
 
     for label in sub_by_label:
         if label not in assigned_labels:

@@ -21,22 +21,9 @@ class PanelBox:
     rect: tuple[int, int, int, int]  # (x0, y0, x1, y1), half-open
     area_fraction: float
 
-    @property
-    def width(self) -> int:
-        return self.rect[2] - self.rect[0]
-
-    @property
-    def height(self) -> int:
-        return self.rect[3] - self.rect[1]
-
     def contains(self, x: float, y: float) -> bool:
         x0, y0, x1, y1 = self.rect
         return x0 <= x < x1 and y0 <= y < y1
-
-    @property
-    def center(self) -> tuple[float, float]:
-        x0, y0, x1, y1 = self.rect
-        return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
 
 _INT64_MAX = np.iinfo(np.int64).max

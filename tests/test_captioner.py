@@ -226,9 +226,9 @@ class TestCitances:
 
     def test_split_citances_routing(self):
         cites = [
-            Citance("s1", "f1", ["A"], 0),
-            Citance("s2", "f1", [], 0),
-            Citance("s3", "f1", ["Q"], 1),
+            Citance("s1", "f1", ["A"]),
+            Citance("s2", "f1", []),
+            Citance("s3", "f1", ["Q"]),
         ]
         mapping, unknown = split_citances(cites, ["A", "B"])
         assert [c.sentence for c in mapping["A"]] == ["s1", "s2"]

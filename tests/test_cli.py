@@ -367,6 +367,21 @@ class TestRetrievalCommand:
         assert fwd["recall@10"] >= fwd["recall@1"] > 0.8
         assert payload["ann_measured_recall@10"] >= 0.9
 
+    @pytest.mark.parametrize("ann", [[], ["--ann", "--ann-n-probe", "3"]])
+    def test_manifest_counters(self, tmp_path, capsys, ann):
+        images, texts, _ = paired_stores(np.random.default_rng(5), 50, 8)
+        qpath, tpath = tmp_path / "q.emb", tmp_path / "t.emb"
+        write_store(qpath, images)
+        write_store(tpath, texts)
+        out = tmp_path / "r.json"
+        assert main(["retrieval", "--queries", str(qpath), "--targets", str(tpath),
+                     "--out", str(out), *ann]) == 0
+        counters = json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
+        expected = {"n_queries": 50, "n_targets": 50, "dim": 8}
+        if ann:  # n_lists is the built value: ceil(sqrt(50)) lists
+            expected.update(n_lists=8, n_probe=3)
+        assert counters == expected
+
 
     def test_truncated_store_exits_1_with_one_line(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -651,3 +666,60 @@ class TestStandInEmbedder:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+
+
+# Per command: its input flags, run from the inputs' directory, the file its
+# manifest sits beside, and the inputs whose digests the manifest records.
+FRAME = {
+    "ingest": (["--root", "in/packages", "--workers", "1"], "corpus.jsonl", set()),
+    "finegrain": (["--corpus", "corpus.jsonl", "--images-root", "in/packages",
+                   "--workers", "1"], "fine_pairs.jsonl", {"corpus.jsonl"}),
+    "stats": (["--pairs", "corpus.jsonl"], "report.json", {"corpus.jsonl"}),
+    "retrieval": (["--queries", "img.emb", "--targets", "txt.emb", "--ann"],
+                  "report.json", {"img.emb", "txt.emb"}),
+    "zeroshot": (["--images", "img.emb", "--classes", "classes.json"],
+                 "report.json", {"img.emb", "classes.json"}),
+    "census": (["--images", "img.emb", "--taxonomy", "tax.json"],
+               "report.json", {"img.emb", "tax.json"}),
+}
+
+
+@pytest.fixture(scope="module")
+def frame_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("frame")
+    make_corpus(root / "in", 6, seed=2)
+    assert main(["ingest", "--root", str(root / "in" / "packages"),
+                 "--out", str(root / "corpus.jsonl"), "--workers", "1"]) == 0
+    images, texts, _ = paired_stores(np.random.default_rng(6), 40, 8)
+    write_store(root / "img.emb", images)
+    write_store(root / "txt.emb", texts)
+    (root / "classes.json").write_text(json.dumps(GOOD_CLASSES))
+    (root / "tax.json").write_text(json.dumps(GOOD_TAXONOMY))
+    return root
+
+
+@pytest.mark.parametrize("command", sorted(FRAME))
+def test_manifest_frame(command, frame_inputs, tmp_path, capsys, monkeypatch):
+    """Every command's manifest sits beside its documented file, holds the
+    same keys and is written last; without --out an evaluation command
+    prints its report and writes nothing."""
+    monkeypatch.chdir(frame_inputs)
+    flags, beside, inputs = FRAME[command]
+    out = (["--out-dir", str(tmp_path)] if command == "finegrain"
+           else ["--out", str(tmp_path / beside)])
+    assert main([command, *flags, *out]) == 0
+    manifest_path = tmp_path / f"{beside}.manifest.json"
+    assert sorted(tmp_path.rglob("*.manifest.json")) == [manifest_path]
+    manifest = json.loads(manifest_path.read_text())
+    assert set(manifest) == {"tool_version", "config_hash", "input_digests", "counters",
+                             *(["stages"] if command == "finegrain" else [])}
+    assert set(manifest["input_digests"]) == inputs
+    outputs = [p for p in tmp_path.rglob("*") if p.is_file() and p != manifest_path]
+    assert max(p.stat().st_mtime_ns for p in outputs) <= manifest_path.stat().st_mtime_ns
+    if command in ("ingest", "finegrain"):
+        return
+    capsys.readouterr()
+    before = sorted(Path().rglob("*")) + sorted(tmp_path.rglob("*"))
+    assert main([command, *flags]) == 0
+    assert capsys.readouterr().out == (tmp_path / beside).read_text()
+    assert sorted(Path().rglob("*")) + sorted(tmp_path.rglob("*")) == before

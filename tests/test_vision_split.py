@@ -450,12 +450,10 @@ class TestReadingOrder:
 
 
 class TestPanelBox:
-    def test_contains_and_center(self):
+    def test_contains(self):
         box = PanelBox((10, 20, 30, 60), 0.5)
         assert box.contains(15, 30)
         assert not box.contains(5, 30)
-        assert box.center == (20.0, 40.0)
-        assert box.width == 20 and box.height == 40
 
 
 class TestPnmCodec:
