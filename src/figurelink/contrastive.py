@@ -3,9 +3,16 @@
 Forward value and analytic gradients (with respect to the raw,
 pre-normalization embeddings and the log-parameterized scale) from one
 streamed implementation, and a finite-difference gradient checker. The
-streamed loss splits the batch into K row shards. Its working set is two
-float64 buffers of one shard's size, N x ceil(N/K), reused by every shard,
-plus one tile of _TILE_ROWS x N logits and O(N*D) for inputs and gradients.
+streamed loss splits the batch into K row shards. Its working set is one
+float64 buffer of one shard's size, N x ceil(N/K), reused by every shard,
+plus one tile of _TILE_ROWS x N and O(N*D) for inputs and gradients.
+
+Every logit s * sim is shifted by s, the largest value unit rows allow,
+instead of by a row or column max: the terms E = exp(s * (sim - 1)) lie in
+[exp(-2 * SCALE_CAP), 1], far from overflow and, since exp(-200) is above
+the smallest normal double (~exp(-708)), from underflow. So row and column
+sums of E need no running max or rescaling, each shard's similarities turn
+into E in place, and the gradient weights come from E and those sums alone.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ import numpy as np
 
 SCALE_CAP = 100.0
 
-# Rows of logits recomputed at a time from a shard's similarities. 64 rows
-# of an N=2048 batch are 1 MB of float64, so the chain of elementwise steps
-# over one tile reads it from cache.
+# Rows of a shard's gradient weights summed at a time. 64 rows of an N=2048
+# batch are 1 MB of float64, so the chain of elementwise steps over one tile
+# reads it from cache.
 _TILE_ROWS = 64
 
 
@@ -86,7 +93,7 @@ class LossReport:
     grad_texts: np.ndarray
     grad_log_scale: float
     # Elements of one shard block, N*ceil(N/K) for K shards (N*N for
-    # info_nce). A call holds two such blocks plus one row tile of logits.
+    # info_nce). A call holds one such block plus one row tile.
     peak_block_elems: int = 0
     shards: int = 1
 
@@ -105,8 +112,11 @@ def _check_finite(batch: EmbeddingBatch):
 
 def _backprop_normalization(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     # d/dx of x/||x||: remove the radial component, then divide by the norm.
-    radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
-    return (grad_unit - radial * unit) / norms[:, None]
+    # Works in place: returns grad_unit, and leaves unit overwritten.
+    radial = np.einsum("ij,ij->i", grad_unit, unit)
+    grad_unit -= np.multiply(unit, radial[:, None], out=unit)
+    grad_unit /= norms[:, None]
+    return grad_unit
 
 
 def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossReport:
@@ -124,7 +134,7 @@ def info_nce_sharded(batch: EmbeddingBatch, temp: TemperatureParam, shards: int)
     """:func:`info_nce` over `shards` contiguous row slices.
 
     Each shard's similarities against the full opposite modality fill one
-    of two reused N x ceil(N/K) buffers, so memory is O(N * ceil(N/K)).
+    reused N x ceil(N/K) buffer, so memory is O(N * ceil(N/K)).
     The loss and gradients match the single-shard result up to summation
     order, and bitwise at shards=1.
     """
@@ -157,88 +167,86 @@ def _streamed_info_nce(batch: EmbeddingBatch, temp: TemperatureParam, shards: in
     tx, tx_norms = _normalize_rows(batch.texts)
     bounds = _shard_bounds(batch.n, shards)
     peak = max(b - a for a, b in bounds) * batch.n
-    # The shard buffers are freed when _two_passes returns, so the
-    # normalization backprop below runs without them.
-    loss, grad_im_unit, grad_tx_unit, grad_sim_dot = _two_passes(im, tx, temp.scale, bounds, peak)
-    ds_dlog = 0.0 if temp.capped else temp.scale
+    s = temp.scale
+    # The shard buffer is freed when _two_passes returns, so the
+    # normalization backprop below runs without it.
+    loss, grad_im, grad_tx = _two_passes(im, tx, s, bounds, peak)
+    # sum(G * sim) = sum((G @ tx) * im): the scale gradient in O(N*D).
+    grad_sim_dot = np.einsum("ij,ij->", grad_im, im)
+    # The gradients so far are 2N/s times the gradients with respect to the
+    # unit rows; the normalization backprop is linear, so scale once after it.
+    factor = s / (2.0 * batch.n)
+    grad_images = _backprop_normalization(grad_im, im, im_norms)
+    grad_texts = _backprop_normalization(grad_tx, tx, tx_norms)
+    grad_images *= factor
+    grad_texts *= factor
     return LossReport(
         loss=float(loss),
-        grad_images=_backprop_normalization(grad_im_unit, im, im_norms),
-        grad_texts=_backprop_normalization(grad_tx_unit, tx, tx_norms),
-        grad_log_scale=ds_dlog * grad_sim_dot,
+        grad_images=grad_images,
+        grad_texts=grad_texts,
+        grad_log_scale=0.0 if temp.capped else factor * float(grad_sim_dot),
         peak_block_elems=peak,
         shards=shards,
     )
 
 
+def _shifted_exp(im_rows: np.ndarray, tx: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """E = exp(s * (sim - 1)) for the similarities of im_rows against tx,
+    computed in place in `out`. For unit rows sim <= 1 and s <= SCALE_CAP,
+    so every term lies in [exp(-2 * SCALE_CAP), 1]: a normal double."""
+    e = np.matmul(im_rows, tx.T, out=out)
+    np.subtract(e, 1.0, out=e)
+    np.multiply(e, s, out=e)
+    return np.exp(e, out=e)
+
+
 def _two_passes(im: np.ndarray, tx: np.ndarray, s: float, bounds, peak: int):
-    """(loss, grad_im_unit, grad_tx_unit, grad_sim_dot) over unit rows im
-    and tx at scale s: the loss, its gradients with respect to the unit
-    rows, and sum(g * sim) for the scale gradient. `peak` is the element
-    count of the largest shard."""
+    """(loss, grad_im, grad_tx) over unit rows im and tx at scale s, where
+    grad_im = G @ tx and grad_tx = G.T @ im for G = 2N times the gradient
+    of the loss with respect to the logits. `peak` is the element count of
+    the largest shard."""
     n = im.shape[0]
 
-    # The working set: two shard-sized buffers, made once and reused by
-    # every shard, plus one row tile. `sim_buf` holds the shard's
-    # similarities; `work_buf` holds its column exp terms in pass 1 and g in
-    # pass 2. The logits s * sim are never stored whole: each row tile of
-    # them is recomputed into `tile_buf`. Every elementwise step writes
-    # through out=, and gives the same bits as on a fresh array.
-    sim_buf = np.empty(peak)
-    work_buf = np.empty(peak)
+    # The working set: one shard-sized buffer, made once and reused by every
+    # shard, plus one row tile. The buffer holds a shard's shifted exp terms
+    # E in pass 1 and G in pass 2; the tile holds E / col_sum while a row
+    # tile of G is summed.
+    e_buf = np.empty(peak)
     tile_buf = np.empty(min(_TILE_ROWS * n, peak))
 
-    # Pass 1: per-row log-sum-exp within each shard, streaming per-column
-    # log-sum-exp across shards (max subtracted, then rescaled as the max
-    # grows), and the diagonal logits. The last shard's similarities stay in
-    # `sim_buf` for pass 2.
-    lse_row = np.empty(n)
-    diag = np.empty(n)
-    m_col = np.full(n, -np.inf)
-    acc_col = np.zeros(n)
+    # Pass 1: per-row sums within each shard, per-column sums across shards,
+    # and the diagonal terms. The last shard's E stays in `e_buf` for pass 2.
+    row_sum = np.empty(n)
+    col_sum = np.zeros(n)
+    e_diag = np.empty(n)
     for a, b in bounds:
-        sim = np.matmul(im[a:b], tx.T, out=_rows_of(sim_buf, b - a, n))
-        m_new = m_col.copy()
-        for t, u in _row_tiles(b - a):
-            logits = np.multiply(s, sim[t:u], out=_rows_of(tile_buf, u - t, n))
-            np.maximum(m_new, logits.max(axis=0), out=m_new)
-            m_row = logits.max(axis=1)
-            np.exp(np.subtract(logits, m_row[:, None], out=logits), out=logits)
-            lse_row[a + t:a + u] = m_row + np.log(logits.sum(axis=1))
-        diag[a:b] = s * sim[np.arange(b - a), np.arange(a, b)]
-        col_exp = _rows_of(work_buf, b - a, n)
-        for t, u in _row_tiles(b - a):
-            e = np.multiply(s, sim[t:u], out=col_exp[t:u])
-            np.exp(np.subtract(e, m_new, out=e), out=e)
-        acc_col = acc_col * np.exp(m_col - m_new) + col_exp.sum(axis=0)
-        m_col = m_new
-    lse_col = m_col + np.log(acc_col)
+        e = _shifted_exp(im[a:b], tx, s, _rows_of(e_buf, b - a, n))
+        row_sum[a:b] = e.sum(axis=1)
+        col_sum += e.sum(axis=0)
+        e_diag[a:b] = e[np.arange(b - a), np.arange(a, b)]
+    # The shift cancels in each log-probability log(E_ii / sum).
+    loss = -(np.log(e_diag / row_sum).sum() + np.log(e_diag / col_sum).sum()) / (2.0 * n)
 
-    row_term = sum((lse_row[a:b] - diag[a:b]).sum() for a, b in bounds)
-    loss = (row_term + (lse_col - diag).sum()) / (2.0 * n)
-
-    # Pass 2: gradients, shards from last to first (a fixed reduction order),
-    # starting with the similarities pass 1 left; each other shard's are
-    # recomputed. g = (p_row + p_col) / 2N is built tile by tile in `work_buf`.
-    grad_im_unit = np.zeros_like(im)
-    grad_tx_unit = np.zeros_like(tx)
-    grad_sim_dot = 0.0
+    # Pass 2: G = E / row_sum + E / col_sum - 2I, shards from last to first
+    # (a fixed reduction order), starting with the E pass 1 left; each other
+    # shard's is recomputed.
+    grad_im = np.empty_like(im)
+    grad_tx = np.empty_like(tx)
     for i, (a, b) in enumerate(reversed(bounds)):
-        sim = _rows_of(sim_buf, b - a, n)
+        g = _rows_of(e_buf, b - a, n)
         if i:
-            np.matmul(im[a:b], tx.T, out=sim)
-        g = _rows_of(work_buf, b - a, n)
+            _shifted_exp(im[a:b], tx, s, g)
         for t, u in _row_tiles(b - a):
-            logits = np.multiply(s, sim[t:u], out=_rows_of(tile_buf, u - t, n))
-            p_row = np.subtract(logits, lse_row[a + t:a + u, None], out=g[t:u])
-            np.exp(p_row, out=p_row)
-            p_col = np.exp(np.subtract(logits, lse_col[None, :], out=logits), out=logits)
-            np.divide(np.add(p_row, p_col, out=p_row), 2.0 * n, out=p_row)
-        g[np.arange(b - a), np.arange(a, b)] -= 2.0 / (2.0 * n)
-        grad_im_unit[a:b] = s * (g @ tx)
-        grad_tx_unit += s * (g.T @ im[a:b])
-        grad_sim_dot += float(np.multiply(g, sim, out=g).sum())
-    return loss, grad_im_unit, grad_tx_unit, grad_sim_dot
+            p_col = np.divide(g[t:u], col_sum, out=_rows_of(tile_buf, u - t, n))
+            np.divide(g[t:u], row_sum[a + t:a + u, None], out=g[t:u])
+            np.add(g[t:u], p_col, out=g[t:u])
+        g[np.arange(b - a), np.arange(a, b)] -= 2.0
+        np.matmul(g, tx, out=grad_im[a:b])
+        if i:
+            grad_tx += g.T @ im[a:b]
+        else:
+            np.matmul(g.T, im[a:b], out=grad_tx)
+    return loss, grad_im, grad_tx
 
 
 def grad_check(batch: EmbeddingBatch, temp: TemperatureParam, epsilon: float = 1e-6) -> float:

@@ -1,10 +1,12 @@
-"""Contrastive loss: scalar oracle, analytic gradients, a monolithic reference."""
+"""Contrastive loss: scalar oracle, analytic gradients, two monolithic references."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from figurelink import contrastive
 from figurelink.contrastive import (
@@ -49,10 +51,47 @@ def monolithic_reference(batch, temp):
     """The whole-matrix InfoNCE formula, kept here as the reference for the
     streamed implementation: (loss, grad_images, grad_texts, grad_log_scale).
 
-    It materializes the N x N logits once and performs the elementary
-    operations in the order the single-shard stream does, so the two agree
-    bitwise at one shard.
+    It materializes the N x N terms E = exp(s * (sim - 1)) once, shifted by
+    the largest logit unit rows allow, and performs the elementary operations
+    in the order the single-shard stream does, so the two agree bitwise at
+    one shard.
     """
+    n = batch.n
+    im_norms = np.linalg.norm(batch.images, axis=1)
+    tx_norms = np.linalg.norm(batch.texts, axis=1)
+    im = batch.images / im_norms[:, None]
+    tx = batch.texts / tx_norms[:, None]
+    s = temp.scale
+
+    e = np.exp((im @ tx.T - 1.0) * s)
+    row_sum = e.sum(axis=1)
+    col_sum = e.sum(axis=0)
+    e_diag = np.diag(e)
+    loss = -(np.log(e_diag / row_sum).sum() + np.log(e_diag / col_sum).sum()) / (2.0 * n)
+
+    # 2N times the gradient with respect to the logits.
+    g = e / row_sum[:, None] + e / col_sum[None, :]
+    idx = np.arange(n)
+    g[idx, idx] -= 2.0
+    grad_im = g @ tx
+    grad_tx = g.T @ im
+    factor = s / (2.0 * n)
+
+    def backprop(grad_unit, unit, norms):
+        radial = np.einsum("ij,ij->i", grad_unit, unit)
+        return (grad_unit - radial[:, None] * unit) / norms[:, None] * factor
+
+    return (float(loss),
+            backprop(grad_im, im, im_norms),
+            backprop(grad_tx, tx, tx_norms),
+            0.0 if temp.capped else factor * float(np.einsum("ij,ij->", grad_im, im)))
+
+
+def max_shift_reference(batch, temp):
+    """The same quantities from the textbook formula: each log-sum-exp with
+    its own row or column max subtracted, and the scale gradient as
+    sum(g * sim) over the N x N weights. It shares no operation order with
+    the stream, so it checks the fixed shift itself."""
     n = batch.n
     im_norms = np.linalg.norm(batch.images, axis=1)
     tx_norms = np.linalg.norm(batch.texts, axis=1)
@@ -191,6 +230,17 @@ class TestSharded:
         if temp.capped:
             assert reference[3] == 0.0
 
+        loss, grad_images, grad_texts, grad_log_scale = max_shift_reference(batch, temp)
+        assert reference[0] == pytest.approx(loss, rel=1e-12)
+        np.testing.assert_allclose(reference[1], grad_images, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(reference[2], grad_texts, rtol=1e-10, atol=1e-14)
+        assert reference[3] == pytest.approx(grad_log_scale, rel=1e-10, abs=1e-14)
+        if n == 1:
+            # p_row = p_col = 1 exactly: no rounding residue may leak out.
+            assert reference[0] == 0.0
+            assert not reference[1].any() and not reference[2].any()
+            assert reference[3] == 0.0
+
     def test_shards_beyond_batch_rejected(self):
         rng = np.random.default_rng(30)
         batch = random_batch(rng, 4, 3)
@@ -235,31 +285,77 @@ def traced_peak_bytes(fn, *args):
 
 
 class TestWorkingSet:
-    """Each call holds two shard-sized float64 buffers and one row tile of
-    logits, plus O(N·D): no other N x ceil(N/K) array is made."""
+    """Each call holds one shard-sized float64 buffer and one row tile, plus
+    O(N·D): no other N x ceil(N/K) array is made."""
 
     N, D = 512, 16
 
     def batch(self):
         return random_batch(np.random.default_rng(40), self.N, self.D)
 
-    def test_single_shard_peak_is_under_three_blocks(self):
-        report, peak = traced_peak_bytes(info_nce, self.batch(),
-                                         TemperatureParam.from_tau(0.07))
-        block = 8 * report.peak_block_elems
-        assert block == 8 * self.N * self.N
-        assert peak <= 3 * block
-
-    @pytest.mark.parametrize("shards", [2, 4, 8])
-    def test_sharded_peak_is_two_blocks_a_tile_and_o_n_d(self, shards):
+    @pytest.mark.parametrize("shards", [1, 2, 4, 8])
+    def test_peak_is_one_block_a_tile_and_o_n_d(self, shards):
         report, peak = traced_peak_bytes(info_nce_sharded, self.batch(),
                                          TemperatureParam.from_tau(0.07), shards)
         block = 8 * report.peak_block_elems
+        assert block == 8 * self.N * -(-self.N // shards)
         tile = 8 * min(contrastive._TILE_ROWS * self.N, report.peak_block_elems)
-        # The normalized inputs, their gradients and the temporaries of the
-        # gradient GEMMs and of the normalization backprop.
-        n_by_d = 12 * 8 * self.N * self.D
-        assert peak <= 2 * block + tile + n_by_d
+        # Five N x D arrays: the normalized inputs, their gradients and one
+        # shard's part of the text gradient. The sixth covers the O(N) sums
+        # and numpy's 8192-element ufunc buffer, together ~1.4 N x D here.
+        n_by_d = 6 * 8 * self.N * self.D
+        assert peak <= block + tile + n_by_d
+
+
+class TestFixedShift:
+    """The stream shifts every logit by the largest value unit rows allow,
+    s * 1, instead of by a row or column max."""
+
+    def test_scale_cap_keeps_shifted_terms_normal(self):
+        # exp(s * (sim - 1)) >= exp(-2 * SCALE_CAP) must stay a normal double,
+        # or the row and column sums could underflow to 0.
+        assert math.exp(-2 * contrastive.SCALE_CAP) >= np.finfo(np.float64).tiny
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_finite_and_matches_oracle(self, data):
+        n = data.draw(st.integers(1, 48), label="n")
+        d = data.draw(st.integers(1, 16), label="d")
+        tau = data.draw(st.one_of(st.just(1e-4), st.just(0.01),
+                                  st.floats(1e-4, 10.0)), label="tau")
+        cells = st.integers(-3, 3).map(float)
+        images = np.array(data.draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                                             min_size=n, max_size=n)), dtype=np.float64)
+        images[~images.any(axis=1), 0] = 1.0
+        # Each text row repeats its image row (sim = 1), negates it
+        # (sim = -1, terms of exp(-2s)) or copies another row (ties).
+        kinds = data.draw(st.lists(st.integers(0, n + 1), min_size=n, max_size=n))
+        texts = np.array([images[i] if k == 0 else -images[i] if k == 1 else images[k - 2]
+                          for i, k in enumerate(kinds)])
+        batch = EmbeddingBatch(images, texts)
+        temp = TemperatureParam.from_tau(tau)
+
+        reports = [info_nce_sharded(batch, temp, k) for k in sorted({1, min(2, n), n})]
+        for report in reports:
+            assert math.isfinite(report.loss) and math.isfinite(report.grad_log_scale)
+            assert np.isfinite(report.grad_images).all()
+            assert np.isfinite(report.grad_texts).all()
+
+        oracle = scalar_oracle_loss(images.tolist(), texts.tolist(), tau)
+        eps = np.finfo(np.float64).eps
+        assert abs(reports[0].loss - oracle) <= 16 * n * temp.scale * eps * max(1.0, abs(oracle))
+
+        # A gradient coordinate is a sum of terms of size up to about s / ||x||
+        # that can cancel to near 0 (tied rows), so compare at that size.
+        one = reports[0]
+        norms = np.linalg.norm(np.vstack([images, texts]), axis=1)
+        scale = temp.scale / norms.min()
+        for report in reports[1:]:
+            assert abs(report.loss - one.loss) <= 1e-10 * max(1.0, abs(one.loss))
+            assert np.abs(report.grad_images - one.grad_images).max() <= 1e-10 * scale
+            assert np.abs(report.grad_texts - one.grad_texts).max() <= 1e-10 * scale
+            assert abs(report.grad_log_scale - one.grad_log_scale) <= 1e-10 * max(
+                1.0, abs(one.grad_log_scale))
 
 
 class TestValidation:
