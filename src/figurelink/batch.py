@@ -1,6 +1,7 @@
 """What every command shares: output files written atomically, and the
 process pool of `ingest` and `finegrain` with the bytes of input each
-command gives one pool process.
+command gives one pool process. The pool forks, so it runs on POSIX
+systems only; elsewhere both commands run serially.
 
 It imports only the standard library, so the evaluation commands write
 their outputs through it without loading the ingest or vision code.
@@ -13,21 +14,25 @@ import tempfile
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
-# A spawned pool process takes 0.1-0.15 s to start and import what ingest
-# needs (not numpy), about what parsing a few MB of JATS takes, so ingest
-# gives each one at least this much XML (about half a second of parsing)
-# and parses smaller corpora serially.
-XML_BYTES_PER_PROCESS = 16 << 20
+# Each budget below is set from the break-even of a forced 2-process pool
+# against the serial run, on smaller perfbench inputs (2-vCPU box, median
+# of 5-9 runs, whole command wall time; BENCH_18.json). A forked
+# process starts with this process's modules, so what a pool still costs is
+# sending each item and result through a pipe and, for finegrain, importing
+# numpy and the vision code, which the parent does not load. A 2-process
+# pool starts from two budgets of input, 1.6-2 times the break-even.
+
+# ingest gives each pool process at least this much XML. On `corpus` inputs
+# of 250-500 articles the pool lost at 7.9 MB of XML (0.48 s against
+# 0.39 s) and won from 11.9 MB (0.42 s against 0.50 s; 0.49 s against
+# 0.71 s at 16 MB).
+XML_BYTES_PER_PROCESS = 8 << 20
 
 # finegrain gives each pool process at least this many bytes of image files.
-# A spawned process spends 0.15-0.3 s starting and importing numpy and the
-# vision code before it splits a figure. On prefixes of the perfbench
-# `panels` corpus (2-vCPU box, median of 5 runs) a forced 2-process pool
-# lost to the serial run at 23 MB of PPM (0.96 s against 0.79 s), tied at
-# 45 MB (1.15 s) and won from 68 MB on (1.12 s against 1.19 s; 2.33 s
-# against 3.19 s at 236 MB). At 64 MB per process a pool starts only from
-# 128 MB, well past that break-even.
-IMAGE_BYTES_PER_PROCESS = 64 << 20
+# On prefixes of a `panels` corpus the pool lost at 19 MB of PPM (0.45 s
+# against 0.41 s), tied at 30 MB (0.50 s against 0.48 s) and won from 41 MB
+# (0.52 s against 0.57 s; 0.84 s against 1.06 s at 81 MB).
+IMAGE_BYTES_PER_PROCESS = 32 << 20
 
 # ordered_map hands each pool process about this many chunks of the input:
 # small enough that the processes finish within one short chunk of each
@@ -55,17 +60,19 @@ def ordered_map(fn, items: list, workers: int):
     """Yield fn(item) for each item, in input order, computed by up to
     `workers` processes.
 
-    The pool has min(workers, os.cpu_count(), len(items)) processes, started
-    with spawn. With one, no pool is started and fn runs in this process, so
-    workers=1 is serial. Otherwise fn must pickle (a module-level function
-    or a functools.partial of one), items and results must pickle, and a
-    script that calls this must guard its entry point with
-    `if __name__ == "__main__"`, because each process imports the main
-    module. Items go out in contiguous chunks; each result is yielded as
-    soon as it and all before it are done.
+    The pool has min(workers, os.cpu_count(), len(items)) processes, forked
+    from this one, so they start with its modules already imported. With
+    one, or where the platform cannot fork, no pool is started and fn runs
+    in this process, so workers=1 is serial. Otherwise fn (a module-level
+    function or a functools.partial of one), items and results must pickle,
+    and the caller must run no other thread: a forked process holds only
+    the thread that forked, and a lock another thread held stays taken in
+    it. The commands call this from a single-threaded parent that has not
+    imported numpy. Items go out in contiguous chunks; each result is
+    yielded as soon as it and all before it are done.
     """
     size = min(workers, os.cpu_count() or 1, len(items))
-    if size <= 1:
+    if size <= 1 or not hasattr(os, "fork"):
         yield from map(fn, items)
         return
     # Imported here, so that commands that start no pool do not load
@@ -74,7 +81,8 @@ def ordered_map(fn, items: list, workers: int):
     from concurrent.futures import ProcessPoolExecutor
 
     chunksize = -(-len(items) // (size * CHUNKS_PER_PROCESS))
-    with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("spawn")) as pool:
+    # With fork, the executor starts every process before its manager thread.
+    with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork")) as pool:
         yield from pool.map(fn, items, chunksize=chunksize)
 
 

@@ -167,7 +167,8 @@ def cmd_finegrain(args, cfg):
 
     # Each article's counters hold every key, in report order, so the sums
     # start from the first one: with a pool, this process then never
-    # imports the vision code.
+    # imports the vision code or numpy, whose BLAS threads would make the
+    # pool's fork unsafe.
     counters: dict[str, int] = {}
     pairs_path = out_dir / "fine_pairs.jsonl"
     with atomic_lines(pairs_path) as write_pair, \

@@ -56,16 +56,19 @@ class RasterImage:
 def decode_pnm(data: bytes) -> RasterImage:
     header = parse_pnm_header(data)
     check_payload(header, len(data))
-    raw = data[header.offset:header.offset + header.payload_bytes]
+    raw = memoryview(data)[header.offset:header.offset + header.payload_bytes]
     arr = np.frombuffer(raw, dtype=np.uint8)
     shape = (header.height, header.width) + ((3,) if header.channels == 3 else ())
     return RasterImage(arr.reshape(shape))
 
 
-def encode_pnm(image: RasterImage) -> bytes:
+def _pnm_header(image: RasterImage) -> bytes:
     magic = b"P5" if image.channels == 1 else b"P6"
-    header = b"%s\n%d %d\n255\n" % (magic, image.width, image.height)
-    return header + image.pixels.tobytes()
+    return b"%s\n%d %d\n255\n" % (magic, image.width, image.height)
+
+
+def encode_pnm(image: RasterImage) -> bytes:
+    return _pnm_header(image) + image.pixels.tobytes()
 
 
 def load_image(path) -> RasterImage:
@@ -88,4 +91,9 @@ def load_image(path) -> RasterImage:
 
 
 def save_image(path, image: RasterImage) -> None:
-    Path(path).write_bytes(encode_pnm(image))
+    """Write image as the bytes of encode_pnm(image): the header, then the
+    pixels straight from their buffer, copied only if not C-contiguous."""
+    pixels = np.ascontiguousarray(image.pixels)
+    with open(path, "wb") as fh:
+        fh.write(_pnm_header(image))
+        fh.write(pixels)

@@ -61,6 +61,31 @@ def test_ingest_runs_without_numpy(synth):
     assert loaded_after(code) == {"numpy": False, "xml.sax": False}
 
 
+def test_pooled_finegrain_keeps_numpy_out_of_the_parent(synth):
+    # The pool forks from this process, which must stay single-threaded:
+    # numpy starts BLAS threads when it is imported.
+    root, truth = synth
+    corpus = root / "pooled_corpus.jsonl"
+    assert python("-m", "figurelink.cli", "ingest", "--root", str(truth.packages_dir),
+                  "--out", str(corpus)).returncode == 0
+    code = ("import concurrent.futures, os\n"
+            "from figurelink import cli\n"
+            "started = []\n"
+            "class RecordedPool(concurrent.futures.ProcessPoolExecutor):\n"
+            "    def __init__(self, max_workers, mp_context=None):\n"
+            "        started.append(max_workers)\n"
+            "        super().__init__(max_workers, mp_context=mp_context)\n"
+            "concurrent.futures.ProcessPoolExecutor = RecordedPool\n"
+            "os.cpu_count = lambda: 2\n"
+            "cli.IMAGE_BYTES_PER_PROCESS = 1\n"
+            f"assert cli.main(['finegrain', '--corpus', {str(corpus)!r}, "
+            f"'--images-root', {str(truth.packages_dir)!r}, '--workers', '2', "
+            f"'--ocr-dir', {str(truth.ocr_dir)!r}, '--out-dir', {str(root / 'pooled')!r}]) == 0\n"
+            "assert started == [2], started")
+    assert loaded_after(code) == {"numpy": False, "xml.sax": False}
+    assert (root / "pooled" / "fine_pairs.jsonl").read_text()
+
+
 def test_traced_finegrain_records_vision_and_captioner_spans(synth):
     root, truth = synth
     corpus = root / "traced_corpus.jsonl"

@@ -152,6 +152,21 @@ class TestPipeline:
         assert list(batch.ordered_map(abs, [], workers=8)) == []
         monkeypatch.setattr(batch.os, "cpu_count", lambda: 1)
         assert list(batch.ordered_map(abs, [-1, -2], workers=8)) == [1, 2]
+        # A platform without fork (Windows) maps in this process.
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 4)
+        monkeypatch.delattr(batch.os, "fork")
+        assert list(batch.ordered_map(abs, [-1, -2], workers=8)) == [1, 2]
+
+    def test_a_line_written_before_the_pool_forks_is_written_once(self, tmp_path, real_pool):
+        # The forked processes hold a copy of the writer's unflushed buffer;
+        # none of them may write it out.
+        out = tmp_path / "lines.txt"
+        with batch.atomic_lines(out) as write:
+            write("before the pool")
+            for value in batch.ordered_map(abs, [-1, -2, -3, -4], workers=2):
+                write(str(value))
+        assert real_pool == [2]
+        assert out.read_text().splitlines() == ["before the pool", "1", "2", "3", "4"]
 
     def test_skip_reason_counters_match_skip_log(self, tmp_path):
         packages = make_corpus(tmp_path / "corpus", n_articles=25, seed=0).packages_dir

@@ -2,6 +2,7 @@
 gutter rule checked against the float64 rule it replaced."""
 
 import math
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from hypothesis.extra import numpy as hnp
 from figurelink.config import PipelineConfig
 from figurelink.synth import make_compound_image
 from figurelink.vision import split
-from figurelink.vision.images import RasterImage, UnreadableImage, decode_pnm, encode_pnm
+from figurelink.vision.images import (
+    RasterImage, UnreadableImage, decode_pnm, encode_pnm, save_image,
+)
 from figurelink.vision.split import PanelBox, reading_order, split_panels
 
 
@@ -208,6 +211,126 @@ def checked_float_rects(image: RasterImage, cfg: PipelineConfig):
         return float_split_rects(image, cfg), ties
 
 
+# The int64 line statistics and the recursion that recomputed both axes of
+# every rect, as they were before the split moved to narrow dtypes and
+# carried gutter masks over from parent rects, kept word for word as the
+# reference (_trim included).
+
+class Int64LineStats:
+    """One figure as int64 arrays, so each line test is three exact sums.
+
+    The intensity I is the channel sum (c = 3) or the pixel value (c = 1),
+    so the grey level is I / c. A pixel is background when I >= thr, with
+    thr read from I / c evaluated in float64 over every possible I: that is
+    how a float grey image rounds, so the mask is the one it would give.
+    """
+
+    def __init__(self, image: RasterImage, cfg: PipelineConfig):
+        pixels = image.pixels
+        self.c = image.channels
+        if self.c == 1:
+            self.intensity = pixels.astype(np.int64)
+        else:  # channel by channel: a reduction over the last axis is slower
+            self.intensity = pixels[..., 0].astype(np.int64)
+            self.intensity += pixels[..., 1]
+            self.intensity += pixels[..., 2]
+        levels = np.arange(255 * self.c + 1) / self.c >= cfg.bg_intensity
+        thr = int(np.argmax(levels)) if levels.any() else levels.size
+        self.background = (self.intensity >= thr).astype(np.int64)
+        self.cfg = cfg
+
+    def _var_bound(self, n: int) -> int:
+        """The largest integer L with L <= max_gutter_var * c^2 * n^2."""
+        limit = self.cfg.max_gutter_var
+        if math.isnan(limit):
+            return -1
+        if math.isinf(limit):
+            return split._INT64_MAX if limit > 0 else -1
+        p, q = float(limit).as_integer_ratio()
+        return min(p * self.c * self.c * n * n // q, split._INT64_MAX)
+
+    def gutter_lines(self, rect, axis: int) -> np.ndarray:
+        """Gutter rows (axis=0) or columns (axis=1) of rect.
+
+        A line of n pixels is a gutter when (background count) / n >=
+        bg_fraction and n * sum(I^2) - sum(I)^2 <= max_gutter_var * c^2 * n^2,
+        the exact variance of I / c. The sums are only taken on lines that
+        pass the background test.
+        """
+        x0, y0, x1, y1 = rect
+        other = 1 - axis
+        n = x1 - x0 if axis == 0 else y1 - y0
+        count = self.background[y0:y1, x0:x1].sum(axis=other)
+        lines = count / n >= self.cfg.bg_fraction
+        cand = np.flatnonzero(lines)
+        if cand.size:
+            if axis == 0:
+                sel = (y0 + cand, slice(x0, x1))
+            else:
+                sel = (slice(y0, y1), x0 + cand)
+            values = self.intensity[sel]
+            s1 = values.sum(axis=other)
+            s2 = (values * values).sum(axis=other)
+            lines[cand] = n * s2 - s1 * s1 <= self._var_bound(n)
+        return lines
+
+    def gutters(self, rect) -> tuple[np.ndarray, np.ndarray]:
+        return self.gutter_lines(rect, 0), self.gutter_lines(rect, 1)
+
+
+def _int64_trim(rect, rows: np.ndarray, cols: np.ndarray):
+    """Shrink the rect past any background margins; None if all background."""
+    x0, y0, x1, y1 = rect
+    top = int(np.argmax(~rows)) if not rows.all() else len(rows)
+    if top == len(rows):
+        return None
+    bottom = len(rows) - int(np.argmax(~rows[::-1]))
+    left = int(np.argmax(~cols))
+    right = len(cols) - int(np.argmax(~cols[::-1]))
+    return (x0 + left, y0 + top, x0 + right, y0 + bottom)
+
+
+def _int64_recurse(stats: Int64LineStats, rect, out: list):
+    rows, cols = stats.gutters(rect)
+    trimmed = _int64_trim(rect, rows, cols)
+    if trimmed is None:
+        return
+    if trimmed != rect:
+        rect = trimmed
+        rows, cols = stats.gutters(rect)
+    x0, y0, x1, y1 = rect
+    min_px = stats.cfg.min_gutter_px
+    h_run = split._widest_interior_run(rows, min_px)
+    v_run = split._widest_interior_run(cols, min_px)
+
+    h_width = (h_run[1] - h_run[0]) if h_run else 0
+    v_width = (v_run[1] - v_run[0]) if v_run else 0
+    if h_width == 0 and v_width == 0:
+        out.append(rect)
+        return
+    if h_width >= v_width:
+        a, b = h_run
+        _int64_recurse(stats, (x0, y0, x1, y0 + a), out)
+        _int64_recurse(stats, (x0, y0 + b, x1, y1), out)
+    else:
+        a, b = v_run
+        _int64_recurse(stats, (x0, y0, x0 + a, y1), out)
+        _int64_recurse(stats, (x0 + b, y0, x1, y1), out)
+
+
+def int64_reference_rects(image: RasterImage, cfg: PipelineConfig | None = None):
+    """split_panels' rects with the int64 reference in place of its recursion."""
+    cfg = cfg or PipelineConfig()
+    w, h = image.width, image.height
+    if w < 2 * cfg.min_gutter_px or h < 2 * cfg.min_gutter_px:
+        return [(0, 0, w, h)]
+    rects = []
+    _int64_recurse(Int64LineStats(image, cfg), (0, 0, w, h), rects)
+    rects = [r for r in rects
+             if (r[2] - r[0]) * (r[3] - r[1]) / float(w * h) >= cfg.min_panel_frac]
+    return reading_order(rects) if rects else [(0, 0, w, h)]
+
+
 def rects_of(image: RasterImage, cfg: PipelineConfig | None = None):
     return [p.rect for p in split_panels(image, cfg)]
 
@@ -248,6 +371,24 @@ class TestSplitPanels:
         panels = split_panels(RasterImage(pixels))
         assert [p.rect for p in panels] == [(0, 0, 120, 120)]
 
+    def test_peak_memory_is_at_most_twice_the_decoded_image(self):
+        # A 1000x1000 RGB figure, four noise panels in a white field.
+        rng = np.random.default_rng(3)
+        pixels = np.full((1000, 1000, 3), 255, dtype=np.uint8)
+        for y0, y1 in ((30, 480), (520, 970)):
+            for x0, x1 in ((30, 480), (520, 970)):
+                pixels[y0:y1, x0:x1] = rng.integers(0, 200, size=(y1 - y0, x1 - x0, 3))
+        image = RasterImage(pixels)
+        tracemalloc.start()
+        try:
+            panels = split_panels(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [p.rect for p in panels] == [
+            (30, 30, 480, 480), (520, 30, 970, 480), (30, 520, 480, 970), (520, 520, 970, 970)]
+        assert peak <= 2 * pixels.nbytes
+
     def test_gutter_threshold_config_honored(self):
         # a 4px gutter is below the default minimum, so the figure stays whole
         pixels = np.full((200, 404), 255, dtype=np.uint8)
@@ -268,14 +409,14 @@ class TestAgainstFloatRule:
             noise = rng.integers(-12, 13, size=grey.pixels.shape + (3,))
             rgb = RasterImage(np.clip(grey.pixels[..., None] + noise, 0, 255))
             for image in (grey, RasterImage(np.stack([grey.pixels] * 3, axis=2)), rgb):
-                assert rects_of(image) == float_split_rects(image)
+                assert rects_of(image) == float_split_rects(image) == int64_reference_rects(image)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_drawn_figures_match_float_and_exact_rule(self, data):
         image, cfg = data.draw(gutter_figures())
         got = rects_of(image, cfg)
-        assert got == exact_reference_rects(image, cfg)
+        assert got == exact_reference_rects(image, cfg) == int64_reference_rects(image, cfg)
         want, ties = checked_float_rects(image, cfg)
         if not ties:
             assert got == want
@@ -478,6 +619,17 @@ class TestPnmCodec:
         again = decode_pnm(encode_pnm(RasterImage(pixels)))
         assert again.pixels.shape == pixels.shape
         assert np.array_equal(again.pixels, pixels)
+
+    def test_save_image_writes_the_encoded_bytes(self, tmp_path):
+        rng = np.random.default_rng(11)
+        pixels = rng.integers(0, 256, size=(20, 30, 3), dtype=np.uint8)
+        image = RasterImage(pixels)
+        path = tmp_path / "image.pnm"
+        for each in (image, image.crop((3, 4, 17, 15)), RasterImage(pixels[:, ::-1]),
+                     RasterImage(pixels[..., 1])):
+            save_image(path, each)
+            assert path.read_bytes() == encode_pnm(each)
+            assert np.array_equal(decode_pnm(path.read_bytes()).pixels, each.pixels)
 
     @pytest.mark.parametrize("data", [
         b"P5\n2 x\n255\n",
