@@ -56,22 +56,24 @@ def pool_size(workers: int, paths, bytes_per_process: int) -> int:
     return max(1, min(workers, total // bytes_per_process))
 
 
-def ordered_map(fn, items: list, workers: int):
+def ordered_map(fn, items, workers: int):
     """Yield fn(item) for each item, in input order, computed by up to
     `workers` processes.
 
-    The pool has min(workers, os.cpu_count(), len(items)) processes, forked
-    from this one, so they start with its modules already imported. With
-    one, or where the platform cannot fork, no pool is started and fn runs
-    in this process, so workers=1 is serial. Otherwise fn (a module-level
-    function or a functools.partial of one), items and results must pickle,
-    and the caller must run no other thread: a forked process holds only
-    the thread that forked, and a lock another thread held stays taken in
-    it. The commands call this from a single-threaded parent that has not
-    imported numpy. Items go out in contiguous chunks; each result is
-    yielded as soon as it and all before it are done.
+    With workers=1, items may be any iterable: fn runs in this process on
+    each item as it is drawn. Otherwise items is a list, and the pool has
+    min(workers, os.cpu_count(), len(items)) processes, forked from this
+    one, so they start with its modules already imported. With one, or where
+    the platform cannot fork, no pool is started and fn runs in this process
+    too. Otherwise fn (a module-level function or a functools.partial of
+    one), items and results must pickle, and the caller must run no other
+    thread: a forked process holds only the thread that forked, and a lock
+    another thread held stays taken in it. The commands call this from a
+    single-threaded parent that has not imported numpy. Items go out in
+    contiguous chunks; each result is yielded as soon as it and all before
+    it are done.
     """
-    size = min(workers, os.cpu_count() or 1, len(items))
+    size = workers if workers <= 1 else min(workers, os.cpu_count() or 1, len(items))
     if size <= 1 or not hasattr(os, "fork"):
         yield from map(fn, items)
         return

@@ -30,8 +30,9 @@ from .batch import (
     ordered_map, pool_size,
 )
 from .config import ConfigError, PipelineConfig, load_config
+from .corpus import read_corpus
 from .imageindex import index_tree
-from .jsonshape import need, need_list, read_jsonl
+from .jsonshape import need, need_list
 from .stages import StageTimer
 
 EXIT_OK = 0
@@ -53,7 +54,8 @@ _VISION = {
     "UnreadableImage": ".vision", "load_image": ".vision", "split_panels": ".vision",
     "match_labels_to_boxes": ".vision", "match_labels_to_panels": ".vision",
     "emit_fine_grained_pairs": ".vision", "audit_unused_panels": ".vision",
-    "EVIDENCE_TIERS": ".vision.finegrain", "load_ocr_file": ".vision.ocr",
+    "AuditEntry": ".vision", "EVIDENCE_TIERS": ".vision.finegrain",
+    "load_ocr_file": ".vision.ocr",
 }
 _EVALUATE = {
     **dict.fromkeys((
@@ -154,13 +156,13 @@ def cmd_finegrain(args, cfg):
     out_dir = Path(args.out_dir)
     # Every line is checked before any work starts, so a malformed corpus
     # fails with one error and no output.
-    checked = [_corpus_article(where, obj) for where, obj in read_jsonl(args.corpus)]
+    checked = list(read_corpus(args.corpus))
     timer = StageTimer()
     with timer.stage("resolve"):
         images = index_tree(args.images_root)
         articles = [FinegrainArticle(pmcid, figures, paragraphs,
                                      [images.get(fig.graphic_ref) for fig in figures])
-                    for pmcid, figures, paragraphs in checked]
+                    for pmcid, _, figures, paragraphs in checked]
     workers = pool_size(
         args.workers, (p for a in articles for p in a.image_paths), IMAGE_BYTES_PER_PROCESS)
     run = FinegrainRun(out_dir / "crops", Path(args.ocr_dir) if args.ocr_dir else None, cfg)
@@ -201,7 +203,7 @@ class FinegrainArticle:
     image_paths[i] is the file of figures[i], or None when it has none."""
 
     pmcid: str
-    figures: list  # of jats.FigureEntry
+    figures: list  # of corpus.FigureEntry
     paragraphs: list[str]
     image_paths: list[Path | None]
 
@@ -233,10 +235,7 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
     counters = _finegrain_counters()
     pmcid = article.pmcid
     timer = StageTimer()
-    pair_lines, audit_lines = [], []
-
-    def audit_line(kind: str, fig_id: str) -> None:
-        audit_lines.append(json.dumps({"kind": kind, "pmcid": pmcid, "fig_id": fig_id}))
+    pair_lines, audit = [], []
 
     with timer.stage("match"):
         citances_by_fig: dict[str, list] = {}
@@ -252,7 +251,7 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
         if image is None:
             kind = "missing_image" if image_path is None else "unreadable_image"
             counters[kind + "s"] += 1
-            audit_line(kind, fig.fig_id)
+            audit.append(AuditEntry(kind, pmcid, fig.fig_id))
             continue
         with timer.stage("split"):
             split_result = captioner.split_caption(fig.caption)
@@ -268,7 +267,7 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
                     boxes = load_ocr_file(ocr_path) if ocr_path.is_file() else []
                 except (OSError, ValueError, KeyError):
                     counters["unreadable_ocr"] += 1
-                    audit_line("unreadable_ocr", fig.fig_id)
+                    audit.append(AuditEntry("unreadable_ocr", pmcid, fig.fig_id))
         with timer.stage("split"):
             panels = split_panels(image, run.cfg)
         with timer.stage("match"):
@@ -276,41 +275,22 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
             assignments, unresolved = match_labels_to_panels(
                 box_assignments, panels, labels)
         with timer.stage("crop_write"):
-            pairs, audit = emit_fine_grained_pairs(
+            pairs, unassigned = emit_fine_grained_pairs(
                 pmcid, fig.fig_id, image, split_result, assignments,
                 citance_map, fig_citances, run.crops_dir)
         if labels:
-            audit += audit_unused_panels(pmcid, fig.fig_id, panels, assignments)
+            unassigned += audit_unused_panels(pmcid, fig.fig_id, panels, assignments)
         for pair in pairs:
             pair_lines.append(json.dumps(vars(pair), ensure_ascii=False))
             counters[f"evidence_{pair.evidence}"] += 1
-        audit_lines += [json.dumps(vars(entry)) for entry in audit]
+        audit += unassigned
         counters["fine_pairs"] += len(pairs)
-        counters["audit_entries"] += len(audit)
+        counters["audit_entries"] += len(unassigned)
         counters["unknown_citance_labels"] += len(unknown)
         counters["label_deficit"] += len(deficit)
         counters["unresolved_labels"] += len(unresolved)
+    audit_lines = [json.dumps(vars(entry), ensure_ascii=False) for entry in audit]
     return pair_lines, audit_lines, counters, timer.seconds
-
-
-def _corpus_article(where: str, article: dict):
-    """(pmcid, figures, body_paragraphs) of one corpus line, each checked to
-    have the type finegrain reads: figures as jats.FigureEntry values built
-    from their checked string fields."""
-    from .jats import FigureEntry
-
-    pmcid = need(article["pmcid"], str, f"{where} pmcid")
-    figures = []
-    for i, fig in enumerate(need_list(article["figures"], dict, f"{where} figures")):
-        fields = {key: need(fig[key], str, f"{where} figures[{i}].{key}")
-                  for key in ("fig_id", "caption", "graphic_ref")}
-        if fig.get("label_text") is not None:
-            fields["label_text"] = need(fig["label_text"], str,
-                                        f"{where} figures[{i}].label_text")
-        figures.append(FigureEntry(**fields))
-    paragraphs = need_list(article.get("body_paragraphs", []), str,
-                           f"{where} body_paragraphs")
-    return pmcid, figures, paragraphs
 
 
 def cmd_stats(args, cfg):

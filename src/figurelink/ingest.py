@@ -15,12 +15,12 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 
 from . import jats
 from .batch import XML_BYTES_PER_PROCESS, atomic_lines, ordered_map, pool_size
+from .corpus import corpus_line
 from .imageindex import entry_is, index_listing, split_name
 
 SKIP_MALFORMED_XML = "malformed_xml"
@@ -73,11 +73,13 @@ class IngestReport:
 
 
 def enumerate_packages(root):
-    """Yield every package directory under root, ordered by pmcid.
+    """An iterator over every package directory under root, ordered by pmcid.
 
     A package is a direct subdirectory of root; its name is the pmcid.
     Its images are its direct children, indexed by stem; packages without
-    an XML file are yielded with xml_path=None.
+    an XML file are yielded with xml_path=None. Root is checked and listed
+    by this call, so a missing root raises RootNotFound at once; each
+    package is listed when the iterator reaches it.
     """
     root = Path(root)
     if not root.is_dir():
@@ -87,36 +89,15 @@ def enumerate_packages(root):
             names = sorted(entry.name for entry in listing if entry_is(entry.is_dir))
     except PermissionError as exc:
         raise PermissionError(f"cannot list {root}") from exc
-    for name in names:
-        with os.scandir(root / name) as listing:
-            entries = list(listing)
-        xml_name = min((e.name for e in entries if split_name(e.name)[1] == ".xml"),
-                       default=None)
-        yield ArticlePackage(root, name, xml_name, index_listing(entries))
+    return (_package(root, name) for name in names)
 
 
-def json_string(text: str) -> str:
-    """json.dumps(text, ensure_ascii=False). A string with no quote, no
-    backslash and nothing that str.isprintable() rejects (which covers every
-    control character) needs no escape and is only quoted; any other goes
-    through json's own escaper, so the bytes are the same either way."""
-    if text.isprintable() and '"' not in text and "\\" not in text:
-        return '"' + text + '"'
-    return encode_basestring(text)
-
-
-def corpus_line(record: jats.ArticleRecord, figures) -> str:
-    """The corpus JSONL line of record, with figures (FigureEntry values) in
-    place of its own: json.dumps(obj, ensure_ascii=False) of {"pmid",
-    "pmcid", "figures": [{"fig_id", "graphic_ref", "caption"}],
-    "body_paragraphs"}, built without json.dumps."""
-    pmid = "null" if record.pmid is None else json_string(record.pmid)
-    figure_objs = ", ".join(
-        f'{{"fig_id": {json_string(f.fig_id)}, "graphic_ref": {json_string(f.graphic_ref)}, '
-        f'"caption": {json_string(f.caption)}}}' for f in figures)
-    paragraphs = ", ".join(map(json_string, record.body_paragraphs))
-    return (f'{{"pmid": {pmid}, "pmcid": {json_string(record.pmcid)}, '
-            f'"figures": [{figure_objs}], "body_paragraphs": [{paragraphs}]}}')
+def _package(root: Path, name: str) -> ArticlePackage:
+    with os.scandir(root / name) as listing:
+        entries = list(listing)
+    xml_name = min((e.name for e in entries if split_name(e.name)[1] == ".xml"),
+                   default=None)
+    return ArticlePackage(root, name, xml_name, index_listing(entries))
 
 
 def _process_package(package: ArticlePackage):
@@ -150,21 +131,25 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
     Output order is ascending pmcid regardless of completion order; skip
     reasons go to the sidecar skip log, an article's rows ordered by fig_id.
     Each article's lines are written as its result arrives, so memory does
-    not grow with the corpus. Per-article exceptions never abort the run.
-    Up to `workers` processes parse, each given at least
-    XML_BYTES_PER_PROCESS of XML; below that the parse is serial.
+    not grow with the corpus; with one worker, packages are also listed as
+    they are reached. Per-article exceptions never abort the run. Up to
+    `workers` processes parse, each given at least XML_BYTES_PER_PROCESS of
+    XML, which is summed over every package first; below that the parse is
+    serial.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     start = time.monotonic()
-    packages = list(enumerate_packages(root))
-    report = IngestReport(articles_seen=len(packages))
-
-    workers = pool_size(workers, (p.xml_path for p in packages), XML_BYTES_PER_PROCESS)
+    packages = enumerate_packages(root)
+    if workers > 1:
+        packages = list(packages)
+        workers = pool_size(workers, (p.xml_path for p in packages), XML_BYTES_PER_PROCESS)
+    report = IngestReport()
 
     skip_log = nullcontext() if skip_log_path is None else atomic_lines(skip_log_path)
     with atomic_lines(out_path) as write_line, skip_log as write_skip:
         for outcome in ordered_map(_process_package, packages, workers):
+            report.articles_seen += 1
             if outcome[0] == "ok":
                 _, pmcid, line, n_pairs, fig_skips = outcome
                 write_line(line)

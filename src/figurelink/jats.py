@@ -12,6 +12,8 @@ import unicodedata
 from dataclasses import dataclass, field
 from xml.etree import ElementTree
 
+from .corpus import FigureEntry
+
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
 
 # Figure-level drop reasons recorded on the ArticleRecord.
@@ -32,15 +34,6 @@ class MissingPmcid(ValueError):
 
 class NoFigures(ValueError):
     pass
-
-
-@dataclass
-class FigureEntry:
-    fig_id: str
-    caption: str
-    graphic_ref: str
-    label_text: str | None = None
-    parent_fig_id: str | None = None
 
 
 @dataclass

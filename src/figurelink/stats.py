@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .corpus import read_corpus
 from .imageindex import PNM_EXTENSIONS, index_tree
-from .jsonshape import need, need_list, read_jsonl
 from .pnm import UnreadableImage, probe_pnm
 
 PERCENTILES = (5, 25, 50, 75, 95)
@@ -74,7 +74,8 @@ def _image_size(path) -> tuple[int, int]:
 
 
 def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
-    """Compute the stats report over a corpus JSONL file.
+    """Compute the stats report over a corpus JSONL file, read by
+    corpus.read_corpus: it rejects the lines finegrain rejects.
 
     Each figure's image is found anywhere under images_root by its
     graphic_ref (see imageindex.index_tree). Unreadable or unresolvable
@@ -88,15 +89,12 @@ def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
     min_sides: list[int] = []
     unreadable = 0
 
-    for where, article in read_jsonl(pairs_jsonl):
-        figures = need_list(article.get("figures", []), dict, f"{where} figures")
-        for i, fig in enumerate(figures):
-            caption = need(fig["caption"], str, f"{where} figures[{i}].caption")
-            token_counts.append(len(caption.split()))
+    for _, _, figures, _ in read_corpus(pairs_jsonl):
+        for fig in figures:
+            token_counts.append(len(fig.caption.split()))
             if images is None:
                 continue
-            ref = need(fig["graphic_ref"], str, f"{where} figures[{i}].graphic_ref")
-            path = images.get(ref)
+            path = images.get(fig.graphic_ref)
             if path is None:
                 unreadable += 1
                 continue

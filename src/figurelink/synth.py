@@ -9,12 +9,13 @@ real article data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .corpus import FigureEntry, corpus_line
+from .jats import ArticleRecord
 from .vision.images import RasterImage, save_image
 from .vision.match import OcrBox
 from .vision.ocr import save_ocr_file
@@ -235,12 +236,9 @@ def make_stats_corpus(root, n_pairs: int = 1000, n_images: int = 120,
             tokens = max(5, int(round(rng.normal(40.0, 10.0))))
             caption = " ".join(_WORDS[k % len(_WORDS)] for k in range(tokens))
             img = int(rng.integers(n_images))
-            figures.append({"fig_id": f"fig{j}", "graphic_ref": f"img{img:04d}",
-                            "caption": caption})
-        lines.append(json.dumps({
-            "pmid": str(10_000 + a), "pmcid": f"PMC{20_000 + a}",
-            "figures": figures, "body_paragraphs": [],
-        }))
+            figures.append(FigureEntry(f"fig{j}", caption, f"img{img:04d}"))
+        record = ArticleRecord(f"PMC{20_000 + a}", str(10_000 + a), figures, [])
+        lines.append(corpus_line(record, figures))
     jsonl_path.write_text("\n".join(lines) + "\n")
     return StatsTruth(jsonl_path, images_dir)
 

@@ -249,6 +249,27 @@ class TestFinegrainCommand:
         assert {row["label"]: row["citances"] for row in rows} == {
             "A": [], "B": ["Cells grew (Fig. 2B)."]}
 
+    def test_ingested_label_text_finds_the_citance(self, tmp_path, capsys):
+        # The figure's id holds no number, so only its label says it is
+        # Figure 2: the label must travel from ingest to finegrain.
+        fig = make_compound_image(np.random.default_rng(3), n_panels=2)
+        package = tmp_path / "packages" / "PMC1"
+        package.mkdir(parents=True)
+        save_image(package / "g1.pgm", fig.image)
+        (package / "article.xml").write_text(
+            "<article><front><article-meta><article-id pub-id-type='pmcid'>PMC1</article-id>"
+            "</article-meta></front><body><p>Cells grew (Fig. 2B).</p>"
+            f"<fig id='fa'><label>Figure 2</label><caption><p>{fig.caption}</p></caption>"
+            "<graphic href='g1'/></fig></body></article>")
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["ingest", "--root", str(tmp_path / "packages"), "--out", str(corpus)]) == 0
+        assert main(["finegrain", "--corpus", str(corpus), "--images-root",
+                     str(tmp_path / "packages"), "--out-dir", str(tmp_path / "fine")]) == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "fine" / "fine_pairs.jsonl").read_text().splitlines()]
+        assert {row["label"]: row["citances"] for row in rows} == {
+            "A": [], "B": ["Cells grew (Fig. 2B)."]}
+
     def test_truncated_image_becomes_audit_entry(self, corpus, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         assert main(["ingest", "--root", str(corpus.packages_dir),
@@ -277,7 +298,8 @@ class TestFinegrainCommand:
         assert report["unreadable_images"] == 1
         victim_fig = ("PMC1000", "fig1")
         assert [e for e in audit if e not in good_audit] == [
-            {"kind": "unreadable_image", "pmcid": "PMC1000", "fig_id": "fig1"}]
+            {"kind": "unreadable_image", "pmcid": "PMC1000", "fig_id": "fig1", "label": None,
+             "rect": None}]
         assert rows == [r for r in good_rows
                         if (r["pmcid"], r["fig_id"]) != victim_fig]
         assert crops == {name: data for name, data in good_crops.items()
@@ -319,7 +341,8 @@ class TestFinegrainCommand:
         # The figure goes on as if it had no sidecar, plus one audit line.
         assert report == {**want_report, "unreadable_ocr": 1}
         assert got_pairs == want_pairs
-        bad_line = {"kind": "unreadable_ocr", "pmcid": "PMC1000", "fig_id": "fig1"}
+        bad_line = {"kind": "unreadable_ocr", "pmcid": "PMC1000", "fig_id": "fig1",
+                    "label": None, "rect": None}
         assert [e for e in audit if e != bad_line] == want_audit
         assert audit.count(bad_line) == 1
         assert '"pmcid": "PMC1000", "fig_id": "fig1"' in got_pairs
@@ -444,7 +467,9 @@ class TestParser:
 
 GOOD_CLASSES = [{"class_name": "mri", "prompt_templates": ["an image of {}"]},
                 {"class_name": "ct", "prompt_templates": ["an image of {}"]}]
-GOOD_FIGURE = {"fig_id": "f1", "graphic_ref": "img1", "caption": "(A) x. (B) y."}
+GOOD_FIGURE = {"fig_id": "f1", "graphic_ref": "img1", "caption": "(A) x. (B) y.",
+               "label_text": None}
+GOOD_LINE = {"pmid": None, "pmcid": "P1", "figures": [GOOD_FIGURE], "body_paragraphs": []}
 
 # (subcommand, flag, file content, extra flags): JSON that parses but has the
 # wrong shape for the file it is given as.
@@ -461,24 +486,43 @@ MALFORMED_JSON = [
     ("census", "--taxonomy", "[1]", []),
     ("census", "--taxonomy", json.dumps([{"type_name": "plot", "keywords": "bar"}]), []),
     ("census", "--taxonomy", json.dumps([{"type_name": 2, "keywords": ["bar"]}]), []),
-    ("finegrain", "--corpus", "[]\n", []),
-    ("finegrain", "--corpus", json.dumps({"pmcid": 7, "figures": []}) + "\n", []),
-    ("finegrain", "--corpus", json.dumps({"pmcid": "P1", "figures": {}}) + "\n", []),
-    ("finegrain", "--corpus", json.dumps({"pmcid": "P1", "figures": [1]}) + "\n", []),
-    ("finegrain", "--corpus", json.dumps(
-        {"pmcid": "P1", "figures": [{**GOOD_FIGURE, "caption": 5}]}) + "\n", []),
-    ("finegrain", "--corpus", json.dumps(
-        {"pmcid": "P1", "figures": [{**GOOD_FIGURE, "label_text": ["A"]}]}) + "\n", []),
-    ("finegrain", "--corpus", json.dumps(
-        {"pmcid": "P1", "figures": [GOOD_FIGURE], "body_paragraphs": [1]}) + "\n", []),
-    ("stats", "--pairs", "[]\n", []),
-    ("stats", "--pairs", "\n" + json.dumps({"figures": "f1"}) + "\n", []),
-    ("stats", "--pairs", json.dumps({"figures": [{"caption": 3}]}) + "\n", []),
-    ("stats", "--pairs", json.dumps({"figures": [{**GOOD_FIGURE, "graphic_ref": []}]}) + "\n",
-     ["--images-root", "."]),
 ]
 
 GOOD_TAXONOMY = [{"type_name": "plot", "keywords": ["bar chart"]}]
+
+
+def without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+# Corpus files that parse but hold a line of the wrong shape, each with the
+# start of the place its error names after the file name. finegrain
+# --corpus and stats --pairs read them through one reader and reject each.
+MALFORMED_CORPUS = {
+    "not_an_object": ("[]\n", ":1 must be an object"),
+    "after_a_blank_line": ("\n" + json.dumps({**GOOD_LINE, "figures": "f1"}) + "\n",
+                           ":2 figures must be an array"),
+    "pmcid_number": (json.dumps({**GOOD_LINE, "pmcid": 7}) + "\n", ":1 pmcid must be a string"),
+    "pmid_number": (json.dumps({**GOOD_LINE, "pmid": 7}) + "\n",
+                    ":1 pmid must be a string or null"),
+    "figures_object": (json.dumps({**GOOD_LINE, "figures": {}}) + "\n",
+                       ":1 figures must be an array"),
+    "figure_number": (json.dumps({**GOOD_LINE, "figures": [1]}) + "\n",
+                      ":1 figures[0] must be an object"),
+    "paragraph_number": (json.dumps({**GOOD_LINE, "body_paragraphs": [1]}) + "\n",
+                         ":1 body_paragraphs[0] must be a string"),
+    **{f"{key}_wrong_type": (
+        json.dumps({**GOOD_LINE, "figures": [GOOD_FIGURE, {**GOOD_FIGURE, key: value}]}) + "\n",
+        f":1 figures[1].{key} must be {kind}")
+       for key, value, kind in (("fig_id", None, "a string"), ("caption", 5, "a string"),
+                                ("graphic_ref", [], "a string"),
+                                ("label_text", ["A"], "a string or null"))},
+    **{f"no_{key}": (json.dumps(without(GOOD_LINE, key)) + "\n", f":1 {key} is missing")
+       for key in GOOD_LINE},
+    **{f"no_figure_{key}": (json.dumps({**GOOD_LINE, "figures": [without(GOOD_FIGURE, key)]})
+                            + "\n", f":1 figures[0].{key} is missing")
+       for key in GOOD_FIGURE},
+}
 
 # Damage done to a good EMB1 store of six 4-d rows, with the error it gives.
 MALFORMED_STORES = {
@@ -560,13 +604,25 @@ class TestMalformedJson:
         argv = {
             "zeroshot": ["zeroshot", "--images", "img.emb"],
             "census": ["census", "--images", "img.emb"],
-            "finegrain": ["finegrain", "--images-root", ".", "--out-dir", "fine"],
-            "stats": ["stats"],
         }[command]
         rc = main(argv + extra + [flag, "bad.json"])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: MalformedJson: bad.json")
+
+    @pytest.mark.parametrize("command", ["finegrain", "stats"])
+    @pytest.mark.parametrize("damage", sorted(MALFORMED_CORPUS))
+    def test_malformed_corpus_line_exits_1_naming_the_field(self, tmp_path, capsys,
+                                                            monkeypatch, damage, command):
+        monkeypatch.chdir(tmp_path)
+        content, place = MALFORMED_CORPUS[damage]
+        (tmp_path / "bad.json").write_text(content)
+        argv = {"finegrain": ["finegrain", "--corpus", "bad.json", "--images-root", ".",
+                              "--out-dir", "fine"],
+                "stats": ["stats", "--pairs", "bad.json"]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: MalformedJson: bad.json{place}")
 
     @pytest.mark.parametrize("command", ["retrieval", "zeroshot", "census"])
     @pytest.mark.parametrize("damage", sorted(MALFORMED_STORES))
@@ -622,8 +678,7 @@ class TestStandInEmbedder:
     def test_malformed_image_is_counted_and_audited(self, tmp_path, capsys, monkeypatch,
                                                     damage, command):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "corpus.jsonl").write_text(
-            json.dumps({"pmcid": "P1", "figures": [GOOD_FIGURE]}) + "\n")
+        (tmp_path / "corpus.jsonl").write_text(json.dumps(GOOD_LINE) + "\n")
         (tmp_path / "img1.ppm").write_bytes(MALFORMED_IMAGES[damage])
         if command == "finegrain":
             rc = main(["finegrain", "--corpus", "corpus.jsonl", "--images-root", ".",
@@ -632,7 +687,8 @@ class TestStandInEmbedder:
             assert report["unreadable_images"] == 1 and report["fine_pairs"] == 0
             assert [json.loads(line) for line in
                     (tmp_path / "fine" / "audit.jsonl").read_text().splitlines()] == [
-                {"kind": "unreadable_image", "pmcid": "P1", "fig_id": "f1"}]
+                {"kind": "unreadable_image", "pmcid": "P1", "fig_id": "f1", "label": None,
+                 "rect": None}]
         else:
             rc = main(["stats", "--pairs", "corpus.jsonl", "--images-root", "."])
             report = json.loads(capsys.readouterr().out)

@@ -49,8 +49,10 @@ def test_cli_import_loads_no_numpy_and_no_sax():
 
 
 def test_numpy_free_modules_load_no_numpy():
-    code = "import figurelink.stats, figurelink.batch, figurelink.imageindex, figurelink.pnm"
-    assert loaded_after(code) == {"numpy": False, "xml.sax": False}
+    code = ("import figurelink.stats, figurelink.batch, figurelink.imageindex, "
+            "figurelink.pnm, figurelink.corpus")
+    modules = ("numpy", "xml.sax", "xml.etree")
+    assert loaded_after(code, modules) == dict.fromkeys(modules, False)
 
 
 def test_ingest_runs_without_numpy(synth):

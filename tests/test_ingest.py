@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from figurelink import batch, ingest, jats
+from figurelink.corpus import corpus_line, json_string
 from figurelink.ingest import RootNotFound, enumerate_packages, run_pipeline
 from figurelink.synth import make_corpus
 from test_image_index import index_images
@@ -74,6 +75,25 @@ class TestEnumerate:
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(RootNotFound):
             list(enumerate_packages(tmp_path / "nope"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_missing_root_raises_before_any_output_is_opened(self, tmp_path, workers):
+        with pytest.raises(RootNotFound):
+            run_pipeline(tmp_path / "nope", tmp_path / "out" / "corpus.jsonl",
+                         skip_log_path=tmp_path / "out" / "skips.jsonl", workers=workers)
+        assert not (tmp_path / "out").exists()
+
+    def test_serial_run_lists_each_package_when_it_parses_it(self, corpus, tmp_path,
+                                                             monkeypatch):
+        events = []
+        listed, parsed = ingest._package, ingest._process_package
+        monkeypatch.setattr(ingest, "_package",
+                            lambda root, name: events.append("list") or listed(root, name))
+        monkeypatch.setattr(ingest, "_process_package",
+                            lambda package: events.append("parse") or parsed(package))
+        report = run_pipeline(corpus.packages_dir, tmp_path / "o.jsonl", workers=1)
+        assert events == ["list", "parse"] * 25
+        assert report.articles_seen == 25
 
 
 class TestPipeline:
@@ -148,6 +168,8 @@ class TestPipeline:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(batch.os, "cpu_count", lambda: 4)
         assert list(batch.ordered_map(abs, [-1, -2, -3], workers=1)) == [1, 2, 3]
+        # One worker draws from any iterable, with no len().
+        assert list(batch.ordered_map(abs, iter([-1, -2]), workers=1)) == [1, 2]
         assert list(batch.ordered_map(abs, [-5], workers=1024)) == [5]
         assert list(batch.ordered_map(abs, [], workers=8)) == []
         monkeypatch.setattr(batch.os, "cpu_count", lambda: 1)
@@ -284,7 +306,7 @@ class TestStreamedOutputs:
 
     def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
         # Each corpus line is ~24 KB; holding 160 of them would be ~4 MB.
-        # What still grows is the list of packages, ~0.6 KB per article.
+        # What still grows is the sorted list of package names.
         small = self.peak(tmp_path / "small", 40)
         large = self.peak(tmp_path / "large", 160)
         assert large < 1.5 * small
@@ -307,20 +329,21 @@ TEXTS = st.one_of(st.text(), st.text(st.sampled_from(AWKWARD + "aé "), max_size
 
 
 @st.composite
-def records(draw):
-    figures = [jats.FigureEntry(fig_id=draw(TEXTS), caption=draw(TEXTS),
-                                graphic_ref=draw(TEXTS), label_text=draw(TEXTS))
+def records(draw, texts=TEXTS):
+    figures = [jats.FigureEntry(fig_id=draw(texts), caption=draw(texts),
+                                graphic_ref=draw(texts),
+                                label_text=draw(st.one_of(st.none(), texts)))
                for _ in range(draw(st.integers(0, 3)))]
-    return jats.ArticleRecord(pmcid=draw(TEXTS), pmid=draw(st.one_of(st.none(), TEXTS)),
+    return jats.ArticleRecord(pmcid=draw(texts), pmid=draw(st.one_of(st.none(), texts)),
                               figures=figures,
-                              body_paragraphs=draw(st.lists(TEXTS, max_size=4)))
+                              body_paragraphs=draw(st.lists(texts, max_size=4)))
 
 
 class TestCorpusLine:
     @settings(max_examples=400, deadline=None)
     @given(TEXTS)
     def test_string_equals_json_dumps(self, text):
-        assert ingest.json_string(text) == json.dumps(text, ensure_ascii=False)
+        assert json_string(text) == json.dumps(text, ensure_ascii=False)
 
     @settings(max_examples=300, deadline=None)
     @given(records())
@@ -329,10 +352,11 @@ class TestCorpusLine:
             "pmid": record.pmid,
             "pmcid": record.pmcid,
             "figures": [{"fig_id": f.fig_id, "graphic_ref": f.graphic_ref,
-                         "caption": f.caption} for f in record.figures],
+                         "caption": f.caption, "label_text": f.label_text}
+                        for f in record.figures],
             "body_paragraphs": record.body_paragraphs,
         }
-        line = ingest.corpus_line(record, record.figures)
+        line = corpus_line(record, record.figures)
         assert line == json.dumps(obj, ensure_ascii=False, sort_keys=False)
 
 

@@ -23,15 +23,19 @@ from figurelink.evaluate.store import write_store
 from figurelink.synth import make_corpus, paired_stores
 from figurelink.vision.images import RasterImage, load_image, save_image
 
+# Re-pinned when each corpus figure gained its "label_text" key and the
+# missing_image, unreadable_image and unreadable_ocr audit lines gained the
+# "label" and "rect" keys (both null) of every other audit line: with those
+# keys removed, corpus.jsonl and audit.jsonl are the bytes of the old pins.
 PINNED = {
     "corpus.jsonl":
-        "c79d34b355917ea809dd27fc02d6a233ec83e64069a118073db2dfecbe48cb0f",
+        "4c2dcce7bdbe8505b16f70cc85d77c7207a6ac37714b759d586b013c0bf87097",
     "skips.jsonl":
         "a3b03cbddf6306d580e937a1abe14c08d6b1a1c50984536b17be745b08a87a16",
     "fine_pairs.jsonl":
         "fd67a42b4717b541f6ca7e934ce25c1c5fa0c5c5bc99ac2c86d5901c05846308",
     "audit.jsonl":
-        "e5a045195422d94098fda37a2e5fc2cac6ad7bc71c3da2bdcee2329c74c8d750",
+        "4a9575ba8add8019a3453cb077e761415798395489439dca712989a05053f3f3",
     "crops":
         "5b93c247b878a5872998eab6ed591fbdfc13ad8d7df3c1dc73ca3c1ceaa73c87",
 }

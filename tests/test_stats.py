@@ -86,9 +86,9 @@ class TestCorpusStats:
         rows = [
             {"pmcid": "PMC1", "pmid": "1",
              "figures": [{"fig_id": "f1", "graphic_ref": "ok",
-                          "caption": "one two three"},
+                          "caption": "one two three", "label_text": None},
                          {"fig_id": "f2", "graphic_ref": "bad",
-                          "caption": "four five"}],
+                          "caption": "four five", "label_text": None}],
              "body_paragraphs": []},
         ]
         path = tmp_path / "pairs.jsonl"
@@ -107,10 +107,11 @@ class TestCorpusStats:
             save_image(pkg / f"{ref}.pgm",
                        RasterImage(np.full((20 + k, 30), 90, dtype=np.uint8)))
         (root / "PMC0" / "media" / "p1_fig3.pgm").write_bytes(b"P5 garbage")
-        figures = [{"fig_id": f"f{k}", "graphic_ref": ref, "caption": "a b"}
+        figures = [{"fig_id": f"f{k}", "graphic_ref": ref, "caption": "a b", "label_text": None}
                    for k, ref in enumerate(refs + ["p1_fig3", "absent"])]
         path = tmp_path / "pairs.jsonl"
-        path.write_text(json.dumps({"pmcid": "PMC1", "figures": figures}) + "\n")
+        path.write_text(json.dumps({"pmid": None, "pmcid": "PMC1", "figures": figures,
+                                    "body_paragraphs": []}) + "\n")
         report = corpus_stats(path, root)
         assert report.n_images == 3
         assert report.n_unreadable_images == 2
