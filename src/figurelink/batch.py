@@ -9,6 +9,7 @@ their outputs through it without loading the ingest or vision code.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 from contextlib import contextmanager, suppress
@@ -20,7 +21,8 @@ from pathlib import Path
 # process starts with this process's modules, so what a pool still costs is
 # sending each item and result through a pipe and, for finegrain, importing
 # numpy and the vision code, which the parent does not load. A 2-process
-# pool starts from two budgets of input, 1.6-2 times the break-even.
+# pool starts from two budgets of input in ordered_map's look-ahead, 1.6-2
+# times the break-even.
 
 # ingest gives each pool process at least this much XML. On `corpus` inputs
 # of 250-500 articles the pool lost at 7.9 MB of XML (0.48 s against
@@ -34,58 +36,69 @@ XML_BYTES_PER_PROCESS = 8 << 20
 # (0.52 s against 0.57 s; 0.84 s against 1.06 s at 81 MB).
 IMAGE_BYTES_PER_PROCESS = 32 << 20
 
-# ordered_map hands each pool process about this many chunks of the input:
-# small enough that the processes finish within one short chunk of each
-# other, large enough that per-chunk pickling stays negligible.
+# ordered_map sizes its pool from at most LOOKAHEAD_ITEMS items drawn ahead
+# (~550 `corpus` packages fill a 2-process ingest pool). It cuts them into
+# about CHUNKS_PER_PROCESS chunks per process, so the processes finish within
+# one short chunk of each other, and keeps CHUNKS_IN_FLIGHT per process
+# submitted: one that a process runs and one queued for when it finishes.
+LOOKAHEAD_ITEMS = 1024
 CHUNKS_PER_PROCESS = 16
+CHUNKS_IN_FLIGHT = 2
 
 
-def pool_size(workers: int, paths, bytes_per_process: int) -> int:
-    """The process count a command asks ordered_map for: at most `workers`,
-    and one per bytes_per_process of the files at paths, but at least one.
+def _map_chunk(fn, chunk: list) -> list:
+    return [fn(item) for item in chunk]
 
-    A path that is None or cannot be read counts as empty; the worker that
-    reads it reports the fault.
+
+def ordered_map(fn, items, workers: int, *, files, bytes_per_process: int):
+    """Yield fn(item) for each item of the iterable items, in input order,
+    computed by up to `workers` processes.
+
+    The pool has min(workers, CPU count, items, bytes // bytes_per_process)
+    processes, bytes summing the files that files(item) names (None or
+    unreadable: 0) over a look-ahead that ends once both reach
+    min(workers, CPU count), with the input, or at LOOKAHEAD_ITEMS. With
+    one, or where the platform cannot fork, fn runs in this process on each
+    item as it is drawn. Else the pool forks from this process, so fn (a
+    module-level function or a functools.partial of one), items and results
+    must pickle, and the caller must run no other thread: a lock another
+    thread held stays taken in a forked process. Items go out in contiguous
+    chunks, CHUNKS_IN_FLIGHT per process at a time; each result is yielded
+    as soon as it and all before it are done.
     """
-    total = 0
-    for path in paths:
-        try:
-            total += os.stat(path).st_size if path is not None else 0
-        except OSError:
-            pass
-    return max(1, min(workers, total // bytes_per_process))
-
-
-def ordered_map(fn, items, workers: int):
-    """Yield fn(item) for each item, in input order, computed by up to
-    `workers` processes.
-
-    With workers=1, items may be any iterable: fn runs in this process on
-    each item as it is drawn. Otherwise items is a list, and the pool has
-    min(workers, os.cpu_count(), len(items)) processes, forked from this
-    one, so they start with its modules already imported. With one, or where
-    the platform cannot fork, no pool is started and fn runs in this process
-    too. Otherwise fn (a module-level function or a functools.partial of
-    one), items and results must pickle, and the caller must run no other
-    thread: a forked process holds only the thread that forked, and a lock
-    another thread held stays taken in it. The commands call this from a
-    single-threaded parent that has not imported numpy. Items go out in
-    contiguous chunks; each result is yielded as soon as it and all before
-    it are done.
-    """
-    size = workers if workers <= 1 else min(workers, os.cpu_count() or 1, len(items))
-    if size <= 1 or not hasattr(os, "fork"):
-        yield from map(fn, items)
+    items = iter(items)
+    cap = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    head, total = [], 0
+    for item in itertools.islice(items, LOOKAHEAD_ITEMS if cap > 1 else 0):
+        head.append(item)
+        for path in filter(None, files(item)):
+            with suppress(OSError):
+                total += os.stat(path).st_size
+        if len(head) >= cap and total >= cap * bytes_per_process:
+            break
+    size = min(cap, len(head), total // bytes_per_process)
+    chunksize = -(-len(head) // (max(size, 1) * CHUNKS_PER_PROCESS))
+    stream = itertools.chain(iter(head), items)
+    del head  # freed once stream has drawn it
+    if size <= 1:
+        yield from map(fn, stream)
         return
     # Imported here, so that commands that start no pool do not load
     # multiprocessing.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = -(-len(items) // (size * CHUNKS_PER_PROCESS))
+    chunks = iter(lambda: list(itertools.islice(stream, chunksize)), [])
     # With fork, the executor starts every process before its manager thread.
     with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(fn, items, chunksize=chunksize)
+        pending = [pool.submit(_map_chunk, fn, chunk)
+                   for chunk in itertools.islice(chunks, size * CHUNKS_IN_FLIGHT)]
+        while pending:
+            results = pending.pop(0).result()
+            chunk = next(chunks, None)
+            if chunk is not None:
+                pending.append(pool.submit(_map_chunk, fn, chunk))
+            yield from results
 
 
 class OutputUnwritable(OSError):

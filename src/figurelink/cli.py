@@ -25,14 +25,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
-from .batch import (
-    IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines, atomic_write_lines,
-    ordered_map, pool_size,
-)
+from .batch import (IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines,
+                    atomic_write_lines, ordered_map)
 from .config import ConfigError, PipelineConfig, load_config
 from .corpus import read_corpus
 from .imageindex import index_tree
-from .jsonshape import need, need_list
+from .jsonshape import need, need_field, need_list
 from .stages import StageTimer
 
 EXIT_OK = 0
@@ -154,17 +152,16 @@ def cmd_ingest(args, cfg):
 
 def cmd_finegrain(args, cfg):
     out_dir = Path(args.out_dir)
-    # Every line is checked before any work starts, so a malformed corpus
-    # fails with one error and no output.
-    checked = list(read_corpus(args.corpus))
+    # A first pass checks every line, so a malformed corpus fails with one
+    # error and no output; a second streams the articles.
+    for _ in read_corpus(args.corpus):
+        pass
     timer = StageTimer()
     with timer.stage("resolve"):
         images = index_tree(args.images_root)
-        articles = [FinegrainArticle(pmcid, figures, paragraphs,
-                                     [images.get(fig.graphic_ref) for fig in figures])
-                    for pmcid, _, figures, paragraphs in checked]
-    workers = pool_size(
-        args.workers, (p for a in articles for p in a.image_paths), IMAGE_BYTES_PER_PROCESS)
+    articles = (FinegrainArticle(pmcid, figures, paragraphs,
+                                 [images.get(fig.graphic_ref) for fig in figures])
+                for pmcid, _, figures, paragraphs in read_corpus(args.corpus))
     run = FinegrainRun(out_dir / "crops", Path(args.ocr_dir) if args.ocr_dir else None, cfg)
 
     # Each article's counters hold every key, in report order, so the sums
@@ -175,7 +172,9 @@ def cmd_finegrain(args, cfg):
     pairs_path = out_dir / "fine_pairs.jsonl"
     with atomic_lines(pairs_path) as write_pair, \
             atomic_lines(out_dir / "audit.jsonl") as write_audit:
-        results = ordered_map(functools.partial(finegrain_article, run), articles, workers)
+        results = ordered_map(functools.partial(finegrain_article, run), articles,
+                              args.workers, files=lambda article: article.image_paths,
+                              bytes_per_process=IMAGE_BYTES_PER_PROCESS)
         for pair_lines, audit_lines, deltas, seconds in results:
             for line in pair_lines:
                 write_pair(line)
@@ -334,16 +333,18 @@ def cmd_zeroshot(args, cfg):
     classes = []
     spec = need_list(json.loads(Path(args.classes).read_text()), dict, args.classes)
     for i, c in enumerate(spec):
-        where = f"{args.classes}[{i}]"
+        where = f"{args.classes}[{i}]."
         classes.append(ClassSpec(
-            need(c["class_name"], str, f"{where}.class_name"),
-            need_list(c["prompt_templates"], str, f"{where}.prompt_templates")))
+            need_field(c, "class_name", str, where),
+            need_list(need_field(c, "prompt_templates", list, where), str,
+                      f"{where}prompt_templates")))
     embedder = _load_embedder(args, images.dim)
     result = zero_shot_classify(images, classes, embedder)
     obj = {"predictions": dict(zip(images.ids, result.predictions))}
     if args.labels:
         labels_map = need(json.loads(Path(args.labels).read_text()), dict, args.labels)
-        labels = [need(labels_map[i], str, f"{args.labels}[{i!r}]") for i in images.ids]
+        labels = [need_field(labels_map, i, str, f"{args.labels} label of ")
+                  for i in images.ids]
         obj["accuracy"] = accuracy(result, labels)
         if len(classes) == 2:
             obj["auroc"] = binary_auroc(result, labels, classes[1].class_name)
@@ -359,9 +360,10 @@ def cmd_census(args, cfg):
     embedder = _load_embedder(args, images.dim)
     keywords = []
     for i, entry in enumerate(taxonomy):
-        where = f"{args.taxonomy}[{i}]"
-        type_name = need(entry["type_name"], str, f"{where}.type_name")
-        for kw in need_list(entry["keywords"], str, f"{where}.keywords"):
+        where = f"{args.taxonomy}[{i}]."
+        type_name = need_field(entry, "type_name", str, where)
+        entry_keywords = need_field(entry, "keywords", list, where)
+        for kw in need_list(entry_keywords, str, f"{where}keywords"):
             keywords.append(TaxonomyKeyword(type_name, embed_text(embedder, kw)))
     histogram = taxonomy_census(images, keywords)
     flag = _embedder_flag(args)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 
-from .jsonshape import STRING_OR_NULL, MalformedJson, need, need_list
+from .jsonshape import STRING_OR_NULL, need, need_field, need_list
 
 
 @dataclass
@@ -49,12 +49,6 @@ def corpus_line(record, figures) -> str:
             f'"figures": [{figure_objs}], "body_paragraphs": [{paragraphs}]}}')
 
 
-def _field(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise MalformedJson(f"{where}{key} is missing")
-    return need(obj[key], kind, where + key)
-
-
 def read_corpus(path):
     """Yield (pmcid, pmid, figures, body_paragraphs) for each non-blank line
     of the corpus file at path, figures as FigureEntry values. A line that is
@@ -66,16 +60,16 @@ def read_corpus(path):
                 continue
             where = f"{path}:{lineno} "
             obj = need(json.loads(line), dict, where[:-1])
-            pmcid = _field(obj, "pmcid", str, where)
-            pmid = _field(obj, "pmid", STRING_OR_NULL, where)
+            pmcid = need_field(obj, "pmcid", str, where)
+            pmid = need_field(obj, "pmid", STRING_OR_NULL, where)
             figures = []
-            for i, fig in enumerate(need_list(_field(obj, "figures", list, where), dict,
+            for i, fig in enumerate(need_list(need_field(obj, "figures", list, where), dict,
                                               where + "figures")):
                 at = f"{where}figures[{i}]."
                 figures.append(FigureEntry(
-                    _field(fig, "fig_id", str, at), _field(fig, "caption", str, at),
-                    _field(fig, "graphic_ref", str, at),
-                    _field(fig, "label_text", STRING_OR_NULL, at)))
-            paragraphs = need_list(_field(obj, "body_paragraphs", list, where), str,
+                    need_field(fig, "fig_id", str, at), need_field(fig, "caption", str, at),
+                    need_field(fig, "graphic_ref", str, at),
+                    need_field(fig, "label_text", STRING_OR_NULL, at)))
+            paragraphs = need_list(need_field(obj, "body_paragraphs", list, where), str,
                                    where + "body_paragraphs")
             yield pmcid, pmid, figures, paragraphs

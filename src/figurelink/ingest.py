@@ -19,7 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import jats
-from .batch import XML_BYTES_PER_PROCESS, atomic_lines, ordered_map, pool_size
+from .batch import XML_BYTES_PER_PROCESS, atomic_lines, ordered_map
 from .corpus import corpus_line
 from .imageindex import entry_is, index_listing, split_name
 
@@ -37,7 +37,7 @@ class RootNotFound(FileNotFoundError):
 class ArticlePackage:
     """The package directory root/pmcid: the name of its XML file (None when
     it has none) and of each image file, by stem. Holding names, not paths,
-    keeps the list of every package small and cheap to send to a pool."""
+    keeps a package small and cheap to send to a pool process."""
 
     root: Path
     pmcid: str
@@ -130,25 +130,23 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
 
     Output order is ascending pmcid regardless of completion order; skip
     reasons go to the sidecar skip log, an article's rows ordered by fig_id.
-    Each article's lines are written as its result arrives, so memory does
-    not grow with the corpus; with one worker, packages are also listed as
-    they are reached. Per-article exceptions never abort the run. Up to
-    `workers` processes parse, each given at least XML_BYTES_PER_PROCESS of
-    XML, which is summed over every package first; below that the parse is
-    serial.
+    Packages are listed, and each article's lines written, as the run
+    reaches them, so of the corpus only its sorted package names are held
+    whole. Per-article exceptions never abort the run. Up to `workers`
+    processes parse, each given at least XML_BYTES_PER_PROCESS of XML (see
+    batch.ordered_map); below that the parse is serial.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     start = time.monotonic()
     packages = enumerate_packages(root)
-    if workers > 1:
-        packages = list(packages)
-        workers = pool_size(workers, (p.xml_path for p in packages), XML_BYTES_PER_PROCESS)
     report = IngestReport()
 
     skip_log = nullcontext() if skip_log_path is None else atomic_lines(skip_log_path)
     with atomic_lines(out_path) as write_line, skip_log as write_skip:
-        for outcome in ordered_map(_process_package, packages, workers):
+        for outcome in ordered_map(_process_package, packages, workers,
+                                   files=lambda package: [package.xml_path],
+                                   bytes_per_process=XML_BYTES_PER_PROCESS):
             report.articles_seen += 1
             if outcome[0] == "ok":
                 _, pmcid, line, n_pairs, fig_skips = outcome

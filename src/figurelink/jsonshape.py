@@ -23,6 +23,14 @@ def need(value, kind: type, where: str):
     return value
 
 
+def need_field(obj: dict, key, kind: type, where: str):
+    """obj[key], if obj has key and its value is a `kind`; else MalformedJson
+    naming where + key."""
+    if key not in obj:
+        raise MalformedJson(f"{where}{key} is missing")
+    return need(obj[key], kind, f"{where}{key}")
+
+
 def need_list(value, kind: type, where: str) -> list:
     """value, if it is a list whose items are all `kind`; else MalformedJson."""
     for i, item in enumerate(need(value, list, where)):

@@ -11,7 +11,10 @@ tree this module loads no numpy.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .corpus import read_corpus
 from .imageindex import PNM_EXTENSIONS, index_tree
@@ -52,11 +55,33 @@ def percentile(ordered: list, p: float) -> float:
     return x + (y - x) * g if g < 0.5 else y - (y - x) * (1 - g)
 
 
-def _percentile_map(values) -> dict[str, float | None]:
-    if not values:
+class _Ranked:
+    """The ascending list of the values a Counter counts, read by index
+    without being built: index k holds the first value whose running count
+    passes k."""
+
+    def __init__(self, counts: Counter):
+        self.values = sorted(counts)
+        self.ends = list(accumulate(counts[v] for v in self.values))
+
+    def __len__(self) -> int:
+        return self.ends[-1]
+
+    def __getitem__(self, k: int):
+        return self.values[bisect_right(self.ends, k % len(self))]
+
+
+def _percentile_map(counts: Counter) -> dict[str, float | None]:
+    if not counts:
         return {f"p{p}": None for p in PERCENTILES}
-    ordered = sorted(values)
+    ordered = _Ranked(counts)
     return {f"p{p}": percentile(ordered, p) for p in PERCENTILES}
+
+
+def _fraction(counts: Counter, keep) -> float | None:
+    """The share of the counted values for which keep(value) holds."""
+    total = counts.total()
+    return sum(n for value, n in counts.items() if keep(value)) / total if total else None
 
 
 def _image_size(path) -> tuple[int, int]:
@@ -83,15 +108,12 @@ def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
     statistics are produced.
     """
     images = None if images_root is None else index_tree(images_root)
-    token_counts: list[int] = []
-    widths: list[int] = []
-    heights: list[int] = []
-    min_sides: list[int] = []
+    token_counts, widths, heights, min_sides = Counter(), Counter(), Counter(), Counter()
     unreadable = 0
 
     for _, _, figures, _ in read_corpus(pairs_jsonl):
         for fig in figures:
-            token_counts.append(len(fig.caption.split()))
+            token_counts[len(fig.caption.split())] += 1
             if images is None:
                 continue
             path = images.get(fig.graphic_ref)
@@ -103,23 +125,20 @@ def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
             except UnreadableImage:
                 unreadable += 1
                 continue
-            widths.append(width)
-            heights.append(height)
-            min_sides.append(min(width, height))
+            widths[width] += 1
+            heights[height] += 1
+            min_sides[min(width, height)] += 1
 
-    report = StatsReport(
-        n_captions=len(token_counts),
-        n_images=len(widths),
+    return StatsReport(
+        n_captions=token_counts.total(),
+        n_images=widths.total(),
         n_unreadable_images=unreadable,
         caption_token_percentiles=_percentile_map(token_counts),
         image_width_percentiles=_percentile_map(widths),
         image_height_percentiles=_percentile_map(heights),
         image_min_side_percentiles=_percentile_map(min_sides),
+        fraction_captions_within_budget=_fraction(
+            token_counts, lambda tokens: tokens <= CAPTION_TOKEN_BUDGET),
+        fraction_images_min_side_above_threshold=_fraction(
+            min_sides, lambda side: side > MIN_SIDE_THRESHOLD),
     )
-    if token_counts:
-        report.fraction_captions_within_budget = (
-            sum(1 for t in token_counts if t <= CAPTION_TOKEN_BUDGET) / len(token_counts))
-    if min_sides:
-        report.fraction_images_min_side_above_threshold = (
-            sum(1 for s in min_sides if s > MIN_SIDE_THRESHOLD) / len(min_sides))
-    return report

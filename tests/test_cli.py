@@ -1,10 +1,12 @@
 """End-to-end command-line runs and config handling."""
 
+import gc
 import hashlib
 import json
 import os
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,9 @@ from figurelink.synth import (
     make_compound_image, make_corpus, make_stats_corpus, paired_stores,
 )
 from figurelink.vision.images import save_image
+from test_imports import jsonl_lines
 from test_jats import deep_article
+from test_jats_reference import perfbench_gen
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +183,7 @@ class TestFinegrainCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["fine_pairs"] > payload["figures"] > 0
         rows = [json.loads(line)
-                for line in (out_dir / "fine_pairs.jsonl").read_text().splitlines()]
+                for line in jsonl_lines(out_dir / "fine_pairs.jsonl")]
         assert len(rows) == payload["fine_pairs"]
         for row in rows:
             assert set(row) >= {"pmcid", "fig_id", "label", "sub_caption",
@@ -192,7 +196,7 @@ class TestFinegrainCommand:
         pairs = tmp_path / "pairs.jsonl"
         assert main(["ingest", "--root", str(corpus.packages_dir),
                      "--out", str(pairs)]) == 0
-        articles = [json.loads(line) for line in pairs.read_text().splitlines()]
+        articles = [json.loads(line) for line in jsonl_lines(pairs)]
         labels = sum(len(split_caption(fig["caption"]).subcaptions)
                      for article in articles for fig in article["figures"])
         reports = {}
@@ -245,7 +249,7 @@ class TestFinegrainCommand:
                      "--images-root", str(tmp_path / "images"),
                      "--out-dir", str(tmp_path / "fine")]) == 0
         rows = [json.loads(line) for line in
-                (tmp_path / "fine" / "fine_pairs.jsonl").read_text().splitlines()]
+                jsonl_lines(tmp_path / "fine" / "fine_pairs.jsonl")]
         assert {row["label"]: row["citances"] for row in rows} == {
             "A": [], "B": ["Cells grew (Fig. 2B)."]}
 
@@ -266,7 +270,7 @@ class TestFinegrainCommand:
         assert main(["finegrain", "--corpus", str(corpus), "--images-root",
                      str(tmp_path / "packages"), "--out-dir", str(tmp_path / "fine")]) == 0
         rows = [json.loads(line) for line in
-                (tmp_path / "fine" / "fine_pairs.jsonl").read_text().splitlines()]
+                jsonl_lines(tmp_path / "fine" / "fine_pairs.jsonl")]
         assert {row["label"]: row["citances"] for row in rows} == {
             "A": [], "B": ["Cells grew (Fig. 2B)."]}
 
@@ -284,10 +288,10 @@ class TestFinegrainCommand:
             rc = main(["finegrain", "--corpus", str(pairs),
                        "--images-root", str(images_root),
                        "--ocr-dir", str(corpus.ocr_dir), "--out-dir", str(out_dir)])
-            lines = (out_dir / "fine_pairs.jsonl").read_text().splitlines()
+            lines = jsonl_lines(out_dir / "fine_pairs.jsonl")
             rows = [json.loads(line.replace(str(out_dir), "OUT")) for line in lines]
             audit = [json.loads(line) for line in
-                     (out_dir / "audit.jsonl").read_text().splitlines()]
+                     jsonl_lines(out_dir / "audit.jsonl")]
             crops = {p.name: p.read_bytes() for p in (out_dir / "crops").iterdir()}
             return rc, json.loads(capsys.readouterr().out), rows, audit, crops
 
@@ -314,7 +318,7 @@ class TestFinegrainCommand:
         report = json.loads(capsys.readouterr().out)
         text = (out_dir / "fine_pairs.jsonl").read_text().replace(str(out_dir), "OUT")
         audit = [json.loads(line) for line in
-                 (out_dir / "audit.jsonl").read_text().splitlines()]
+                 jsonl_lines(out_dir / "audit.jsonl")]
         return rc, report, text, audit
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
@@ -362,6 +366,90 @@ class TestFinegrainCommand:
         assert stages["split"] > 0
         assert manifest["counters"] == report
         assert not set(stages) & set(report)
+
+
+class TestLineSeparators:
+    def test_ingest_stats_and_finegrain_read_their_lines_whole(self, tmp_path, capsys):
+        # U+2028 and U+0085 end a line for str.splitlines(), not for the
+        # corpus reader. Ingest collapses them in text to spaces, and keeps
+        # them raw in a figure id, which every output then carries.
+        fig = make_compound_image(np.random.default_rng(3), n_panels=2)
+        packages = tmp_path / "packages"
+        (packages / "PMC1").mkdir(parents=True)
+        save_image(packages / "PMC1" / "g1.pgm", fig.image)
+        fig_id = "f\u2028\x85"
+        caption = fig.caption.replace(" ", "\u2028", 1) + "\x85"
+        (packages / "PMC1" / "article.xml").write_text(
+            "<article><front><article-meta><article-id pub-id-type='pmcid'>PMC1</article-id>"
+            "</article-meta></front><body><p>Cells\u2028grew\x85(Fig. 1B).</p>"
+            f"<fig id='{fig_id}'><label>Figure 1</label><caption><p>{caption}</p></caption>"
+            "<graphic href='g1'/></fig></body></article>", encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["ingest", "--root", str(packages), "--out", str(corpus)]) == 0
+        assert {"\u2028", "\x85"} <= set(corpus.read_text(encoding="utf-8"))
+        [article] = [json.loads(line) for line in jsonl_lines(corpus)]
+        assert [(f["fig_id"], f["caption"]) for f in article["figures"]] == [
+            (fig_id, " ".join(caption.split()))]
+        assert article["body_paragraphs"] == ["Cells grew (Fig. 1B)."]
+
+        capsys.readouterr()
+        assert main(["stats", "--pairs", str(corpus), "--images-root", str(packages)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert (stats["n_captions"], stats["n_images"]) == (1, 1)
+
+        out_dir = tmp_path / "fine"
+        assert main(["finegrain", "--corpus", str(corpus), "--images-root", str(packages),
+                     "--out-dir", str(out_dir)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rows = [json.loads(line) for line in jsonl_lines(out_dir / "fine_pairs.jsonl")]
+        assert len(rows) == report["fine_pairs"] == 2
+        assert {(row["fig_id"], row["label"]): row["citances"] for row in rows} == {
+            (fig_id, "A"): [], (fig_id, "B"): ["Cells grew (Fig. 1B)."]}
+        assert all(Path(row["panel_path"]).is_file() for row in rows)
+
+
+@pytest.fixture(scope="module")
+def text_corpora(tmp_path_factory):
+    """perfbench's text corpus of 40 and of 160 articles (~30 KB of XML and
+    three 8x8 images each), ingested: {n: (corpus.jsonl, packages)}."""
+    corpora = {}
+    for n in (40, 160):
+        root = tmp_path_factory.mktemp(f"text{n}")
+        perfbench_gen.make_text_corpus(root, seed=3, n_articles=n)
+        assert main(["ingest", "--root", str(root / "packages"), "--out",
+                     str(root / "corpus.jsonl"), "--workers", "1"]) == 0
+        corpora[n] = (root / "corpus.jsonl", root / "packages")
+    return corpora
+
+
+class TestFinegrainMemory:
+    def peak(self, corpus, packages, out_dir, workers):
+        """The traced peak of finegrain, after a first run that imports and
+        caches what it loads once, and the top five allocation sites still
+        held when it ends."""
+        argv = ["finegrain", "--corpus", str(corpus), "--images-root", str(packages),
+                "--out-dir", str(out_dir), "--workers", str(workers)]
+        assert main(argv) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+            top = tracemalloc.take_snapshot().statistics("lineno")[:5]
+        finally:
+            tracemalloc.stop()
+        return peak, "\n".join(map(str, top))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_does_not_grow_with_the_corpus(self, text_corpora, tmp_path, capsys,
+                                                       request, workers):
+        # Each corpus line is ~28 KB; holding 160 of them would be ~4.5 MB.
+        # What still grows is the image index, a Path per figure.
+        started = request.getfixturevalue("real_pool") if workers == 2 else []
+        small, _ = self.peak(*text_corpora[40], tmp_path / "small", workers)
+        large, top = self.peak(*text_corpora[160], tmp_path / "large", workers)
+        assert started == ([2] * 4 if workers == 2 else [])
+        assert large < 1.5 * small, f"{large} against {small} bytes; held at the end:\n{top}"
 
 
 class TestStatsCommand:
@@ -486,6 +574,13 @@ MALFORMED_JSON = [
     ("census", "--taxonomy", "[1]", []),
     ("census", "--taxonomy", json.dumps([{"type_name": "plot", "keywords": "bar"}]), []),
     ("census", "--taxonomy", json.dumps([{"type_name": 2, "keywords": ["bar"]}]), []),
+    # A key left out.
+    ("zeroshot", "--classes", json.dumps([{"class_name": "mri"}, GOOD_CLASSES[1]]), []),
+    ("zeroshot", "--classes", json.dumps([{"prompt_templates": ["{}"]}, GOOD_CLASSES[1]]), []),
+    ("zeroshot", "--labels", json.dumps({f"i{k}": "mri" for k in range(5)}),
+     ["--classes", "classes.json"]),
+    ("census", "--taxonomy", json.dumps([{"type_name": "plot"}]), []),
+    ("census", "--taxonomy", json.dumps([{"keywords": ["bar"]}]), []),
 ]
 
 GOOD_TAXONOMY = [{"type_name": "plot", "keywords": ["bar chart"]}]
@@ -500,6 +595,7 @@ def without(obj: dict, key: str) -> dict:
 # --corpus and stats --pairs read them through one reader and reject each.
 MALFORMED_CORPUS = {
     "not_an_object": ("[]\n", ":1 must be an object"),
+    "after_a_good_line": (json.dumps(GOOD_LINE) + "\n[]\n", ":2 must be an object"),
     "after_a_blank_line": ("\n" + json.dumps({**GOOD_LINE, "figures": "f1"}) + "\n",
                            ":2 figures must be an array"),
     "pmcid_number": (json.dumps({**GOOD_LINE, "pmcid": 7}) + "\n", ":1 pmcid must be a string"),
@@ -621,8 +717,10 @@ class TestMalformedJson:
                               "--out-dir", "fine"],
                 "stats": ["stats", "--pairs", "bad.json"]}[command]
         assert main(argv) == 1
-        err = capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: MalformedJson: bad.json{place}")
+        assert out == "" and os.listdir(tmp_path) == ["bad.json"]
 
     @pytest.mark.parametrize("command", ["retrieval", "zeroshot", "census"])
     @pytest.mark.parametrize("damage", sorted(MALFORMED_STORES))
@@ -686,7 +784,7 @@ class TestStandInEmbedder:
             report = json.loads(capsys.readouterr().out)
             assert report["unreadable_images"] == 1 and report["fine_pairs"] == 0
             assert [json.loads(line) for line in
-                    (tmp_path / "fine" / "audit.jsonl").read_text().splitlines()] == [
+                    jsonl_lines(tmp_path / "fine" / "audit.jsonl")] == [
                 {"kind": "unreadable_image", "pmcid": "P1", "fig_id": "f1", "label": None,
                  "rect": None}]
         else:
@@ -708,7 +806,7 @@ class TestStandInEmbedder:
         out, err = capsys.readouterr()
         assert rc == 0 and err == ""
         assert json.loads(out)["articles_emitted"] == (reason is None)
-        assert [json.loads(line) for line in skips.read_text().splitlines()] == (
+        assert [json.loads(line) for line in jsonl_lines(skips)] == (
             [] if reason is None else [{"pmcid": "PMC1", "reason": reason}])
 
     @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))

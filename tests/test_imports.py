@@ -29,6 +29,15 @@ def python(*argv, cwd=None) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+def jsonl_lines(path) -> list[str]:
+    """The lines of a JSONL file as the corpus reader and the writers see
+    them: split at "\n" only. str.splitlines() also splits at U+0085,
+    U+2028 and U+2029, which a JSON string may hold raw."""
+    text = Path(path).read_text(encoding="utf-8")
+    assert text.endswith("\n") or not text, "the last line lacks its newline"
+    return text.split("\n")[:-1]
+
+
 def loaded_after(code: str, modules=("numpy", "xml.sax"), cwd=None) -> dict:
     """Which of modules are in sys.modules after running code."""
     probe = python("-c", code + "\nimport json, sys\nprint(json.dumps("
@@ -103,6 +112,40 @@ def test_traced_finegrain_records_vision_and_captioner_spans(synth):
             "captioner.split_caption"} <= names
 
 
+def test_traced_pooled_ingest_records_its_spans(synth):
+    # The tracer wraps the function the pool runs, so that wrapper must
+    # pickle and run in a forked process. The XML each process is given is
+    # lowered, so a 2-process pool really starts.
+    root, truth = synth
+    spans = root / "ingest_spans.json"
+    argv = [str(OP), "--spans", str(spans), "cli", "ingest", "--workers", "2",
+            "--root", str(truth.packages_dir), "--out", str(root / "traced.jsonl")]
+    code = ("import concurrent.futures, os, runpy, sys\n"
+            "from figurelink import ingest\n"
+            "started = []\n"
+            "class RecordedPool(concurrent.futures.ProcessPoolExecutor):\n"
+            "    def __init__(self, max_workers, mp_context=None):\n"
+            "        started.append(max_workers)\n"
+            "        super().__init__(max_workers, mp_context=mp_context)\n"
+            "concurrent.futures.ProcessPoolExecutor = RecordedPool\n"
+            "os.cpu_count = lambda: 2\n"
+            "ingest.XML_BYTES_PER_PROCESS = 1\n"
+            f"sys.argv = {argv!r}\n"
+            f"sys.path.insert(0, {str(OP.parent)!r})\n"
+            "try:\n"
+            "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+            "finally:\n"
+            "    assert started == [2], started\n")
+    run = python("-c", code)
+    assert run.returncode == 0, run.stderr
+    names = {s["name"] for s in json.loads(spans.read_text())["spans"] if s}
+    assert {"cli.ingest", "ingest.run_pipeline", "ingest.enumerate_packages"} <= names
+    serial = root / "untraced.jsonl"
+    assert python("-m", "figurelink.cli", "ingest", "--root", str(truth.packages_dir),
+                  "--out", str(serial), "--workers", "1").returncode == 0
+    assert (root / "traced.jsonl").read_bytes() == serial.read_bytes()
+
+
 def test_traced_retrieval_records_evaluate_spans(tmp_path):
     images, texts, _ = paired_stores(np.random.default_rng(0), 300, 8)
     write_store(tmp_path / "q.emb", images)
@@ -153,7 +196,7 @@ def reference_stats(pairs, images_root) -> dict:
 
     images = index_images(Path(images_root).rglob("*"))
     tokens, sizes, unreadable = [], [], 0
-    for line in Path(pairs).read_text().splitlines():
+    for line in jsonl_lines(pairs):
         for fig in json.loads(line)["figures"]:
             tokens.append(len(fig["caption"].split()))
             try:
@@ -229,7 +272,7 @@ def test_streamed_ingest_with_skip_log_loads_no_numpy(synth):
             f"'--out', {str(root / 'streamed.jsonl')!r}, "
             f"'--skip-log', {str(root / 'streamed_skips.jsonl')!r}]) == 0")
     assert loaded_after(code) == {"numpy": False, "xml.sax": False}
-    assert len((root / "streamed_skips.jsonl").read_text().splitlines()) == 4
+    assert len(jsonl_lines(root / "streamed_skips.jsonl")) == 4
 
 
 def test_traced_stats_records_its_span_and_counters(stats_tree, tmp_path):

@@ -1,6 +1,7 @@
 """Corpus ingestion: counters, determinism, skip logging."""
 
 import concurrent.futures
+import gc
 import itertools
 import json
 import logging
@@ -17,7 +18,7 @@ from figurelink.corpus import corpus_line, json_string
 from figurelink.ingest import RootNotFound, enumerate_packages, run_pipeline
 from figurelink.synth import make_corpus
 from test_image_index import index_images
-from test_imports import python
+from test_imports import jsonl_lines, python
 from test_jats import deep_article
 
 
@@ -31,18 +32,84 @@ def corpus(tmp_path_factory):
     return make_corpus(root, n_articles=25, seed=0)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch) -> list[int]:
+    """Make ordered_map's pool run each submitted chunk at once in this
+    process; the list gets the size of each pool asked for."""
+    started = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers, mp_context=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    return started
+
+
+def mapped(items, workers, bytes_per_process):
+    """ordered_map(len, items, ...) as a list, each item being the list of
+    its files."""
+    return list(batch.ordered_map(len, items, workers, files=lambda item: item,
+                                  bytes_per_process=bytes_per_process))
+
+
 class TestPoolSize:
-    def test_one_process_per_share_of_bytes(self, tmp_path):
+    def test_one_process_per_share_of_bytes(self, tmp_path, monkeypatch, inline_pool):
         files = []
         for i, size in enumerate((100, 250, 50)):
             files.append(tmp_path / f"f{i}")
             files[-1].write_bytes(b"x" * size)
-        assert batch.pool_size(8, files, 100) == 4
-        assert batch.pool_size(3, files, 100) == 3
-        assert batch.pool_size(8, files, 1000) == 1
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 8)
+
+        def pool_size(workers, paths, bytes_per_process):
+            # One item per path, and enough items without files that their
+            # count never decides; 1 when no pool starts.
+            items = [[path] for path in paths] + [[]] * 8
+            inline_pool.clear()
+            assert mapped(items, workers, bytes_per_process) == list(map(len, items))
+            assert len(inline_pool) <= 1
+            return inline_pool[0] if inline_pool else 1
+
+        assert pool_size(8, files, 100) == 4
+        assert pool_size(3, files, 100) == 3
+        assert pool_size(8, files, 1000) == 1
         # Absent and unreadable files count as empty.
-        assert batch.pool_size(8, files + [None, tmp_path / "absent"], 100) == 4
-        assert batch.pool_size(8, [], 100) == 1
+        assert pool_size(8, files + [None, tmp_path / "absent"], 100) == 4
+        assert pool_size(8, [], 100) == 1
+        # Items and bytes past the look-ahead do not count.
+        monkeypatch.setattr(batch, "LOOKAHEAD_ITEMS", 2)
+        assert pool_size(8, [None, None] + files, 100) == 1
+        assert pool_size(8, files, 100) == 2
+
+    def test_the_pool_draws_a_bounded_number_of_items_ahead(self, tmp_path, monkeypatch,
+                                                            inline_pool):
+        (tmp_path / "f").write_bytes(b"x" * 100)
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 2)
+        drawn = []
+
+        def items():
+            for i in range(1000):
+                drawn.append(i)
+                yield i
+
+        results = batch.ordered_map(abs, items(), 2, files=lambda i: [tmp_path / "f"],
+                                    bytes_per_process=100)
+        assert next(results) == 0
+        # Two items fill the look-ahead, so chunks hold one item each.
+        assert len(drawn) == 2 * batch.CHUNKS_IN_FLIGHT + 1
+        assert list(results) == list(range(1, 1000))
+        assert inline_pool == [2]
 
 
 class TestAtomicLines:
@@ -110,7 +177,7 @@ class TestPipeline:
     def test_output_is_valid_jsonl_in_pmcid_order(self, corpus, tmp_path):
         out = tmp_path / "pairs.jsonl"
         run_pipeline(corpus.packages_dir, out, workers=1)
-        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        rows = [json.loads(line) for line in jsonl_lines(out)]
         ids = [r["pmcid"] for r in rows]
         assert ids == sorted(ids)
         for row in rows:
@@ -136,48 +203,34 @@ class TestPipeline:
         report = run_pipeline(corpus.packages_dir, tmp_path / "o.jsonl", workers=8)
         assert report.articles_seen == 25
 
-    def test_pool_is_capped_at_cpu_count(self, corpus, tmp_path, monkeypatch):
-        requested = []
-
-        class InlineExecutor:
-            """Records the pool size asked for and maps in this process."""
-
-            def __init__(self, max_workers, mp_context=None):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
+    def test_pool_is_capped_at_cpu_count(self, corpus, tmp_path, monkeypatch, inline_pool):
         serial = tmp_path / "serial.jsonl"
         run_pipeline(corpus.packages_dir, serial, workers=1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(ingest, "XML_BYTES_PER_PROCESS", 1)
         monkeypatch.setattr(ingest.os, "cpu_count", lambda: 3)
         capped = tmp_path / "capped.jsonl"
         run_pipeline(corpus.packages_dir, capped, workers=1024)
-        assert requested == [3]
+        assert inline_pool == [3]
         assert capped.read_bytes() == serial.read_bytes()
 
-    def test_ordered_map_is_serial_when_one_process_would_do(self, monkeypatch):
+    def test_ordered_map_is_serial_when_one_process_would_do(self, tmp_path, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(batch.os, "cpu_count", lambda: 4)
-        assert list(batch.ordered_map(abs, [-1, -2, -3], workers=1)) == [1, 2, 3]
-        # One worker draws from any iterable, with no len().
-        assert list(batch.ordered_map(abs, iter([-1, -2]), workers=1)) == [1, 2]
-        assert list(batch.ordered_map(abs, [-5], workers=1024)) == [5]
-        assert list(batch.ordered_map(abs, [], workers=8)) == []
+        (tmp_path / "f").write_bytes(b"x")
+        byte = [tmp_path / "f"]
+        assert mapped([byte] * 3, 1, 1) == [1, 1, 1]
+        # Any iterable, with no len().
+        assert mapped(iter([byte] * 2), 1, 1) == [1, 1]
+        # Two bytes, with two to a process.
+        assert mapped(iter([byte] * 2), 8, 2) == [1, 1]
+        assert mapped([byte], 1024, 1) == [1]
+        assert mapped([], 8, 1) == []
         monkeypatch.setattr(batch.os, "cpu_count", lambda: 1)
-        assert list(batch.ordered_map(abs, [-1, -2], workers=8)) == [1, 2]
+        assert mapped([byte] * 2, 8, 1) == [1, 1]
         # A platform without fork (Windows) maps in this process.
         monkeypatch.setattr(batch.os, "cpu_count", lambda: 4)
         monkeypatch.delattr(batch.os, "fork")
-        assert list(batch.ordered_map(abs, [-1, -2], workers=8)) == [1, 2]
+        assert mapped([byte] * 2, 8, 1) == [1, 1]
 
     def test_a_line_written_before_the_pool_forks_is_written_once(self, tmp_path, real_pool):
         # The forked processes hold a copy of the writer's unflushed buffer;
@@ -185,10 +238,12 @@ class TestPipeline:
         out = tmp_path / "lines.txt"
         with batch.atomic_lines(out) as write:
             write("before the pool")
-            for value in batch.ordered_map(abs, [-1, -2, -3, -4], workers=2):
+            for value in batch.ordered_map(abs, [-1, -2, -3, -4], 2,
+                                           files=lambda value: [__file__],
+                                           bytes_per_process=1):
                 write(str(value))
         assert real_pool == [2]
-        assert out.read_text().splitlines() == ["before the pool", "1", "2", "3", "4"]
+        assert jsonl_lines(out) == ["before the pool", "1", "2", "3", "4"]
 
     def test_skip_reason_counters_match_skip_log(self, tmp_path):
         packages = make_corpus(tmp_path / "corpus", n_articles=25, seed=0).packages_dir
@@ -199,7 +254,7 @@ class TestPipeline:
         skips = tmp_path / "skips.jsonl"
         report = run_pipeline(packages, tmp_path / "o.jsonl",
                               skip_log_path=skips, workers=1)
-        rows = [json.loads(line) for line in skips.read_text().splitlines()]
+        rows = [json.loads(line) for line in jsonl_lines(skips)]
         assert any("fig_id" in row for row in rows)
         counters = report.counters()
         reasons = {"malformed_xml", "no_figures", "missing_media"}
@@ -214,7 +269,7 @@ class TestPipeline:
         skips = tmp_path / "skips.jsonl"
         run_pipeline(corpus.packages_dir, tmp_path / "o.jsonl",
                      skip_log_path=skips, workers=1)
-        rows = [json.loads(line) for line in skips.read_text().splitlines()]
+        rows = [json.loads(line) for line in jsonl_lines(skips)]
         assert rows
         for row in rows:
             assert row["reason"] in {"malformed_xml", "no_figures", "missing_media"}
@@ -224,7 +279,7 @@ class TestPipeline:
         skips = tmp_path / "skips.jsonl"
         report = run_pipeline(corpus.packages_dir, tmp_path / "o.jsonl",
                               skip_log_path=skips, workers=1)
-        rows = [json.loads(line) for line in skips.read_text().splitlines()]
+        rows = [json.loads(line) for line in jsonl_lines(skips)]
         article_level = [r for r in rows if "fig_id" not in r]
         assert len(article_level) == (report.articles_seen
                                       - report.articles_emitted)
@@ -239,7 +294,7 @@ class TestPipeline:
             report = run_pipeline(root, tmp_path / "o.jsonl", skip_log_path=skips,
                                   workers=1)
         assert report.skipped_malformed == 1
-        assert [json.loads(line) for line in skips.read_text().splitlines()] == [
+        assert [json.loads(line) for line in jsonl_lines(skips)] == [
             {"pmcid": "PMC1", "reason": "malformed_xml"}]
         assert caplog.records == []
 
@@ -254,7 +309,7 @@ class TestPipeline:
                 f"'--out', {str(tmp_path / 'o.jsonl')!r}, '--skip-log', {str(skips)!r}]))")
         run = python("-c", code)
         assert (run.returncode, run.stderr) == (0, "")
-        assert [json.loads(line) for line in skips.read_text().splitlines()] == [
+        assert [json.loads(line) for line in jsonl_lines(skips)] == [
             {"pmcid": p.name, "reason": "malformed_xml"} for p in sorted(packages.iterdir())]
 
     def test_empty_root_gives_empty_output(self, tmp_path):
@@ -292,31 +347,47 @@ def write_packages(root, n):
 
 
 class TestStreamedOutputs:
-    def peak(self, root, n):
+    def peak(self, root, n, workers):
+        """The traced peak of run_pipeline over n packages, and the top
+        five allocation sites still held when it ends. A first run warms
+        up whatever is imported or cached once, outside the measure."""
         write_packages(root / "in", n)
+
+        def run():
+            return run_pipeline(root / "in", root / "corpus.jsonl",
+                                skip_log_path=root / "skips.jsonl", workers=workers)
+
+        run()
+        gc.collect()
         tracemalloc.start()
         try:
-            report = run_pipeline(root / "in", root / "corpus.jsonl",
-                                  skip_log_path=root / "skips.jsonl", workers=1)
+            report = run()
             peak = tracemalloc.get_traced_memory()[1]
+            top = tracemalloc.take_snapshot().statistics("lineno")[:5]
         finally:
             tracemalloc.stop()
         assert report.articles_emitted == n and report.skip_reasons["missing_media"] == 2 * n
-        return peak
+        return peak, "\n".join(map(str, top))
 
-    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path, request, workers):
         # Each corpus line is ~24 KB; holding 160 of them would be ~4 MB.
-        # What still grows is the sorted list of package names.
-        small = self.peak(tmp_path / "small", 40)
-        large = self.peak(tmp_path / "large", 160)
-        assert large < 1.5 * small
+        # What still grows is the sorted list of package names. With a pool
+        # the parent also holds the chunks in flight, so that case compares
+        # 640 against 160 packages.
+        started = request.getfixturevalue("real_pool") if workers == 2 else []
+        n = 40 if workers == 1 else 160
+        small, _ = self.peak(tmp_path / "small", n, workers)
+        large, top = self.peak(tmp_path / "large", 4 * n, workers)
+        assert started == ([2] * 4 if workers == 2 else [])
+        assert large < 1.5 * small, f"{large} against {small} bytes; held at the end:\n{top}"
 
     def test_skip_rows_sorted_by_fig_id_within_each_article(self, tmp_path):
         write_packages(tmp_path / "in", 3)
         run_pipeline(tmp_path / "in", tmp_path / "corpus.jsonl",
                      skip_log_path=tmp_path / "skips.jsonl", workers=1)
         rows = [json.loads(line) for line in
-                (tmp_path / "skips.jsonl").read_text().splitlines()]
+                jsonl_lines(tmp_path / "skips.jsonl")]
         assert [(r["pmcid"], r["fig_id"]) for r in rows] == [
             (f"PMC{100000 + i}", f"f{j}") for i in range(3) for j in (1, 3)]
 

@@ -1,13 +1,17 @@
 """Corpus statistics against brute-force recounts."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from figurelink.stats import corpus_stats
+from figurelink.stats import PERCENTILES, _fraction, _percentile_map, corpus_stats, percentile
 from figurelink.synth import make_stats_corpus
 from figurelink.vision.images import RasterImage, save_image
+from test_imports import jsonl_lines
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +25,7 @@ def brute_force(truth):
     """Recount tokens and image sides straight from the files."""
     tokens = []
     refs = []
-    for line in truth.jsonl_path.read_text().splitlines():
+    for line in jsonl_lines(truth.jsonl_path):
         obj = json.loads(line)
         for fig in obj["figures"]:
             tokens.append(len(fig["caption"].split()))
@@ -124,3 +128,29 @@ class TestCorpusStats:
         assert obj["n_captions"] == report.n_captions
         assert obj["caption_token_budget"] == 256
         assert obj["min_side_threshold"] == 336
+
+
+# Integer lists with many ties: few distinct values, or runs of one value.
+TIED = st.one_of(st.lists(st.integers(0, 6), min_size=1, max_size=80),
+                 st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 30)), min_size=1,
+                          max_size=8).map(lambda runs: [v for v, n in runs for _ in range(n)]))
+
+
+class TestCounts:
+    @settings(max_examples=400, deadline=None)
+    @given(TIED, st.randoms(use_true_random=False))
+    def test_percentiles_of_the_counts_equal_those_of_the_sorted_list(self, values, rng):
+        rng.shuffle(values)
+        got = _percentile_map(Counter(values))
+        assert {k: v.hex() for k, v in got.items()} == {
+            f"p{p}": percentile(sorted(values), p).hex() for p in PERCENTILES}
+
+    @settings(max_examples=200, deadline=None)
+    @given(TIED)
+    def test_fraction_of_the_counts_equals_that_of_the_list(self, values):
+        assert _fraction(Counter(values), lambda v: v <= 3) == (
+            sum(1 for v in values if v <= 3) / len(values))
+
+    def test_no_values_give_none(self):
+        assert _percentile_map(Counter()) == dict.fromkeys((f"p{p}" for p in PERCENTILES))
+        assert _fraction(Counter(), lambda v: True) is None
