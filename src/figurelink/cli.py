@@ -29,7 +29,6 @@ from .batch import (IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines
                     atomic_write_lines, ordered_map)
 from .config import ConfigError, PipelineConfig, load_config
 from .corpus import read_corpus
-from .imageindex import index_tree
 from .jsonshape import need, need_field, need_list
 from .stages import StageTimer
 
@@ -153,16 +152,14 @@ def cmd_ingest(args, cfg):
 def cmd_finegrain(args, cfg):
     out_dir = Path(args.out_dir)
     # A first pass checks every line, so a malformed corpus fails with one
-    # error and no output; a second streams the articles.
+    # error and no output; a second streams the articles, each a
+    # (pmcid, pmid, figures, paragraphs) tuple whose figures name their
+    # image files.
     for _ in read_corpus(args.corpus):
         pass
+    run = FinegrainRun(Path(args.images_root), out_dir / "crops",
+                       Path(args.ocr_dir) if args.ocr_dir else None, cfg)
     timer = StageTimer()
-    with timer.stage("resolve"):
-        images = index_tree(args.images_root)
-    articles = (FinegrainArticle(pmcid, figures, paragraphs,
-                                 [images.get(fig.graphic_ref) for fig in figures])
-                for pmcid, _, figures, paragraphs in read_corpus(args.corpus))
-    run = FinegrainRun(out_dir / "crops", Path(args.ocr_dir) if args.ocr_dir else None, cfg)
 
     # Each article's counters hold every key, in report order, so the sums
     # start from the first one: with a pool, this process then never
@@ -172,8 +169,10 @@ def cmd_finegrain(args, cfg):
     pairs_path = out_dir / "fine_pairs.jsonl"
     with atomic_lines(pairs_path) as write_pair, \
             atomic_lines(out_dir / "audit.jsonl") as write_audit:
-        results = ordered_map(functools.partial(finegrain_article, run), articles,
-                              args.workers, files=lambda article: article.image_paths,
+        results = ordered_map(functools.partial(finegrain_article, run),
+                              read_corpus(args.corpus), args.workers,
+                              files=lambda article: [run.images_root / fig.image
+                                                     for fig in article[2]],
                               bytes_per_process=IMAGE_BYTES_PER_PROCESS)
         for pair_lines, audit_lines, deltas, seconds in results:
             for line in pair_lines:
@@ -191,20 +190,10 @@ def cmd_finegrain(args, cfg):
 class FinegrainRun:
     """What every article of one finegrain run shares."""
 
+    images_root: Path
     crops_dir: Path
     ocr_dir: Path | None
     cfg: PipelineConfig
-
-
-@dataclass
-class FinegrainArticle:
-    """One checked corpus line, with each figure's image file resolved:
-    image_paths[i] is the file of figures[i], or None when it has none."""
-
-    pmcid: str
-    figures: list  # of corpus.FigureEntry
-    paragraphs: list[str]
-    image_paths: list[Path | None]
 
 
 def _finegrain_counters() -> dict[str, int]:
@@ -217,8 +206,9 @@ def _finegrain_counters() -> dict[str, int]:
     return counters
 
 
-def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
-    """Split one article's figures and captions into fine-grained pairs.
+def finegrain_article(run: FinegrainRun, article):
+    """Split one article, a checked corpus line as read_corpus yields it,
+    into fine-grained pairs.
 
     Returns (pair_lines, audit_lines, counters, stage_seconds): the lines
     for fine_pairs.jsonl and audit.jsonl, this article's share of the
@@ -232,23 +222,26 @@ def finegrain_article(run: FinegrainRun, article: FinegrainArticle):
 
     _bind(_VISION)
     counters = _finegrain_counters()
-    pmcid = article.pmcid
+    pmcid, _, figures, paragraphs = article
     timer = StageTimer()
     pair_lines, audit = [], []
 
     with timer.stage("match"):
         citances_by_fig: dict[str, list] = {}
-        for citance in captioner.extract_citances(article.paragraphs, article.figures):
+        for citance in captioner.extract_citances(paragraphs, figures):
             citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
-    for fig, image_path in zip(article.figures, article.image_paths):
+    for fig in figures:
         counters["figures"] += 1
+        with timer.stage("resolve"):
+            image_path = run.images_root / fig.image
+            found = image_path.is_file()
         with timer.stage("decode"):
             try:
-                image = None if image_path is None else load_image(image_path)
+                image = load_image(image_path) if found else None
             except UnreadableImage:
                 image = None
         if image is None:
-            kind = "missing_image" if image_path is None else "unreadable_image"
+            kind = "unreadable_image" if found else "missing_image"
             counters[kind + "s"] += 1
             audit.append(AuditEntry(kind, pmcid, fig.fig_id))
             continue

@@ -271,7 +271,7 @@ def _columns(queries: EmbeddingStore, targets: EmbeddingStore,
 
 def _run(ranks: np.ndarray, k_values) -> RetrievalRun:
     n = len(ranks)
-    recall = {k: (int(np.count_nonzero(ranks <= k)) / n if n else 0.0) for k in k_values}
+    recall = {k: int(np.count_nonzero(ranks <= k)) / n for k in k_values}
     return RetrievalRun(list(k_values), ranks.tolist(), recall)
 
 
@@ -280,8 +280,11 @@ def recall_at_k(queries: EmbeddingStore, targets: EmbeddingStore,
     """Recall@k in both directions, from one pass of `_ranks`.
 
     pairing maps query ids to target ids and must be a bijection; the
-    reverse direction uses the inverted map.
+    reverse direction uses the inverted map. Recall over no queries is
+    undefined, so empty stores raise ValueError, as AnnIndex.build does.
     """
+    if queries.n == 0 or targets.n == 0:
+        raise ValueError("cannot rank an empty store")
     if queries.dim != targets.dim:
         raise DimensionMismatch(f"{queries.dim} vs {targets.dim}")
     inverse = {v: k for k, v in pairing.items()}

@@ -26,7 +26,11 @@ from .imageindex import entry_is, index_listing, split_name
 SKIP_MALFORMED_XML = "malformed_xml"
 SKIP_NO_FIGURES = "no_figures"
 SKIP_MISSING_MEDIA = "missing_media"
-SKIP_REASONS = (SKIP_MALFORMED_XML, SKIP_NO_FIGURES, SKIP_MISSING_MEDIA)
+SKIP_NO_UNIQUE_ID = "no_unique_fig_id"
+SKIP_REASONS = (SKIP_MALFORMED_XML, SKIP_NO_FIGURES, SKIP_MISSING_MEDIA, SKIP_NO_UNIQUE_ID)
+# The skip reason of each figure the JATS walk drops.
+_DROP_REASONS = {jats.DROP_NO_ID: SKIP_NO_UNIQUE_ID, jats.DROP_NO_GRAPHIC: SKIP_MISSING_MEDIA,
+                 jats.DROP_EMPTY_CAPTION: SKIP_NO_FIGURES}
 
 
 class RootNotFound(FileNotFoundError):
@@ -116,12 +120,11 @@ def _process_package(package: ArticlePackage):
 
     resolved, unresolved = jats.extract_pairs(record, package.image_names)
     fig_skips = [(fig.fig_id, SKIP_MISSING_MEDIA) for fig in unresolved]
-    fig_skips += [
-        (fig_id, SKIP_NO_FIGURES if reason == jats.DROP_EMPTY_CAPTION else SKIP_MISSING_MEDIA)
-        for fig_id, reason in record.dropped_figures
-    ]
+    fig_skips += [(fig_id, _DROP_REASONS[reason]) for fig_id, reason in record.dropped_figures]
     if not resolved:
         return ("skip", package.pmcid, SKIP_MISSING_MEDIA)
+    for fig in resolved:
+        fig.image = f"{package.pmcid}/{package.image_names[fig.graphic_ref]}"
     return ("ok", package.pmcid, corpus_line(record, resolved), len(resolved), fig_skips)
 
 

@@ -75,7 +75,6 @@ class _Fig:
     label and caption and the first usable graphic in its whole subtree."""
 
     fig_id: str | None
-    parent_id: str | None
     label: str | None = None
     caption: str = ""
     graphic: str | None = None
@@ -94,11 +93,11 @@ class _Walk:
         self.paragraphs: list[str] = []
         self.body_found = False
 
-    def visit(self, elem, open_figs: tuple, in_table: bool, parent_id, body):
-        """open_figs: the figures whose subtree holds elem. parent_id: id of
-        the nearest enclosing figure. body: None outside the first body, True
-        where its paragraphs are collected, False inside a p, fig, table-wrap
-        or caption there, so a nested p is part of its parent's text."""
+    def visit(self, elem, open_figs: tuple, in_table: bool, body):
+        """open_figs: the figures whose subtree holds elem. body: None
+        outside the first body, True where its paragraphs are collected,
+        False inside a p, fig, table-wrap or caption there, so a nested p is
+        part of its parent's text."""
         tag = self.local_names.get(elem.tag)
         if tag is None:
             tag = self.local_names[elem.tag] = elem.tag.rsplit("}", 1)[-1]
@@ -128,10 +127,9 @@ class _Walk:
                     f.graphic = ref
         elif tag == "fig":
             if not in_table:
-                fig = _Fig(elem.get("id"), parent_id)
+                fig = _Fig(elem.get("id"))
                 self.figs.append(fig)
                 open_figs += (fig,)
-                parent_id = fig.fig_id
         elif tag == "table-wrap":
             in_table = True
         elif tag == "article-id":
@@ -145,7 +143,7 @@ class _Walk:
             self.body_found = True
             body = True
         for child in elem:
-            self.visit(child, open_figs, in_table, parent_id, body)
+            self.visit(child, open_figs, in_table, body)
 
 
 def parse_article(xml_bytes: bytes) -> ArticleRecord:
@@ -163,7 +161,7 @@ def parse_article(xml_bytes: bytes) -> ArticleRecord:
 
     walk = _Walk()
     try:
-        walk.visit(root, (), False, None, None)
+        walk.visit(root, (), False, None)
     except RecursionError:
         raise MalformedXml("elements nested too deep to walk") from None
     if not walk.pmcid:
@@ -182,8 +180,7 @@ def parse_article(xml_bytes: bytes) -> ArticleRecord:
             dropped.append((fig_id, DROP_EMPTY_CAPTION))
         else:
             seen_ids.add(fig_id)
-            figures.append(FigureEntry(fig_id, fig.caption, fig.graphic, fig.label,
-                                       fig.parent_id))
+            figures.append(FigureEntry(fig_id, fig.caption, fig.graphic, fig.label))
     if not figures:
         raise NoFigures(walk.pmcid)
 

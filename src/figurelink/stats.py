@@ -15,9 +15,10 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
+from pathlib import Path
 
 from .corpus import read_corpus
-from .imageindex import PNM_EXTENSIONS, index_tree
+from .imageindex import PNM_EXTENSIONS
 from .pnm import UnreadableImage, probe_pnm
 
 PERCENTILES = (5, 25, 50, 75, 95)
@@ -102,26 +103,21 @@ def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
     """Compute the stats report over a corpus JSONL file, read by
     corpus.read_corpus: it rejects the lines finegrain rejects.
 
-    Each figure's image is found anywhere under images_root by its
-    graphic_ref (see imageindex.index_tree). Unreadable or unresolvable
-    images are counted, not fatal. With no images_root, only caption
-    statistics are produced.
+    Each figure's image is the file images_root / its image path, which
+    ingest resolved. Unreadable or missing images are counted, not fatal.
+    With no images_root, only caption statistics are produced.
     """
-    images = None if images_root is None else index_tree(images_root)
+    root = None if images_root is None else Path(images_root)
     token_counts, widths, heights, min_sides = Counter(), Counter(), Counter(), Counter()
     unreadable = 0
 
     for _, _, figures, _ in read_corpus(pairs_jsonl):
         for fig in figures:
             token_counts[len(fig.caption.split())] += 1
-            if images is None:
-                continue
-            path = images.get(fig.graphic_ref)
-            if path is None:
-                unreadable += 1
+            if root is None:
                 continue
             try:
-                width, height = _image_size(path)
+                width, height = _image_size(root / fig.image)
             except UnreadableImage:
                 unreadable += 1
                 continue

@@ -236,7 +236,8 @@ def make_stats_corpus(root, n_pairs: int = 1000, n_images: int = 120,
             tokens = max(5, int(round(rng.normal(40.0, 10.0))))
             caption = " ".join(_WORDS[k % len(_WORDS)] for k in range(tokens))
             img = int(rng.integers(n_images))
-            figures.append(FigureEntry(f"fig{j}", caption, f"img{img:04d}"))
+            figures.append(FigureEntry(f"fig{j}", caption, f"img{img:04d}",
+                                       image=f"img{img:04d}.pgm"))
         record = ArticleRecord(f"PMC{20_000 + a}", str(10_000 + a), figures, [])
         lines.append(corpus_line(record, figures))
     jsonl_path.write_text("\n".join(lines) + "\n")

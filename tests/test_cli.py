@@ -24,7 +24,7 @@ from figurelink.evaluate.store import (
 from figurelink.synth import (
     make_compound_image, make_corpus, make_stats_corpus, paired_stores,
 )
-from figurelink.vision.images import save_image
+from figurelink.vision.images import RasterImage, save_image
 from test_imports import jsonl_lines
 from test_jats import deep_article
 from test_jats_reference import perfbench_gen
@@ -223,7 +223,7 @@ class TestFinegrainCommand:
         (tmp_path / "images").mkdir()
         save_image(tmp_path / "images" / "g1.pgm", fig.image)
         article = {"pmcid": "PMC1", "pmid": "1",
-                   "figures": [{"fig_id": "fig1", "graphic_ref": "g1",
+                   "figures": [{"fig_id": "fig1", "graphic_ref": "g1", "image": "g1.pgm",
                                 "caption": fig.caption, "label_text": "Figure 1"}],
                    "body_paragraphs": ["Cells grew (Fig. 1A) and then died (Fig. 1E)."]}
         (tmp_path / "corpus.jsonl").write_text(json.dumps(article) + "\n")
@@ -241,7 +241,7 @@ class TestFinegrainCommand:
         (tmp_path / "images").mkdir()
         save_image(tmp_path / "images" / "g1.pgm", fig.image)
         article = {"pmcid": "PMC1", "pmid": "1",
-                   "figures": [{"fig_id": "results", "graphic_ref": "g1",
+                   "figures": [{"fig_id": "results", "graphic_ref": "g1", "image": "g1.pgm",
                                 "caption": fig.caption, "label_text": "Figure 2"}],
                    "body_paragraphs": ["Cells grew (Fig. 2B)."]}
         (tmp_path / "corpus.jsonl").write_text(json.dumps(article) + "\n")
@@ -408,6 +408,39 @@ class TestLineSeparators:
         assert all(Path(row["panel_path"]).is_file() for row in rows)
 
 
+class TestSameStemInTwoPackages:
+    def test_each_article_reads_its_own_packages_image(self, tmp_path, capsys):
+        # Both packages hold a fig1.ppm, of different sizes and shades. Each
+        # article's crop and measured size must come from its own package.
+        packages = tmp_path / "packages"
+        sizes = {"PMC1": (60, 40, 50), "PMC2": (30, 90, 200)}
+        for pmcid, (width, height, shade) in sizes.items():
+            (packages / pmcid).mkdir(parents=True)
+            save_image(packages / pmcid / "fig1.ppm",
+                       RasterImage(np.full((height, width, 3), shade, dtype=np.uint8)))
+            (packages / pmcid / "article.xml").write_bytes(
+                GOOD_ARTICLE.replace(b">PMC1<", f">{pmcid}<".encode())
+                .replace(b"href='g1'", b"href='fig1'"))
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["ingest", "--root", str(packages), "--out", str(corpus)]) == 0
+        assert [[fig["image"] for fig in json.loads(line)["figures"]]
+                for line in jsonl_lines(corpus)] == [["PMC1/fig1.ppm"], ["PMC2/fig1.ppm"]]
+        out_dir = tmp_path / "fine"
+        assert main(["finegrain", "--corpus", str(corpus), "--images-root", str(packages),
+                     "--out-dir", str(out_dir), "--workers", "1"]) == 0
+        rows = [json.loads(line) for line in jsonl_lines(out_dir / "fine_pairs.jsonl")]
+        assert [row["pmcid"] for row in rows] == ["PMC1", "PMC2"]
+        for row in rows:
+            crop = Path(row["panel_path"]).read_bytes()
+            assert crop == (packages / row["pmcid"] / "fig1.ppm").read_bytes(), row["pmcid"]
+        capsys.readouterr()
+        assert main(["stats", "--pairs", str(corpus), "--images-root", str(packages)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["n_images"] == 2
+        assert stats["image_width_percentiles"]["p5"] == 31.5      # 30 and 60
+        assert stats["image_height_percentiles"]["p95"] == 87.5    # 40 and 90
+
+
 @pytest.fixture(scope="module")
 def text_corpora(tmp_path_factory):
     """perfbench's text corpus of 40 and of 160 articles (~30 KB of XML and
@@ -444,12 +477,60 @@ class TestFinegrainMemory:
     def test_peak_memory_does_not_grow_with_the_corpus(self, text_corpora, tmp_path, capsys,
                                                        request, workers):
         # Each corpus line is ~28 KB; holding 160 of them would be ~4.5 MB.
-        # What still grows is the image index, a Path per figure.
         started = request.getfixturevalue("real_pool") if workers == 2 else []
         small, _ = self.peak(*text_corpora[40], tmp_path / "small", workers)
         large, top = self.peak(*text_corpora[160], tmp_path / "large", workers)
         assert started == ([2] * 4 if workers == 2 else [])
         assert large < 1.5 * small, f"{large} against {small} bytes; held at the end:\n{top}"
+
+
+class TestImageTreeMemory:
+    """stats and finegrain open each figure's recorded file and list no
+    directory, so their traced peak does not grow with the image files
+    under --images-root. An index of the whole tree held ~270 B per file."""
+
+    @staticmethod
+    def inputs(root, n_files):
+        """A one-figure package PMC1, ingested, beside a package PMC2 of
+        n_files images that no corpus figure names."""
+        packages = root / "packages"
+        (packages / "PMC1").mkdir(parents=True)
+        (packages / "PMC2").mkdir()
+        (packages / "PMC1" / "article.xml").write_bytes(GOOD_ARTICLE)
+        save_image(packages / "PMC1" / "g1.ppm",
+                   RasterImage(np.full((40, 60, 3), 9, dtype=np.uint8)))
+        for i in range(n_files):
+            (packages / "PMC2" / f"x{i:05d}.ppm").write_bytes(b"")
+        assert main(["ingest", "--root", str(packages), "--out", str(root / "corpus.jsonl"),
+                     "--workers", "1"]) == 0
+        return root / "corpus.jsonl", packages
+
+    @staticmethod
+    def peak(argv):
+        """The traced peak of a run, after a first run that imports and
+        caches what it loads once."""
+        assert main(argv) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("command", ["stats", "finegrain"])
+    def test_peak_memory_does_not_grow_with_the_image_files(self, tmp_path, capsys, command):
+        peaks = []
+        for n_files in (200, 3200):
+            corpus, packages = self.inputs(tmp_path / str(n_files), n_files)
+            argv = {"stats": ["stats", "--pairs", str(corpus)],
+                    "finegrain": ["finegrain", "--corpus", str(corpus), "--workers", "1",
+                                  "--out-dir", str(tmp_path / f"fine{n_files}")]}[command]
+            peaks.append(self.peak(argv + ["--images-root", str(packages)]))
+        small, large = peaks
+        # Here the two read alike; with the tree index, large is 2x (finegrain)
+        # to 10x (stats) small.
+        assert large < 1.25 * small, f"{large} against {small} bytes"
 
 
 class TestStatsCommand:
@@ -506,6 +587,19 @@ class TestRetrievalCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: StoreFormatError")
 
+    @pytest.mark.parametrize("ann", [[], ["--ann"]], ids=["exact", "ann"])
+    def test_empty_stores_exit_1_with_one_line(self, tmp_path, capsys, ann):
+        # Recall over no queries is undefined, with or without the index.
+        for name, modality in (("q.emb", MODALITY_IMAGE), ("t.emb", MODALITY_TEXT)):
+            write_store(tmp_path / name, EmbeddingStore.from_raw([], np.zeros((0, 4)), modality))
+        rc = main(["retrieval", "--queries", str(tmp_path / "q.emb"),
+                   "--targets", str(tmp_path / "t.emb"), "--out", str(tmp_path / "r.json"),
+                   *ann])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: ValueError: cannot rank an empty store"]
+        assert sorted(os.listdir(tmp_path)) == ["q.emb", "t.emb"]
+
 
 class TestZeroshotCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -555,8 +649,8 @@ class TestParser:
 
 GOOD_CLASSES = [{"class_name": "mri", "prompt_templates": ["an image of {}"]},
                 {"class_name": "ct", "prompt_templates": ["an image of {}"]}]
-GOOD_FIGURE = {"fig_id": "f1", "graphic_ref": "img1", "caption": "(A) x. (B) y.",
-               "label_text": None}
+GOOD_FIGURE = {"fig_id": "f1", "graphic_ref": "img1", "image": "img1.ppm",
+               "caption": "(A) x. (B) y.", "label_text": None}
 GOOD_LINE = {"pmid": None, "pmcid": "P1", "figures": [GOOD_FIGURE], "body_paragraphs": []}
 
 # (subcommand, flag, file content, extra flags): JSON that parses but has the
@@ -611,13 +705,33 @@ MALFORMED_CORPUS = {
         json.dumps({**GOOD_LINE, "figures": [GOOD_FIGURE, {**GOOD_FIGURE, key: value}]}) + "\n",
         f":1 figures[1].{key} must be {kind}")
        for key, value, kind in (("fig_id", None, "a string"), ("caption", 5, "a string"),
-                                ("graphic_ref", [], "a string"),
+                                ("graphic_ref", [], "a string"), ("image", None, "a string"),
                                 ("label_text", ["A"], "a string or null"))},
     **{f"no_{key}": (json.dumps(without(GOOD_LINE, key)) + "\n", f":1 {key} is missing")
        for key in GOOD_LINE},
     **{f"no_figure_{key}": (json.dumps({**GOOD_LINE, "figures": [without(GOOD_FIGURE, key)]})
                             + "\n", f":1 figures[0].{key} is missing")
        for key in GOOD_FIGURE},
+    # An image path that is not a relative path of named parts.
+    **{f"image_{name}": (json.dumps({**GOOD_LINE, "figures": [{**GOOD_FIGURE, "image": image}]})
+                         + "\n", ":1 figures[0].image must be a relative path")
+       for name, image in (("absolute", "/etc/img1.ppm"), ("empty", ""),
+                           ("empty_part", "PMC1//img1.ppm"), ("trailing_slash", "PMC1/"),
+                           ("dot", "./img1.ppm"), ("dot_dot", "PMC1/../img1.ppm"),
+                           ("nul", "img1\0.ppm"))},
+    # A lone surrogate, which json reads from its escape and no UTF-8 writer
+    # can encode.
+    **{f"surrogate_in_{name}": (json.dumps(line) + "\n", f":1 {field} holds a lone surrogate")
+       for name, line, field in (
+           ("pmcid", {**GOOD_LINE, "pmcid": "P\ud800"}, "pmcid"),
+           ("fig_id", {**GOOD_LINE, "figures": [{**GOOD_FIGURE, "fig_id": "fig\ud800"}]},
+            "figures[0].fig_id"),
+           ("label_text", {**GOOD_LINE, "figures": [{**GOOD_FIGURE, "label_text": "\udfff"}]},
+            "figures[0].label_text"),
+           ("image", {**GOOD_LINE, "figures": [{**GOOD_FIGURE, "image": "\udc80.ppm"}]},
+            "figures[0].image"),
+           ("paragraph", {**GOOD_LINE, "body_paragraphs": ["ok \U0001f600", "x\ud800"]},
+            "body_paragraphs[1]"))},
 }
 
 # Damage done to a good EMB1 store of six 4-d rows, with the error it gives.

@@ -1,5 +1,5 @@
-"""The one figure-to-file resolver against a per-figure tree search, the
-os.scandir walk against the rglob index it replaced, and the decoder's use
+"""The one figure-to-file resolver against a per-figure search, the
+os.scandir listing index against the reference index, and the decoder's use
 of the same suffix table."""
 
 import itertools
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from figurelink.imageindex import IMAGE_EXTENSIONS, PNM_EXTENSIONS, index_tree
+from figurelink.imageindex import IMAGE_EXTENSIONS, PNM_EXTENSIONS, index_listing
 from figurelink.vision import images
 
 
@@ -137,35 +137,34 @@ def build_tree(base, files, links):
     return work, root
 
 
-class TestScandirIndex:
+def listing_index(directory) -> dict[str, str]:
+    with os.scandir(directory) as listing:
+        return index_listing(listing)
+
+
+class TestListingIndex:
     @settings(max_examples=200, deadline=None)
     @given(trees())
-    def test_equals_the_rglob_index(self, tmp_path_factory, tree):
+    def test_equals_the_reference_index_in_every_directory(self, tmp_path_factory, tree):
         work, root = build_tree(tmp_path_factory.getbasetemp(), *tree)
         try:
-            expected = index_images(root.rglob("*"))
-            assert index_tree(root) == expected
-            assert index_tree(str(root)) == expected
-            assert all(type(p) is type(root) for p in index_tree(root).values())
+            directories = [root] + [p for p in root.rglob("*")
+                                    if p.is_dir() and not p.is_symlink()]
+            for directory in directories:
+                expected = index_images(directory.iterdir())
+                assert listing_index(directory) == {
+                    stem: path.name for stem, path in expected.items()}
         finally:
             shutil.rmtree(work)
 
-    def test_ties_break_by_path_parts_not_by_string(self, tmp_path):
-        # As strings "PMC1001-x/f.ppm" < "PMC1001/aa/f.ppm", since "-" < "/";
-        # as paths, part "PMC1001" < "PMC1001-x" decides.
-        for rel in ("PMC1001-x/f.ppm", "PMC1001/aa/f.ppm", "PMC1001.x/f.ppm"):
-            (tmp_path / rel).parent.mkdir(parents=True)
-            (tmp_path / rel).write_bytes(b"x")
-        assert index_tree(tmp_path) == {"f": tmp_path / "PMC1001/aa/f.ppm"}
-        assert index_tree(tmp_path) == index_images(tmp_path.rglob("*"))
-
-    def test_relative_and_missing_roots(self, tmp_path, monkeypatch):
-        make_tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        assert index_tree(".") == index_images(Path(".").rglob("*"))
-        assert index_tree("") == index_images(Path("").rglob("*"))
-        assert index_tree(tmp_path / "absent") == {}
-        assert index_tree(tmp_path / "notes.txt") == {}
+    def test_ties_break_by_name(self, tmp_path):
+        # "f.ppm" and "f.PPM" share a stem and a rank, so the smaller name
+        # wins; "f.png" ranks after both, and "F" is a stem of its own.
+        for name in ("f.ppm", "f.PPM", "F.ppm", "f.png"):
+            (tmp_path / name).write_bytes(b"x")
+        assert listing_index(tmp_path) == {"f": "f.PPM", "F": "F.ppm"}
+        assert listing_index(tmp_path) == {
+            stem: path.name for stem, path in index_images(tmp_path.iterdir()).items()}
 
 
 class FakePillowImage:

@@ -192,16 +192,14 @@ def reference_stats(pairs, images_root) -> dict:
     figure's image decoded whole, percentiles from numpy."""
     from figurelink.stats import CAPTION_TOKEN_BUDGET, MIN_SIDE_THRESHOLD, PERCENTILES
     from figurelink.vision.images import UnreadableImage, load_image
-    from test_image_index import index_images
 
-    images = index_images(Path(images_root).rglob("*"))
     tokens, sizes, unreadable = [], [], 0
     for line in jsonl_lines(pairs):
         for fig in json.loads(line)["figures"]:
             tokens.append(len(fig["caption"].split()))
             try:
-                image = load_image(images[fig["graphic_ref"]])
-            except (KeyError, UnreadableImage):
+                image = load_image(Path(images_root) / fig["image"])
+            except UnreadableImage:
                 unreadable += 1
                 continue
             sizes.append((image.width, image.height))

@@ -183,7 +183,8 @@ class TestPipeline:
         for row in rows:
             assert row["figures"], row
             for fig in row["figures"]:
-                assert set(fig) >= {"fig_id", "caption", "graphic_ref"}
+                assert set(fig) >= {"fig_id", "caption", "graphic_ref", "image"}
+                assert fig["image"].startswith(row["pmcid"] + "/")
 
     def test_worker_count_does_not_change_bytes(self, corpus, tmp_path, monkeypatch):
         # The synth corpus is far below the XML a pool process is given, so
@@ -247,17 +248,21 @@ class TestPipeline:
 
     def test_skip_reason_counters_match_skip_log(self, tmp_path):
         packages = make_corpus(tmp_path / "corpus", n_articles=25, seed=0).packages_dir
+        multi = [p for p in sorted(packages.iterdir()) if len(list(p.glob("*.ppm"))) > 1]
         # One image fewer in a multi-figure article: a figure-level row.
-        images = next(imgs for imgs in (sorted(p.glob("*.ppm")) for p in sorted(
-            packages.iterdir())) if len(imgs) > 1)
-        images[0].unlink()
+        sorted(multi[0].glob("*.ppm"))[0].unlink()
+        # A figure whose id repeats another's, with its image in place: a
+        # no_unique_fig_id row, not a missing_media one.
+        xml = multi[1] / f"{multi[1].name}.xml"
+        xml.write_text(xml.read_text().replace('<fig id="fig2">', '<fig id="fig1">'))
         skips = tmp_path / "skips.jsonl"
         report = run_pipeline(packages, tmp_path / "o.jsonl",
                               skip_log_path=skips, workers=1)
         rows = [json.loads(line) for line in jsonl_lines(skips)]
-        assert any("fig_id" in row for row in rows)
+        assert any(row["reason"] == "missing_media" and "fig_id" in row for row in rows)
+        assert {"pmcid": multi[1].name, "reason": "no_unique_fig_id", "fig_id": "fig1"} in rows
         counters = report.counters()
-        reasons = {"malformed_xml", "no_figures", "missing_media"}
+        reasons = {"malformed_xml", "no_figures", "missing_media", "no_unique_fig_id"}
         assert {k for k in counters if k.startswith("skip_reason_")} == {
             f"skip_reason_{r}" for r in reasons}
         for reason in reasons:
@@ -272,7 +277,8 @@ class TestPipeline:
         rows = [json.loads(line) for line in jsonl_lines(skips)]
         assert rows
         for row in rows:
-            assert row["reason"] in {"malformed_xml", "no_figures", "missing_media"}
+            assert row["reason"] in {"malformed_xml", "no_figures", "missing_media",
+                                     "no_unique_fig_id"}
             assert row["pmcid"].startswith("PMC")
 
     def test_skip_log_covers_all_skipped_articles(self, corpus, tmp_path):
@@ -400,10 +406,11 @@ TEXTS = st.one_of(st.text(), st.text(st.sampled_from(AWKWARD + "aé "), max_size
 
 
 @st.composite
-def records(draw, texts=TEXTS):
+def records(draw, texts=TEXTS, images=None):
     figures = [jats.FigureEntry(fig_id=draw(texts), caption=draw(texts),
                                 graphic_ref=draw(texts),
-                                label_text=draw(st.one_of(st.none(), texts)))
+                                label_text=draw(st.one_of(st.none(), texts)),
+                                image=draw(texts if images is None else images))
                for _ in range(draw(st.integers(0, 3)))]
     return jats.ArticleRecord(pmcid=draw(texts), pmid=draw(st.one_of(st.none(), texts)),
                               figures=figures,
@@ -422,7 +429,7 @@ class TestCorpusLine:
         obj = {
             "pmid": record.pmid,
             "pmcid": record.pmcid,
-            "figures": [{"fig_id": f.fig_id, "graphic_ref": f.graphic_ref,
+            "figures": [{"fig_id": f.fig_id, "graphic_ref": f.graphic_ref, "image": f.image,
                          "caption": f.caption, "label_text": f.label_text}
                         for f in record.figures],
             "body_paragraphs": record.body_paragraphs,

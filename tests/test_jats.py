@@ -137,8 +137,7 @@ class TestParse:
                b"xmlns:xlink='http://www.w3.org/1999/xlink'/></fig>"
                b"</fig></body></article>")
         record = parse_article(xml)
-        inner = [f for f in record.figures if f.fig_id == "g1a"]
-        assert inner and inner[0].parent_fig_id == "g1"
+        assert [f.fig_id for f in record.figures] == ["g1", "g1a"]
 
     def test_short_captions_dropped(self):
         xml = (b"<article><front><article-meta>"

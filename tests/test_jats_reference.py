@@ -43,15 +43,14 @@ def _ref_strip_ns(tag) -> str:
     return ""
 
 
-def _ref_collect_figs(elem, out, inside_table=False, parent_fig=None):
+def _ref_collect_figs(elem, out, inside_table=False):
     tag = _ref_strip_ns(elem.tag)
     if tag == "table-wrap":
         inside_table = True
     if tag == "fig" and not inside_table:
-        out.append((elem, parent_fig))
-        parent_fig = elem.get("id")
+        out.append(elem)
     for child in elem:
-        _ref_collect_figs(child, out, inside_table, parent_fig)
+        _ref_collect_figs(child, out, inside_table)
 
 
 def _ref_collect_paragraphs(elem, out, blocked=False):
@@ -93,7 +92,7 @@ def reference_parse_article(xml_bytes: bytes) -> ArticleRecord:
     figures: list[FigureEntry] = []
     dropped: list[tuple[str, str]] = []
     seen_ids: set[str] = set()
-    for elem, parent_id in fig_elems:
+    for elem in fig_elems:
         fig_id = elem.get("id") or ""
         if not fig_id or fig_id in seen_ids:
             dropped.append((fig_id, jats.DROP_NO_ID))
@@ -116,7 +115,7 @@ def reference_parse_article(xml_bytes: bytes) -> ArticleRecord:
             dropped.append((fig_id, jats.DROP_EMPTY_CAPTION))
             continue
         seen_ids.add(fig_id)
-        figures.append(FigureEntry(fig_id, caption, graphic_ref, label_text, parent_id))
+        figures.append(FigureEntry(fig_id, caption, graphic_ref, label_text))
 
     if not figures:
         raise jats.NoFigures(pmcid)
@@ -277,8 +276,8 @@ def test_edge_case_matches_reference(name):
 def test_edge_cases_exercise_the_rules():
     """The table above covers what it claims to, judged by the reference."""
     nested = reference_parse_article(EDGE_CASES["nested_fig"])
-    assert [(f.fig_id, f.parent_fig_id, f.caption) for f in nested.figures] == [
-        ("outer", None, "A usable caption."), ("inner", "outer", "Inner caption.")]
+    assert [(f.fig_id, f.caption) for f in nested.figures] == [
+        ("outer", "A usable caption."), ("inner", "Inner caption.")]
     outer = reference_parse_article(EDGE_CASES["nested_fig_outer_caption_from_inner"])
     assert [(f.fig_id, f.label_text) for f in outer.figures] == [
         ("o", "Inner label"), ("i", "Inner label")]

@@ -5,11 +5,11 @@ A refactor that claims to keep behaviour must keep these bytes. The
 digests were computed once and are compared literally; when a change is
 meant to alter an output, update the digest in the same change and say why.
 
-Besides the synth corpus, the run sees two same-stem decoys (a nested
-copy that sorts before the package's own file, which must win, and a .pgm
-beside a .ppm, which must lose), one image deleted after ingest (a
-missing_image audit line) and a quarter of the OCR sidecars removed
-(layout-inferred panels).
+Besides the synth corpus, the run sees two same-stem decoys (a mirrored
+copy in a subdirectory, whose path sorts before the package's own file,
+which must win, and a .pgm beside a .ppm, which must lose), one image
+deleted after ingest (a missing_image audit line) and a quarter of the OCR
+sidecars removed (layout-inferred panels).
 """
 
 import hashlib
@@ -27,9 +27,15 @@ from figurelink.vision.images import RasterImage, load_image, save_image
 # missing_image, unreadable_image and unreadable_ocr audit lines gained the
 # "label" and "rect" keys (both null) of every other audit line: with those
 # keys removed, corpus.jsonl and audit.jsonl are the bytes of the old pins.
+# Re-pinned when each corpus figure gained its "image" key, the file ingest
+# resolved in its own package: with those keys removed, corpus.jsonl is the
+# bytes of the old pin. The crops were re-pinned then too: finegrain had
+# searched the whole image tree by stem and cut PMC1001's figure from the
+# mirrored decoy. The new crops digest is the old code's on this run with
+# the decoy renamed, so that no stem repeats.
 PINNED = {
     "corpus.jsonl":
-        "4c2dcce7bdbe8505b16f70cc85d77c7207a6ac37714b759d586b013c0bf87097",
+        "5622be61509e231c746f012705cb01abcc9eaceb9c0f1eba2b0a55c0ad33f3cd",
     "skips.jsonl":
         "a3b03cbddf6306d580e937a1abe14c08d6b1a1c50984536b17be745b08a87a16",
     "fine_pairs.jsonl":
@@ -37,7 +43,7 @@ PINNED = {
     "audit.jsonl":
         "4a9575ba8add8019a3453cb077e761415798395489439dca712989a05053f3f3",
     "crops":
-        "5b93c247b878a5872998eab6ed591fbdfc13ad8d7df3c1dc73ca3c1ceaa73c87",
+        "fae0c981f8ab74d7e4d6d4e45a6f2cf64741ac1d559fe8bc09649e4cf384761c",
 }
 
 

@@ -24,15 +24,15 @@ def corpus(tmp_path_factory):
 def brute_force(truth):
     """Recount tokens and image sides straight from the files."""
     tokens = []
-    refs = []
+    images = []
     for line in jsonl_lines(truth.jsonl_path):
         obj = json.loads(line)
         for fig in obj["figures"]:
             tokens.append(len(fig["caption"].split()))
-            refs.append(fig["graphic_ref"])
+            images.append(fig["image"])
     sides = []
-    for ref in refs:
-        path = truth.images_dir / f"{ref}.pgm"
+    for image in images:
+        path = truth.images_dir / image
         # pgm header: P5, "W H", maxval
         lines = path.read_bytes().split(b"\n", 3)
         w, h = map(int, lines[1].split())
@@ -89,9 +89,9 @@ class TestCorpusStats:
         (media / "bad.pgm").write_bytes(b"P5 garbage")
         rows = [
             {"pmcid": "PMC1", "pmid": "1",
-             "figures": [{"fig_id": "f1", "graphic_ref": "ok",
+             "figures": [{"fig_id": "f1", "graphic_ref": "ok", "image": "ok.pgm",
                           "caption": "one two three", "label_text": None},
-                         {"fig_id": "f2", "graphic_ref": "bad",
+                         {"fig_id": "f2", "graphic_ref": "bad", "image": "bad.pgm",
                           "caption": "four five", "label_text": None}],
              "body_paragraphs": []},
         ]
@@ -101,18 +101,20 @@ class TestCorpusStats:
         assert report.n_images == 1
         assert report.n_unreadable_images == 1
 
-    def test_images_found_anywhere_under_root(self, tmp_path):
-        # package-style tree: each image sits in its own nested directory
+    def test_each_image_is_read_at_its_recorded_path(self, tmp_path):
+        # Package-style tree, where three packages each hold a fig1: every
+        # figure is measured from its own file, and a path that names no
+        # file is unreadable although other packages hold its stem.
         root = tmp_path / "packages"
-        refs = ["p1_fig1", "p1_fig2", "p2_fig1"]
-        for k, ref in enumerate(refs):
-            pkg = root / f"PMC{k}" / "media"
-            pkg.mkdir(parents=True)
-            save_image(pkg / f"{ref}.pgm",
-                       RasterImage(np.full((20 + k, 30), 90, dtype=np.uint8)))
-        (root / "PMC0" / "media" / "p1_fig3.pgm").write_bytes(b"P5 garbage")
-        figures = [{"fig_id": f"f{k}", "graphic_ref": ref, "caption": "a b", "label_text": None}
-                   for k, ref in enumerate(refs + ["p1_fig3", "absent"])]
+        heights = {"PMC0/media/fig1.pgm": 20, "PMC1/media/fig1.pgm": 21, "PMC2/fig1.pgm": 22}
+        for image, height in heights.items():
+            (root / image).parent.mkdir(parents=True, exist_ok=True)
+            save_image(root / image, RasterImage(np.full((height, 30), 90, dtype=np.uint8)))
+        (root / "PMC0" / "media" / "fig3.pgm").write_bytes(b"P5 garbage")
+        figures = [{"fig_id": f"f{k}", "graphic_ref": image.rsplit("/", 1)[1][:-4],
+                    "image": image, "caption": "a b", "label_text": None}
+                   for k, image in enumerate([*heights, "PMC0/media/fig3.pgm",
+                                              "PMC3/fig1.pgm"])]
         path = tmp_path / "pairs.jsonl"
         path.write_text(json.dumps({"pmid": None, "pmcid": "PMC1", "figures": figures,
                                     "body_paragraphs": []}) + "\n")
@@ -120,7 +122,8 @@ class TestCorpusStats:
         assert report.n_images == 3
         assert report.n_unreadable_images == 2
         assert report.n_images + report.n_unreadable_images == report.n_captions
-        assert report.image_min_side_percentiles["p50"] == 21
+        assert report.image_height_percentiles == {
+            "p5": 20.1, "p25": 20.5, "p50": 21.0, "p75": 21.5, "p95": 21.9}
 
     def test_vars_round_trips_through_json(self, corpus):
         report = corpus_stats(corpus.jsonl_path, corpus.images_dir)
