@@ -196,29 +196,37 @@ _REF_TOKEN = re.compile(
 )
 
 
+def _number(digits: str) -> str:
+    """str(int(digits)) for a run of decimal digits of any length: int()
+    refuses one over sys.get_int_max_str_digits() digits (at least 640)."""
+    return str(int(digits)) if len(digits) <= 640 else digits.lstrip("0") or "0"
+
+
 def _figure_number(entry) -> str | None:
     for source in (entry.label_text or "", entry.fig_id):
         m = re.search(r"(\d+)\s*$", source)
         if m:
-            return str(int(m.group(1)))
+            return _number(m.group(1))
     return None
 
 
-def _parse_ref_tokens(refs: str):
-    """Yield (figure_number, panel_labels) for each token in a reference run."""
+def _parse_ref_tokens(refs: str, numbers: list[str]):
+    """Yield (figure_number, panel_labels) for each token in a reference run;
+    a range yields those it spans of numbers, sorted by (length, digits)."""
     for m in _REF_TOKEN.finditer(refs):
         num, letter = m.group("num"), m.group("letter")
         num2, letter2 = m.group("num2"), m.group("letter2")
         if letter and letter2 and not num2:
             # panel range on one figure: "2A-C"
             labels = _expand_range(letter, letter2) or [letter.upper()]
-            yield str(int(num)), [lab for lab in labels]
+            yield _number(num), [lab for lab in labels]
         elif num2:
             # figure range: "2-4"
-            for n in range(int(num), int(num2) + 1):
-                yield str(n), []
+            low, high = _number(num), _number(num2)
+            yield from ((n, []) for n in numbers
+                        if (len(low), low) <= (len(n), n) <= (len(high), high))
         else:
-            yield str(int(num)), [letter.upper()] if letter else []
+            yield _number(num), [letter.upper()] if letter else []
 
 
 def extract_citances(body_paragraphs: list[str], fig_entries) -> list[Citance]:
@@ -232,12 +240,13 @@ def extract_citances(body_paragraphs: list[str], fig_entries) -> list[Citance]:
         num = _figure_number(entry)
         if num is not None and num not in number_to_id:
             number_to_id[num] = entry.fig_id
+    numbers = sorted(number_to_id, key=lambda n: (len(n), n))
     citances: list[Citance] = []
     for para in body_paragraphs:
         for sentence in split_sentences(para):
             per_target: dict[str, list[str]] = {}
             for m in _FIG_REF.finditer(sentence):
-                for num, labels in _parse_ref_tokens(m.group("refs")):
+                for num, labels in _parse_ref_tokens(m.group("refs"), numbers):
                     fig_id = number_to_id.get(num)
                     if fig_id is None:
                         continue

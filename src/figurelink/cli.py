@@ -154,11 +154,12 @@ def cmd_finegrain(args, cfg):
     # A first pass checks every line, so a malformed corpus fails with one
     # error and no output; a second streams the articles, each a
     # (pmcid, pmid, figures, paragraphs) tuple whose figures name their
-    # image files.
+    # image files, numbered here so that crop names do not depend on the pool.
     for _ in read_corpus(args.corpus):
         pass
     run = FinegrainRun(Path(args.images_root), out_dir / "crops",
                        Path(args.ocr_dir) if args.ocr_dir else None, cfg)
+    run.crops_dir.mkdir(parents=True, exist_ok=True)
     timer = StageTimer()
 
     # Each article's counters hold every key, in report order, so the sums
@@ -170,9 +171,9 @@ def cmd_finegrain(args, cfg):
     with atomic_lines(pairs_path) as write_pair, \
             atomic_lines(out_dir / "audit.jsonl") as write_audit:
         results = ordered_map(functools.partial(finegrain_article, run),
-                              read_corpus(args.corpus), args.workers,
-                              files=lambda article: [run.images_root / fig.image
-                                                     for fig in article[2]],
+                              enumerate(read_corpus(args.corpus)), args.workers,
+                              files=lambda item: [run.images_root / fig.image
+                                                  for fig in item[1][2]],
                               bytes_per_process=IMAGE_BYTES_PER_PROCESS)
         for pair_lines, audit_lines, deltas, seconds in results:
             for line in pair_lines:
@@ -198,31 +199,31 @@ class FinegrainRun:
 
 def _finegrain_counters() -> dict[str, int]:
     _bind(_VISION)
-    counters = {"figures": 0, "fine_pairs": 0, "audit_entries": 0,
-                "missing_images": 0, "unreadable_images": 0, "unreadable_ocr": 0,
-                "unknown_citance_labels": 0, "label_deficit": 0,
-                "unresolved_labels": 0}
+    counters = {"figures": 0, "fine_pairs": 0, "audit_entries": 0, "missing_images": 0,
+                "unreadable_images": 0, "unreadable_ocr": 0, "figure_faults": 0,
+                "unknown_citance_labels": 0, "label_deficit": 0, "unresolved_labels": 0}
     counters.update({f"evidence_{tier}": 0 for tier in EVIDENCE_TIERS})
     return counters
 
 
-def finegrain_article(run: FinegrainRun, article):
-    """Split one article, a checked corpus line as read_corpus yields it,
-    into fine-grained pairs.
+def finegrain_article(run: FinegrainRun, item):
+    """Split one article, item = (a, article) with a its corpus ordinal and
+    article a checked line as read_corpus yields it, into fine-grained pairs.
 
     Returns (pair_lines, audit_lines, counters, stage_seconds): the lines
     for fine_pairs.jsonl and audit.jsonl, this article's share of the
-    report counters, and the seconds spent per stage. Writes the panel
-    crops. Runs in a finegrain pool process or in the command's own; the
-    vision functions are looked up in this module's globals, and the
-    captioner functions on their module, so that a wrapper installed there
-    sees the calls made in this process.
+    report counters, and the seconds spent per stage. Writes pair k of
+    figure f to crops/<a>_<f>_<k>.<pgm|ppm>; a figure that raises before
+    that becomes one audit line. Runs in a finegrain pool process or in the
+    command's own; the vision functions are looked up in this module's
+    globals, and the captioner functions on their module, so that a wrapper
+    installed there sees the calls made in this process.
     """
     from . import captioner
 
     _bind(_VISION)
     counters = _finegrain_counters()
-    pmcid, _, figures, paragraphs = article
+    a, (pmcid, _, figures, paragraphs) = item
     timer = StageTimer()
     pair_lines, audit = [], []
 
@@ -230,46 +231,43 @@ def finegrain_article(run: FinegrainRun, article):
         citances_by_fig: dict[str, list] = {}
         for citance in captioner.extract_citances(paragraphs, figures):
             citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
-    for fig in figures:
+    for f, fig in enumerate(figures):
         counters["figures"] += 1
-        with timer.stage("resolve"):
-            image_path = run.images_root / fig.image
-            found = image_path.is_file()
-        with timer.stage("decode"):
-            try:
-                image = load_image(image_path) if found else None
-            except UnreadableImage:
-                image = None
-        if image is None:
-            kind = "unreadable_image" if found else "missing_image"
+        try:
+            with timer.stage("decode"):
+                image = load_image(run.images_root / fig.image)
+            with timer.stage("split"):
+                split_result = captioner.split_caption(fig.caption)
+            labels = [s.label for s in split_result.subcaptions]
+            fig_citances = citances_by_fig.get(fig.fig_id, [])
+            with timer.stage("match"):
+                citance_map, unknown = captioner.split_citances(fig_citances, labels)
+            boxes = []
+            if run.ocr_dir is not None:
+                with timer.stage("resolve"):
+                    ocr_path = run.ocr_dir / f"{fig.graphic_ref}.json"
+                    try:
+                        boxes = load_ocr_file(ocr_path) if ocr_path.is_file() else []
+                    except (OSError, ValueError, KeyError):
+                        counters["unreadable_ocr"] += 1
+                        audit.append(AuditEntry("unreadable_ocr", pmcid, fig.fig_id))
+            with timer.stage("split"):
+                panels = split_panels(image, run.cfg)
+            with timer.stage("match"):
+                box_assignments, deficit = match_labels_to_boxes(labels, boxes)
+                assignments, unresolved = match_labels_to_panels(
+                    box_assignments, panels, labels)
+        except Exception as exc:
+            kind = ("figure_fault" if not isinstance(exc, UnreadableImage) else
+                    "unreadable_image" if os.path.exists(run.images_root / fig.image)
+                    else "missing_image")
             counters[kind + "s"] += 1
             audit.append(AuditEntry(kind, pmcid, fig.fig_id))
             continue
-        with timer.stage("split"):
-            split_result = captioner.split_caption(fig.caption)
-        labels = [s.label for s in split_result.subcaptions]
-        fig_citances = citances_by_fig.get(fig.fig_id, [])
-        with timer.stage("match"):
-            citance_map, unknown = captioner.split_citances(fig_citances, labels)
-        boxes = []
-        if run.ocr_dir is not None:
-            with timer.stage("resolve"):
-                ocr_path = run.ocr_dir / f"{fig.graphic_ref}.json"
-                try:
-                    boxes = load_ocr_file(ocr_path) if ocr_path.is_file() else []
-                except (OSError, ValueError, KeyError):
-                    counters["unreadable_ocr"] += 1
-                    audit.append(AuditEntry("unreadable_ocr", pmcid, fig.fig_id))
-        with timer.stage("split"):
-            panels = split_panels(image, run.cfg)
-        with timer.stage("match"):
-            box_assignments, deficit = match_labels_to_boxes(labels, boxes)
-            assignments, unresolved = match_labels_to_panels(
-                box_assignments, panels, labels)
         with timer.stage("crop_write"):
             pairs, unassigned = emit_fine_grained_pairs(
                 pmcid, fig.fig_id, image, split_result, assignments,
-                citance_map, fig_citances, run.crops_dir)
+                citance_map, fig_citances, str(run.crops_dir / f"{a}_{f}"))
         if labels:
             unassigned += audit_unused_panels(pmcid, fig.fig_id, panels, assignments)
         for pair in pairs:

@@ -27,7 +27,9 @@ SKIP_MALFORMED_XML = "malformed_xml"
 SKIP_NO_FIGURES = "no_figures"
 SKIP_MISSING_MEDIA = "missing_media"
 SKIP_NO_UNIQUE_ID = "no_unique_fig_id"
-SKIP_REASONS = (SKIP_MALFORMED_XML, SKIP_NO_FIGURES, SKIP_MISSING_MEDIA, SKIP_NO_UNIQUE_ID)
+SKIP_UNDECODABLE_NAME = "undecodable_name"
+SKIP_REASONS = (SKIP_MALFORMED_XML, SKIP_NO_FIGURES, SKIP_MISSING_MEDIA, SKIP_NO_UNIQUE_ID,
+                SKIP_UNDECODABLE_NAME)
 # The skip reason of each figure the JATS walk drops.
 _DROP_REASONS = {jats.DROP_NO_ID: SKIP_NO_UNIQUE_ID, jats.DROP_NO_GRAPHIC: SKIP_MISSING_MEDIA,
                  jats.DROP_EMPTY_CAPTION: SKIP_NO_FIGURES}
@@ -108,6 +110,10 @@ def _process_package(package: ArticlePackage):
     """Returns ("ok", pmcid, json_line, n_pairs, fig_skips) or
     ("skip", pmcid, reason). The corpus line is serialized here, so a pool
     process sends back one string per article instead of a nested dict."""
+    # A name that is not UTF-8 lists with surrogate escapes, which no output can hold.
+    shown = os.fsencode(package.pmcid).decode("utf-8", "backslashreplace")
+    if shown != package.pmcid:
+        return ("skip", shown, SKIP_UNDECODABLE_NAME)
     xml_path = package.xml_path
     if xml_path is None:
         return ("skip", package.pmcid, SKIP_MALFORMED_XML)

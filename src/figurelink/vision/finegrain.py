@@ -4,7 +4,6 @@ and write panel crops to disk."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..captioner import Citance, SplitResult
 from .images import RasterImage, save_image
@@ -47,34 +46,33 @@ def emit_fine_grained_pairs(pmcid: str, fig_id: str, image: RasterImage,
                             assignments: list[LabelAssignment],
                             citance_map: dict[str, list[Citance]],
                             figure_citances: list[Citance],
-                            out_dir) -> tuple[list[FinePair], list[AuditEntry]]:
+                            crop_stem: str) -> tuple[list[FinePair], list[AuditEntry]]:
     """One FinePair per assigned label; a label-free figure yields a single
-    whole-image pair so coverage never decreases. Unassigned labels and
-    panels land in the audit list."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    whole-image pair so coverage never decreases. The k-th pair's crop is
+    written to f"{crop_stem}_{k}.pgm" (grey) or ".ppm" (RGB), in a directory
+    the caller made. Unassigned labels and panels land in the audit list."""
     ext = ".pgm" if image.channels == 1 else ".ppm"
     pairs: list[FinePair] = []
     audit: list[AuditEntry] = []
 
     sub_by_label = {s.label: s for s in split_result.subcaptions}
     if not sub_by_label:
-        crop_path = out_dir / f"{pmcid}_{fig_id}_full{ext}"
+        crop_path = f"{crop_stem}_0{ext}"
         save_image(crop_path, image)
         caption = split_result.preamble
-        pairs.append(FinePair(pmcid, fig_id, None, str(crop_path), caption,
+        pairs.append(FinePair(pmcid, fig_id, None, crop_path, caption,
                               [c.sentence for c in figure_citances],
                               EVIDENCE_FIGURE_LEVEL))
         return pairs, audit
 
     assigned_labels = set()
-    for assignment in assignments:
+    for k, assignment in enumerate(assignments):
         # match_labels_to_panels only returns the sub-captions' own labels.
         sub = sub_by_label[assignment.label]
-        crop_path = out_dir / f"{pmcid}_{fig_id}_{assignment.label}{ext}"
+        crop_path = f"{crop_stem}_{k}{ext}"
         save_image(crop_path, image.crop(assignment.panel.rect))
         citances = [c.sentence for c in citance_map.get(assignment.label, [])]
-        pairs.append(FinePair(pmcid, fig_id, assignment.label, str(crop_path),
+        pairs.append(FinePair(pmcid, fig_id, assignment.label, crop_path,
                               sub.text, citances, assignment.evidence))
         assigned_labels.add(assignment.label)
 

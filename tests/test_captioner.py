@@ -224,6 +224,24 @@ class TestCitances:
         paragraphs = ["An effect was seen (Fig. 9)."]
         assert extract_citances(paragraphs, self.FIGS) == []
 
+    def test_figure_range_cites_the_figures_it_spans_in_order(self):
+        figs = [FigureEntry("f10", "c", "g10", label_text="Figure 10"), *self.FIGS,
+                FigureEntry("f3", "c", "g3", label_text="Figure 03")]
+        paragraphs = ["Seen in Figs. 2-10 alike.", "Not in Figs. 3-1 at all.",
+                      "Also (Figs. 01–2)."]
+        assert [(c.sentence[:4], c.target_fig_id) for c in extract_citances(paragraphs, figs)] \
+            == [("Seen", "f2"), ("Seen", "f3"), ("Seen", "f10"), ("Also", "f1"), ("Also", "f2")]
+
+    @pytest.mark.parametrize("digits", [4301, 100_000])
+    def test_numbers_past_the_int_digit_limit(self, digits):
+        # int() refuses a run of over 4300 digits. Such a number is still
+        # a figure's number, and a range up to it spans the figures below.
+        huge = "9" * digits
+        figs = [*self.FIGS, FigureEntry("fx", "c", "gx", label_text="Figure 0" + huge)]
+        paragraphs = [f"Seen (Fig. 1{huge}).", f"Seen (Figs. 2-{huge}).", f"Seen (Fig. {huge}B)."]
+        assert [(c.target_fig_id, c.label_refs) for c in extract_citances(paragraphs, figs)] \
+            == [("f2", []), ("fx", []), ("fx", ["B"])]
+
     def test_split_citances_routing(self):
         cites = [
             Citance("s1", "f1", ["A"]),

@@ -25,6 +25,7 @@ from figurelink.synth import (
     make_compound_image, make_corpus, make_stats_corpus, paired_stores,
 )
 from figurelink.vision.images import RasterImage, save_image
+from test_finegrain_faults import CROP_NAME
 from test_imports import jsonl_lines
 from test_jats import deep_article
 from test_jats_reference import perfbench_gen
@@ -189,6 +190,7 @@ class TestFinegrainCommand:
             assert set(row) >= {"pmcid", "fig_id", "label", "sub_caption",
                                 "panel_path", "evidence"}
             assert (out_dir / "crops" / row["panel_path"]).exists()
+        assert all(CROP_NAME.fullmatch(path.name) for path in (out_dir / "crops").iterdir())
         manifest = json.loads((out_dir / "fine_pairs.jsonl.manifest.json").read_text())
         assert manifest["counters"] == payload
 
@@ -282,6 +284,10 @@ class TestFinegrainCommand:
         shutil.copytree(corpus.packages_dir, bad_root)
         victim = bad_root / "PMC1000" / "pmc1000_fig1.ppm"
         victim.write_bytes(victim.read_bytes()[:-100])
+        # Its crops are named <article>_<figure>_<pair> by position.
+        articles = [json.loads(line) for line in jsonl_lines(pairs)]
+        a = [article["pmcid"] for article in articles].index("PMC1000")
+        f = [fig["fig_id"] for fig in articles[a]["figures"]].index("fig1")
 
         def run(images_root, out_dir):
             capsys.readouterr()
@@ -307,7 +313,7 @@ class TestFinegrainCommand:
         assert rows == [r for r in good_rows
                         if (r["pmcid"], r["fig_id"]) != victim_fig]
         assert crops == {name: data for name, data in good_crops.items()
-                         if not name.startswith("PMC1000_fig1_")}
+                         if not name.startswith(f"{a}_{f}_")}
         assert len(crops) < len(good_crops)
 
 

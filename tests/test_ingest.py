@@ -8,12 +8,14 @@ import logging
 import os
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from figurelink import batch, ingest, jats
+from figurelink.cli import main
 from figurelink.corpus import corpus_line, json_string
 from figurelink.ingest import RootNotFound, enumerate_packages, run_pipeline
 from figurelink.synth import make_corpus
@@ -255,6 +257,8 @@ class TestPipeline:
         # no_unique_fig_id row, not a missing_media one.
         xml = multi[1] / f"{multi[1].name}.xml"
         xml.write_text(xml.read_text().replace('<fig id="fig2">', '<fig id="fig1">'))
+        # A package whose name is not UTF-8: an undecodable_name row.
+        shutil.copytree(multi[2], packages / os.fsdecode(b"PMC\xff1"))
         skips = tmp_path / "skips.jsonl"
         report = run_pipeline(packages, tmp_path / "o.jsonl",
                               skip_log_path=skips, workers=1)
@@ -262,7 +266,8 @@ class TestPipeline:
         assert any(row["reason"] == "missing_media" and "fig_id" in row for row in rows)
         assert {"pmcid": multi[1].name, "reason": "no_unique_fig_id", "fig_id": "fig1"} in rows
         counters = report.counters()
-        reasons = {"malformed_xml", "no_figures", "missing_media", "no_unique_fig_id"}
+        reasons = {"malformed_xml", "no_figures", "missing_media", "no_unique_fig_id",
+                   "undecodable_name"}
         assert {k for k in counters if k.startswith("skip_reason_")} == {
             f"skip_reason_{r}" for r in reasons}
         for reason in reasons:
@@ -317,6 +322,23 @@ class TestPipeline:
         assert (run.returncode, run.stderr) == (0, "")
         assert [json.loads(line) for line in jsonl_lines(skips)] == [
             {"pmcid": p.name, "reason": "malformed_xml"} for p in sorted(packages.iterdir())]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_package_name_that_is_not_utf8_is_a_skip_row(self, tmp_path, real_pool, workers):
+        packages = make_corpus(tmp_path / "corpus", n_articles=3, seed=0).packages_dir
+        want = tmp_path / "want.jsonl"
+        run_pipeline(packages, want, workers=1)
+        shutil.copytree(packages / "PMC1001", packages / os.fsdecode(b"PMC\xff1"))
+        out, skips = tmp_path / "out" / "o.jsonl", tmp_path / "out" / "skips.jsonl"
+        assert main(["ingest", "--root", str(packages), "--out", str(out),
+                     "--skip-log", str(skips), "--workers", str(workers)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+        assert [json.loads(line) for line in jsonl_lines(skips)] == [
+            {"pmcid": "PMC\\xff1", "reason": "undecodable_name"}]
+        counters = json.loads(Path(str(out) + ".manifest.json").read_text())["counters"]
+        assert counters["skip_reason_undecodable_name"] == counters["skipped_malformed"] == 1
+        assert counters["articles_seen"] == 4
+        assert real_pool == ([2] if workers == 2 else [])
 
     def test_empty_root_gives_empty_output(self, tmp_path):
         root = tmp_path / "root"

@@ -14,6 +14,7 @@ sidecars removed (layout-inferred panels).
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,17 +34,24 @@ from figurelink.vision.images import RasterImage, load_image, save_image
 # searched the whole image tree by stem and cut PMC1001's figure from the
 # mirrored decoy. The new crops digest is the old code's on this run with
 # the decoy renamed, so that no stem repeats.
+# Re-pinned when crops were named by position, <article>_<figure>_<pair>,
+# not from the pmcid, fig_id and label strings: only the crop file names
+# and the panel_path values moved. crop_contents, which digests each
+# pair's crop bytes by its (pmcid, fig_id, label) and not by file name, was
+# computed before that change, and shows that no pixel moved.
 PINNED = {
     "corpus.jsonl":
         "5622be61509e231c746f012705cb01abcc9eaceb9c0f1eba2b0a55c0ad33f3cd",
     "skips.jsonl":
         "a3b03cbddf6306d580e937a1abe14c08d6b1a1c50984536b17be745b08a87a16",
     "fine_pairs.jsonl":
-        "fd67a42b4717b541f6ca7e934ce25c1c5fa0c5c5bc99ac2c86d5901c05846308",
+        "d863c447626c41315178c6a42b8f279426b0cb05de93d2f336dffb7d0b685c23",
     "audit.jsonl":
         "4a9575ba8add8019a3453cb077e761415798395489439dca712989a05053f3f3",
     "crops":
-        "fae0c981f8ab74d7e4d6d4e45a6f2cf64741ac1d559fe8bc09649e4cf384761c",
+        "6f34858f15b962ac3f52affadc4c9313cab4be8ff6940f86ad8a1698c9e2b396",
+    "crop_contents":
+        "a19f7add7f59e0f4621ebe837484ac257779beae77821f35d95e9a44754e36c3",
 }
 
 
@@ -78,19 +86,27 @@ def run(tmp_path_factory):
 
 
 def digests(out, fine) -> dict[str, str]:
+    raw_pairs = (fine / "fine_pairs.jsonl").read_bytes()
     # panel_path embeds --out-dir; strip it so the digest is location-free
-    pairs = (fine / "fine_pairs.jsonl").read_bytes()
-    pairs = pairs.replace((str(fine) + "/").encode(), b"")
+    pairs = raw_pairs.replace((str(fine) + "/").encode(), b"")
     crops = hashlib.sha256()
     for path in sorted((fine / "crops").iterdir()):
         crops.update(path.name.encode() + b"\0")
         crops.update(_sha(path.read_bytes()).encode())
+    # The crop of each pair by what the pair is, not by its file name.
+    contents = hashlib.sha256()
+    for line in raw_pairs.split(b"\n")[:-1]:
+        pair = json.loads(line)
+        crop = _sha(Path(pair["panel_path"]).read_bytes())
+        contents.update(json.dumps([pair["pmcid"], pair["fig_id"], pair["label"], crop])
+                        .encode() + b"\n")
     return {
         "corpus.jsonl": _sha((out / "corpus.jsonl").read_bytes()),
         "skips.jsonl": _sha((out / "skips.jsonl").read_bytes()),
         "fine_pairs.jsonl": _sha(pairs),
         "audit.jsonl": _sha((fine / "audit.jsonl").read_bytes()),
         "crops": crops.hexdigest(),
+        "crop_contents": contents.hexdigest(),
     }
 
 
