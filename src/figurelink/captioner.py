@@ -100,10 +100,10 @@ def _boundary_ok(caption: str, start: int, end: int, name: str) -> bool:
 
 def _find_markers(caption: str):
     found = []
-    taken = []
+    taken = bytearray(len(caption))  # 1 at each position a marker holds
     for name, pattern in _PATTERNS:
         for m in pattern.finditer(caption):
-            if any(m.start() < e and s < m.end() for s, e in taken):
+            if 1 in taken[m.start():m.end()]:
                 continue
             if not _boundary_ok(caption, m.start(), m.end(), name):
                 continue
@@ -118,7 +118,7 @@ def _find_markers(caption: str):
                     continue
                 labels = [lab]
             found.append((m.start(), m.end(), labels))
-            taken.append((m.start(), m.end()))
+            taken[m.start():m.end()] = b"\x01" * (m.end() - m.start())
     found.sort()
     return found
 
@@ -171,11 +171,10 @@ def split_sentences(text: str) -> list[str]:
     """Sentence boundaries: '.', '!' or '?' followed by whitespace and an
     uppercase letter, unless the preceding token is a known abbreviation."""
     boundaries = [0]
-    for m in re.finditer(r"[.!?](?=\s+[A-Z])", text):
-        prev = re.search(r"(\S+)$", text[: m.end()])
-        if prev and prev.group(1) in SENTENCE_ABBREVIATIONS:
-            continue
-        boundaries.append(m.end())
+    # Each match is the whole token that ends at a boundary.
+    for m in re.finditer(r"(?<!\S)\S*[.!?](?=\s+[A-Z])", text):
+        if m.group() not in SENTENCE_ABBREVIATIONS:
+            boundaries.append(m.end())
     boundaries.append(len(text))
     sentences = []
     for a, b in zip(boundaries, boundaries[1:]):

@@ -152,9 +152,9 @@ def cmd_ingest(args, cfg):
 def cmd_finegrain(args, cfg):
     out_dir = Path(args.out_dir)
     # A first pass checks every line, so a malformed corpus fails with one
-    # error and no output; a second streams the articles, each a
-    # (pmcid, pmid, figures, paragraphs) tuple whose figures name their
-    # image files, numbered here so that crop names do not depend on the pool.
+    # error and no output; a second streams the articles, whose figures name
+    # their image files, numbered here so that crop names do not depend on
+    # the pool.
     for _ in read_corpus(args.corpus):
         pass
     run = FinegrainRun(Path(args.images_root), out_dir / "crops",
@@ -173,7 +173,7 @@ def cmd_finegrain(args, cfg):
         results = ordered_map(functools.partial(finegrain_article, run),
                               enumerate(read_corpus(args.corpus)), args.workers,
                               files=lambda item: [run.images_root / fig.image
-                                                  for fig in item[1][2]],
+                                                  for fig in item[1].figures],
                               bytes_per_process=IMAGE_BYTES_PER_PROCESS)
         for pair_lines, audit_lines, deltas, seconds in results:
             for line in pair_lines:
@@ -208,7 +208,7 @@ def _finegrain_counters() -> dict[str, int]:
 
 def finegrain_article(run: FinegrainRun, item):
     """Split one article, item = (a, article) with a its corpus ordinal and
-    article a checked line as read_corpus yields it, into fine-grained pairs.
+    article the ArticleRecord read_corpus yields, into fine-grained pairs.
 
     Returns (pair_lines, audit_lines, counters, stage_seconds): the lines
     for fine_pairs.jsonl and audit.jsonl, this article's share of the
@@ -223,15 +223,16 @@ def finegrain_article(run: FinegrainRun, item):
 
     _bind(_VISION)
     counters = _finegrain_counters()
-    a, (pmcid, _, figures, paragraphs) = item
+    a, article = item
+    pmcid = article.pmcid
     timer = StageTimer()
     pair_lines, audit = [], []
 
     with timer.stage("match"):
         citances_by_fig: dict[str, list] = {}
-        for citance in captioner.extract_citances(paragraphs, figures):
+        for citance in captioner.extract_citances(article.body_paragraphs, article.figures):
             citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
-    for f, fig in enumerate(figures):
+    for f, fig in enumerate(article.figures):
         counters["figures"] += 1
         try:
             with timer.stage("decode"):
@@ -245,9 +246,11 @@ def finegrain_article(run: FinegrainRun, item):
             boxes = []
             if run.ocr_dir is not None:
                 with timer.stage("resolve"):
+                    # A sidecar lies in --ocr-dir itself: a "/" names none.
                     ocr_path = run.ocr_dir / f"{fig.graphic_ref}.json"
                     try:
-                        boxes = load_ocr_file(ocr_path) if ocr_path.is_file() else []
+                        boxes = (load_ocr_file(ocr_path) if "/" not in fig.graphic_ref
+                                 and ocr_path.is_file() else [])
                     except (OSError, ValueError, KeyError):
                         counters["unreadable_ocr"] += 1
                         audit.append(AuditEntry("unreadable_ocr", pmcid, fig.fig_id))

@@ -131,7 +131,8 @@ def _process_package(package: ArticlePackage):
         return ("skip", package.pmcid, SKIP_MISSING_MEDIA)
     for fig in resolved:
         fig.image = f"{package.pmcid}/{package.image_names[fig.graphic_ref]}"
-    return ("ok", package.pmcid, corpus_line(record, resolved), len(resolved), fig_skips)
+    record.figures = resolved
+    return ("ok", package.pmcid, corpus_line(record), len(resolved), fig_skips)
 
 
 def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> IngestReport:

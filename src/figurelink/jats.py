@@ -9,10 +9,9 @@ bytes; safe to call concurrently.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
 from xml.etree import ElementTree
 
-from .corpus import FigureEntry
+from .corpus import ArticleRecord, FigureEntry
 
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
 
@@ -34,16 +33,6 @@ class MissingPmcid(ValueError):
 
 class NoFigures(ValueError):
     pass
-
-
-@dataclass
-class ArticleRecord:
-    pmcid: str
-    pmid: str | None
-    figures: list[FigureEntry]
-    body_paragraphs: list[str]
-    # (fig_id, reason) for figure elements that could not become entries
-    dropped_figures: list[tuple[str, str]] = field(default_factory=list)
 
 
 def normalize_text(text: str) -> str:
@@ -69,27 +58,18 @@ def _graphic_href(elem) -> str | None:
     return stem or None
 
 
-@dataclass(slots=True)
-class _Fig:
-    """A fig element outside every table-wrap, with the first non-empty
-    label and caption and the first usable graphic in its whole subtree."""
-
-    fig_id: str | None
-    label: str | None = None
-    caption: str = ""
-    graphic: str | None = None
-
-
 class _Walk:
     """One pre-order pass over the tree that gathers everything
     parse_article reads: the last non-empty pmcid and pmid article-ids,
-    the figures, and the paragraphs of the first body element."""
+    the figures, and the paragraphs of the first body element. A figure is
+    a fig element outside every table-wrap, with the first non-empty label
+    and caption and the first usable graphic (else None) in its subtree."""
 
     def __init__(self):
         self.local_names: dict = {}
         self.pmcid = None
         self.pmid = None
-        self.figs: list[_Fig] = []
+        self.figs: list[FigureEntry] = []
         self.paragraphs: list[str] = []
         self.body_found = False
 
@@ -114,20 +94,20 @@ class _Walk:
                 for f in pending:
                     f.caption = text
         elif tag == "label":
-            pending = [f for f in open_figs if f.label is None]
+            pending = [f for f in open_figs if f.label_text is None]
             if pending:
                 text = _element_text(elem) or None
                 for f in pending:
-                    f.label = text
+                    f.label_text = text
         elif tag == "graphic":
-            pending = [f for f in open_figs if f.graphic is None]
+            pending = [f for f in open_figs if f.graphic_ref is None]
             if pending:
                 ref = _graphic_href(elem)
                 for f in pending:
-                    f.graphic = ref
+                    f.graphic_ref = ref
         elif tag == "fig":
             if not in_table:
-                fig = _Fig(elem.get("id"))
+                fig = FigureEntry(elem.get("id"), "", None)
                 self.figs.append(fig)
                 open_figs += (fig,)
         elif tag == "table-wrap":
@@ -174,13 +154,13 @@ def parse_article(xml_bytes: bytes) -> ArticleRecord:
         fig_id = fig.fig_id or ""
         if not fig_id or fig_id in seen_ids:
             dropped.append((fig_id, DROP_NO_ID))
-        elif fig.graphic is None:
+        elif fig.graphic_ref is None:
             dropped.append((fig_id, DROP_NO_GRAPHIC))
         elif len(fig.caption) < MIN_CAPTION_CHARS:
             dropped.append((fig_id, DROP_EMPTY_CAPTION))
         else:
             seen_ids.add(fig_id)
-            figures.append(FigureEntry(fig_id, fig.caption, fig.graphic, fig.label))
+            figures.append(fig)
     if not figures:
         raise NoFigures(walk.pmcid)
 

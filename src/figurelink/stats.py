@@ -111,8 +111,8 @@ def corpus_stats(pairs_jsonl, images_root=None) -> StatsReport:
     token_counts, widths, heights, min_sides = Counter(), Counter(), Counter(), Counter()
     unreadable = 0
 
-    for _, _, figures, _ in read_corpus(pairs_jsonl):
-        for fig in figures:
+    for article in read_corpus(pairs_jsonl):
+        for fig in article.figures:
             token_counts[len(fig.caption.split())] += 1
             if root is None:
                 continue

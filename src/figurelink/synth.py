@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import FigureEntry, corpus_line
-from .jats import ArticleRecord
+from .corpus import ArticleRecord, FigureEntry, corpus_line
 from .vision.images import RasterImage, save_image
 from .vision.match import OcrBox
 from .vision.ocr import save_ocr_file
@@ -238,8 +237,8 @@ def make_stats_corpus(root, n_pairs: int = 1000, n_images: int = 120,
             img = int(rng.integers(n_images))
             figures.append(FigureEntry(f"fig{j}", caption, f"img{img:04d}",
                                        image=f"img{img:04d}.pgm"))
-        record = ArticleRecord(f"PMC{20_000 + a}", str(10_000 + a), figures, [])
-        lines.append(corpus_line(record, figures))
+        lines.append(corpus_line(ArticleRecord(f"PMC{20_000 + a}", str(10_000 + a),
+                                               figures, [])))
     jsonl_path.write_text("\n".join(lines) + "\n")
     return StatsTruth(jsonl_path, images_dir)
 

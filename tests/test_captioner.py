@@ -1,11 +1,16 @@
 """Caption splitting, sentence segmentation, and citance extraction."""
 
+import re
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from figurelink import captioner
 from figurelink.captioner import (
+    SENTENCE_ABBREVIATIONS,
     Citance,
     canonical_label,
     extract_citances,
@@ -197,6 +202,74 @@ class TestSentences:
         assert len(split_sentences("Is it real? It is! Confirmed.")) == 3
 
 
+# ------------------------------------------------------------ references
+# Frozen copies of split_sentences and _find_markers as they stood when each
+# rescanned its input per match: a prefix copy per sentence boundary, and a
+# test against every span taken so far per marker.
+
+def reference_split_sentences(text: str) -> list[str]:
+    boundaries = [0]
+    for m in re.finditer(r"[.!?](?=\s+[A-Z])", text):
+        prev = re.search(r"(\S+)$", text[: m.end()])
+        if prev and prev.group(1) in SENTENCE_ABBREVIATIONS:
+            continue
+        boundaries.append(m.end())
+    boundaries.append(len(text))
+    sentences = []
+    for a, b in zip(boundaries, boundaries[1:]):
+        s = text[a:b].strip()
+        if s:
+            sentences.append(s)
+    return sentences
+
+
+def reference_find_markers(caption: str):
+    found = []
+    taken = []
+    for name, pattern in captioner._PATTERNS:
+        for m in pattern.finditer(caption):
+            if any(m.start() < e and s < m.end() for s, e in taken):
+                continue
+            if not captioner._boundary_ok(caption, m.start(), m.end(), name):
+                continue
+            groups = m.groupdict()
+            if "lo" in groups and groups.get("lo") is not None:
+                labels = captioner._expand_range(groups["lo"], groups["hi"])
+                if labels is None:
+                    continue
+            else:
+                lab = canonical_label(groups["tok"])
+                if lab is None:
+                    continue
+                labels = [lab]
+            found.append((m.start(), m.end(), labels))
+            taken.append((m.start(), m.end()))
+    found.sort()
+    return found
+
+
+# Text built from sentence ends, abbreviations, capitals and Unicode
+# whitespace, so that boundaries, abbreviations and near-misses meet.
+_SENTENCE_PIECES = st.one_of(
+    st.sampled_from(sorted(SENTENCE_ABBREVIATIONS)),
+    st.sampled_from(["end.", "Yes!", "Why?", ".", "!?", "x.y.", "A", "Zed", "b", "é", "1."]),
+    st.sampled_from([" ", "  ", "\n", "\t", "\u00a0", "\u2003", "\x1c"]),
+    st.text(max_size=5),
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_SENTENCE_PIECES, max_size=30).map("".join))
+    def test_split_sentences(self, text):
+        assert split_sentences(text) == reference_split_sentences(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_CAPTION_PIECES, max_size=30).map("".join))
+    def test_find_markers(self, caption):
+        assert captioner._find_markers(caption) == reference_find_markers(caption)
+
+
 class TestCitances:
     FIGS = [FigureEntry("f1", "c", "g1", label_text="Figure 1"),
             FigureEntry("f2", "c", "g2", label_text="Figure 2")]
@@ -241,6 +314,15 @@ class TestCitances:
         paragraphs = [f"Seen (Fig. 1{huge}).", f"Seen (Figs. 2-{huge}).", f"Seen (Fig. {huge}B)."]
         assert [(c.target_fig_id, c.label_refs) for c in extract_citances(paragraphs, figs)] \
             == [("f2", []), ("fx", []), ("fx", ["B"])]
+
+    def test_one_long_paragraph_takes_linear_time(self):
+        # 2000 cited sentences, ~69 KB, in one paragraph: a rescan of the
+        # text before each sentence boundary took over 3 s on it.
+        paragraph = " ".join(f"Cells grew in Fig. {1 + i % 2}B on day {i}." for i in range(2000))
+        start = time.perf_counter()
+        cites = extract_citances([paragraph], self.FIGS)
+        assert time.perf_counter() - start < 1.0
+        assert len(cites) == 2000 and cites[-1].sentence == "Cells grew in Fig. 2B on day 1999."
 
     def test_split_citances_routing(self):
         cites = [

@@ -15,12 +15,6 @@ IMAGE_PATHS = st.lists(FILE_TEXTS.map(lambda text: text.replace("/", "").replace
                        min_size=1, max_size=3).map("/".join)
 
 
-def fields(pmcid, pmid, figures, paragraphs):
-    return (pmcid, pmid,
-            [(f.fig_id, f.graphic_ref, f.image, f.caption, f.label_text) for f in figures],
-            paragraphs)
-
-
 @pytest.fixture(scope="module")
 def path(tmp_path_factory):
     return tmp_path_factory.mktemp("codec") / "corpus.jsonl"
@@ -30,6 +24,5 @@ def path(tmp_path_factory):
 @given(st.lists(records(FILE_TEXTS, IMAGE_PATHS), max_size=3))
 def test_read_corpus_returns_what_corpus_line_wrote(path, articles):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(corpus_line(a, a.figures) + "\n" for a in articles)
-    assert [fields(*line) for line in read_corpus(path)] == [
-        fields(a.pmcid, a.pmid, a.figures, a.body_paragraphs) for a in articles]
+        fh.writelines(corpus_line(a) + "\n" for a in articles)
+    assert list(read_corpus(path)) == articles

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from figurelink import cli
 from figurelink.cli import main
 from figurelink.corpus import read_corpus
+from figurelink.synth import make_corpus
 from figurelink.vision import finegrain
 from figurelink.vision.images import RasterImage, save_image
 from figurelink.vision.match import OcrBox
@@ -214,3 +215,25 @@ def test_failed_crop_write_exits_1_with_no_pairs_file(inputs, tmp_path, capsys, 
         "error: OSError: [Errno 28] No space left on device"]
     assert not (out / "fine_pairs.jsonl").exists()
     assert not (out / "audit.jsonl").exists()
+
+
+def test_sidecar_outside_ocr_dir_is_not_read(tmp_path):
+    """A graphic_ref holding a "/" names no OCR sidecar, as when the sidecar
+    is absent: one reached through "../" from --ocr-dir is not read, so its
+    figure's panels are matched by layout, not by OCR."""
+    truth = make_corpus(tmp_path / "in", 6, seed=5)
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["ingest", "--root", str(truth.packages_dir), "--out", str(corpus),
+                 "--workers", "1"]) == 0
+    (tmp_path / "side").mkdir()
+    (truth.ocr_dir / "pmc1000_fig1.json").rename(tmp_path / "side" / "pmc1000_fig1.json")
+    corpus.write_text(corpus.read_text(encoding="utf-8").replace(
+        '"graphic_ref": "pmc1000_fig1"', '"graphic_ref": "../../side/pmc1000_fig1"'),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["finegrain", "--corpus", str(corpus), "--images-root",
+                 str(truth.packages_dir), "--ocr-dir", str(truth.ocr_dir),
+                 "--out-dir", str(out), "--workers", "1"]) == 0
+    pairs = [json.loads(line) for line in jsonl_lines(out / "fine_pairs.jsonl")]
+    evidence = [p["evidence"] for p in pairs if (p["pmcid"], p["fig_id"]) == ("PMC1000", "fig1")]
+    assert evidence == ["layout_inferred"] * 5

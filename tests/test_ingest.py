@@ -456,7 +456,7 @@ class TestCorpusLine:
                         for f in record.figures],
             "body_paragraphs": record.body_paragraphs,
         }
-        line = corpus_line(record, record.figures)
+        line = corpus_line(record)
         assert line == json.dumps(obj, ensure_ascii=False, sort_keys=False)
 
 
