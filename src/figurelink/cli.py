@@ -15,13 +15,14 @@ work needs.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import importlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -246,14 +247,16 @@ def finegrain_article(run: FinegrainRun, item):
             boxes = []
             if run.ocr_dir is not None:
                 with timer.stage("resolve"):
-                    # A sidecar lies in --ocr-dir itself: a "/" names none.
+                    # A sidecar lies in --ocr-dir itself: a "/" names none,
+                    # nor does a name too long for the OS.
                     ocr_path = run.ocr_dir / f"{fig.graphic_ref}.json"
                     try:
                         boxes = (load_ocr_file(ocr_path) if "/" not in fig.graphic_ref
                                  and ocr_path.is_file() else [])
-                    except (OSError, ValueError, KeyError):
-                        counters["unreadable_ocr"] += 1
-                        audit.append(AuditEntry("unreadable_ocr", pmcid, fig.fig_id))
+                    except (OSError, ValueError, KeyError) as exc:
+                        if getattr(exc, "errno", None) != errno.ENAMETOOLONG:
+                            counters["unreadable_ocr"] += 1
+                            audit.append(AuditEntry("unreadable_ocr", pmcid, fig.fig_id))
             with timer.stage("split"):
                 panels = split_panels(image, run.cfg)
             with timer.stage("match"):
@@ -412,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--ann", action="store_true", help="also report ANN measured recall")
-    p.add_argument("--ann-n-lists", type=int, default=None)
-    p.add_argument("--ann-n-probe", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_retrieval)
 
@@ -441,8 +442,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = load_config(args.config, {
-            f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)})
+        cfg = load_config(args.config)
         workers = getattr(args, "workers", 1)
         if not 1 <= workers <= MAX_WORKERS:
             raise ConfigError(f"workers={workers} outside [1, {MAX_WORKERS}]")

@@ -1,5 +1,5 @@
-"""Flat key=value configuration with comments; CLI flags override file
-values. Unknown keys are rejected.
+"""Flat key=value configuration with comments, read from `--config`, the
+only source of settings. Unknown keys are rejected.
 
 PipelineConfig holds every setting that decides a command's outputs, and
 is the only place their defaults are written; its canonical text is what
@@ -80,8 +80,8 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
-    """Read a config file (key=value lines, # comments) and apply overrides."""
+def load_config(path=None) -> PipelineConfig:
+    """Read a config file (key=value lines, # comments) over the defaults."""
     cfg = PipelineConfig()
     if path is not None:
         try:
@@ -98,9 +98,4 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
             setattr(cfg, key, _parse_value(key, raw))
-    for key, value in (overrides or {}).items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        if value is not None:
-            setattr(cfg, key, value)
     return cfg.validate()

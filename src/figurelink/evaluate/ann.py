@@ -3,7 +3,8 @@
 A partition (inverted-file) index: rows are clustered by spherical k-means
 and a query probes only the n_probe nearest clusters, whose rows
 `exact_topk_batch` ranks and scores as `exact_topk` does. With n_probe >=
-n_lists the search is exhaustive and matches exact_topk entry for entry.
+n_lists every row is a candidate, so the search matches exact_topk entry
+for entry.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 import numpy as np
 
 from ..config import PipelineConfig
-from .retrieval import exact_topk, exact_topk_batch
+# exact_topk stays importable here: perfbench/op.py times it under this name.
+from .retrieval import exact_topk, exact_topk_batch  # noqa: F401
 from .store import EmbeddingStore
 
 KMEANS_ITERS = 10
@@ -67,20 +69,12 @@ class AnnIndex:
         self.n_lists = k
         return self
 
-    @property
-    def exhaustive(self) -> bool:
-        if self._store is None:
-            raise IndexNotBuilt("call build() first")
-        return self.cfg.ann_n_probe >= self.n_lists
-
     def search(self, query: np.ndarray, k: int):
         """Top-k candidates ranked by exact similarity within probed lists."""
         if self._store is None:
             raise IndexNotBuilt("call build() first")
         store = self._store
         query = np.asarray(query, dtype=np.float64).ravel()
-        if self.exhaustive:
-            return exact_topk(query, store, min(k, store.n))
         probe = min(self.cfg.ann_n_probe, self.n_lists)
         centroid_sims = self._centroids @ query
         probed = np.argsort(-centroid_sims)[:probe]

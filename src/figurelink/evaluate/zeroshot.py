@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .store import EmbeddingStore
+from .store import UNIT_NORM_TOL, EmbeddingStore
 
 
 class EmbedderFailure(RuntimeError):
@@ -41,7 +41,7 @@ class TaxonomyKeyword:
     def __post_init__(self):
         v = np.asarray(self.keyword_embedding, dtype=np.float64).ravel()
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError("keyword embedding must be unit norm")
         self.keyword_embedding = v
 

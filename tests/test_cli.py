@@ -1,5 +1,6 @@
 """End-to-end command-line runs and config handling."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -7,13 +8,14 @@ import os
 import shutil
 import struct
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from figurelink.captioner import split_caption
-from figurelink.cli import main
+from figurelink.cli import build_parser, main
 from figurelink.config import ConfigError, PipelineConfig, load_config
 from figurelink.evaluate.store import (
     MODALITY_IMAGE,
@@ -565,15 +567,17 @@ class TestRetrievalCommand:
         assert fwd["recall@10"] >= fwd["recall@1"] > 0.8
         assert payload["ann_measured_recall@10"] >= 0.9
 
-    @pytest.mark.parametrize("ann", [[], ["--ann", "--ann-n-probe", "3"]])
+    @pytest.mark.parametrize("ann", [False, True], ids=["exact", "ann"])
     def test_manifest_counters(self, tmp_path, capsys, ann):
         images, texts, _ = paired_stores(np.random.default_rng(5), 50, 8)
         qpath, tpath = tmp_path / "q.emb", tmp_path / "t.emb"
         write_store(qpath, images)
         write_store(tpath, texts)
+        (tmp_path / "ann.cfg").write_text("ann_n_probe = 3\n")
         out = tmp_path / "r.json"
         assert main(["retrieval", "--queries", str(qpath), "--targets", str(tpath),
-                     "--out", str(out), *ann]) == 0
+                     "--out", str(out), "--config", str(tmp_path / "ann.cfg"),
+                     *(["--ann"] if ann else [])]) == 0
         counters = json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
         expected = {"n_queries": 50, "n_targets": 50, "dim": 8}
         if ann:  # n_lists is the built value: ceil(sqrt(50)) lists
@@ -651,6 +655,19 @@ class TestParser:
 
     def test_unknown_flag_exits_2(self):
         assert main(["stats", "--pairs", "x", "--bogus"]) == 2
+
+    def test_no_option_names_a_config_field(self):
+        """Settings come from --config alone: no option stands in for a key."""
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for p in [parser, *sub.choices.values()] for action in p._actions}
+        assert dests.isdisjoint(f.name for f in fields(PipelineConfig))
+
+    def test_ann_n_probe_flag_is_a_usage_error(self, capsys):
+        assert main(["retrieval", "--queries", "q.emb", "--targets", "t.emb", "--ann",
+                     "--ann-n-probe", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments: --ann-n-probe 3" in err
 
 
 GOOD_CLASSES = [{"class_name": "mri", "prompt_templates": ["an image of {}"]},

@@ -526,7 +526,7 @@ class TestOneScoringRule:
             best = retrieval.exact_topk_batch(queries, store, k)
         index = AnnIndex(PipelineConfig(ann_n_lists=store.n,
                                         ann_n_probe=store.n // 2)).build(store)
-        assert not index.exhaustive
+        assert index.cfg.ann_n_probe < index.n_lists
         for q, hits, top in zip(queries, everything, best):
             assert exact_topk(q, store, store.n) == hits
             assert top == hits[:k]
@@ -544,7 +544,7 @@ class TestAnn:
             [f"v{i:03d}" for i in range(80)], rng.standard_normal((80, 6)),
             MODALITY_TEXT)
         index = AnnIndex(PipelineConfig(ann_n_lists=4, ann_n_probe=4)).build(store)
-        assert index.exhaustive
+        assert index.cfg.ann_n_probe >= index.n_lists
         for _ in range(10):
             q = rng.standard_normal(6)
             assert index.search(q, 7) == exact_topk(q, store, 7)

@@ -139,10 +139,11 @@ def test_any_strings_give_each_figure_a_pair_or_an_audit_line(inputs, articles):
         run_finegrain(articles, inputs, Path(work))
 
 
-# Corpora that each made finegrain exit 1, or write one crop over another,
-# before crops were named by position and each figure had one fault path,
-# with the crop names or the audit line the second article now gets. Every
-# row starts with a plain article, so that two workers start a pool.
+# Corpora that each made finegrain exit 1, write one crop over another or
+# audit a sidecar that is not there, before crops were named by position and
+# each figure had one fault path, with the crop names or the audit line the
+# second article now gets. Every row starts with a plain article, so that two
+# workers start a pool.
 PLAIN = article("PMC0", figure("fig1"))
 TWO_CROPS = ["1_0_0.pgm", "1_0_1.pgm"]
 NAMED_ROWS = {
@@ -158,6 +159,8 @@ NAMED_ROWS = {
     "empty_caption": ([PLAIN, article("PMC1", figure("fig1", caption=""))], "figure_fault"),
     "image_name_of_300_bytes": ([PLAIN, article("PMC1", figure("fig1", image=LONG_NAME))],
                                 "missing_image"),
+    "graphic_ref_of_300_bytes": ([PLAIN, article("PMC1", figure("fig1", graphic_ref="x" * 300))],
+                                 TWO_CROPS),
 }
 
 

@@ -150,10 +150,11 @@ def test_traced_retrieval_records_evaluate_spans(tmp_path):
     images, texts, _ = paired_stores(np.random.default_rng(0), 300, 8)
     write_store(tmp_path / "q.emb", images)
     write_store(tmp_path / "t.emb", texts)
+    (tmp_path / "ann.cfg").write_text("ann_n_probe = 3\n")
     spans = tmp_path / "spans.json"
     run = python(str(OP), "--spans", str(spans), "cli", "retrieval",
                  "--queries", str(tmp_path / "q.emb"), "--targets", str(tmp_path / "t.emb"),
-                 "--ann", "--ann-n-probe", "3", "--out", str(tmp_path / "r.json"))
+                 "--ann", "--config", str(tmp_path / "ann.cfg"), "--out", str(tmp_path / "r.json"))
     assert run.returncode == 0, run.stderr
     names = {s["name"] for s in json.loads(spans.read_text())["spans"] if s}
     assert {"evaluate.recall_at_k", "evaluate.ann_build", "evaluate.ann_search",

@@ -160,9 +160,10 @@ def embed_reports(tmp_path_factory):
         [{"type_name": t, "keywords": kws} for t, kws in (
             ("plot", ["bar chart", "line plot"]), ("micro", ["microscopy"]),
             ("radio", ["x-ray", "mri scan", "ct slice"]))]))
+    (root / "ann.cfg").write_text("ann_n_probe = 5\n")
     argv = {
         "retrieval.json": ["retrieval", "--queries", img, "--targets", txt, "--ann",
-                           "--ann-n-probe", "5"],
+                           "--config", str(root / "ann.cfg")],
         "zeroshot.json": ["zeroshot", "--images", img, "--classes", str(root / "classes.json"),
                           "--labels", str(root / "labels.json")],
         "census.json": ["census", "--images", img, "--taxonomy", str(root / "taxonomy.json")],
