@@ -106,12 +106,8 @@ def _write_manifest(out_path, cfg, inputs: list, counters: dict,
                        [json.dumps(manifest, indent=1, sort_keys=True)])
 
 
-def _emit_report(obj: dict, out: str | None, pretty: bool) -> None:
-    if pretty:
-        width = max((len(k) for k in obj), default=0)
-        text = "\n".join(f"{k.ljust(width)}  {json.dumps(v)}" for k, v in obj.items())
-    else:
-        text = json.dumps(obj, indent=1, sort_keys=True)
+def _emit_report(obj: dict, out: str | None) -> None:
+    text = json.dumps(obj, indent=1, sort_keys=True)
     if out:
         atomic_write_lines(out, [text])
     else:
@@ -380,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", dest="report_out", default=None)
-        p.add_argument("--pretty", action="store_true")
 
     workers = min(os.cpu_count() or 1, MAX_WORKERS)
 
@@ -391,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=workers,
                    help=WORKERS_HELP % f"{XML_BYTES_PER_PROCESS >> 20} MB of XML")
     p.add_argument("--config", default=None)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("finegrain", help="split figures/captions into fine-grained pairs")
@@ -402,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=workers,
                    help=WORKERS_HELP % f"{IMAGE_BYTES_PER_PROCESS >> 20} MB of image files")
     p.add_argument("--config", default=None)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_finegrain)
 
     p = sub.add_parser("stats", help="corpus caption/image statistics")
@@ -447,7 +440,7 @@ def main(argv=None) -> int:
         if not 1 <= workers <= MAX_WORKERS:
             raise ConfigError(f"workers={workers} outside [1, {MAX_WORKERS}]")
         report, manifest_path, inputs, counters, *stages = args.func(args, cfg)
-        _emit_report(report, getattr(args, "report_out", None), args.pretty)
+        _emit_report(report, getattr(args, "report_out", None))
         if manifest_path is not None:
             _write_manifest(manifest_path, cfg, inputs, counters, *stages)
         return EXIT_OK

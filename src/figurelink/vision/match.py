@@ -3,7 +3,8 @@
 Labels first bind to OCR boxes by exact text or via a fixed confusion table
 for common OCR misreads; label boxes then bind to panels by containment,
 with gutter boxes falling back to the nearest panel top-left corner and
-boxless labels inferred by reading order when counts line up.
+boxless labels inferred by reading order when counts line up. Conflicts go
+to the better evidence, exact before fuzzy, and then to the earlier label.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ EVIDENCE_EXACT = "ocr_exact"
 EVIDENCE_FUZZY = "ocr_fuzzy"
 EVIDENCE_INFERRED = "layout_inferred"
 
-EXACT_SCORE = 1.0
-FUZZY_SCORE = 0.8
-INFERRED_SCORE = 0.5
+# OCR evidence tiers, best first: the sort key that settles conflicts.
+_OCR_RANK = (EVIDENCE_EXACT, EVIDENCE_FUZZY)
 
 MAX_LABEL_TOKEN_CHARS = 3
 
@@ -49,7 +49,6 @@ class OcrBox:
 @dataclass
 class BoxMatch:
     box: OcrBox
-    score: float
     evidence: str
 
 
@@ -58,7 +57,6 @@ class LabelAssignment:
     label: str
     panel: PanelBox
     evidence: str
-    score: float
 
 
 def _normalize_token(text: str) -> str:
@@ -71,24 +69,24 @@ def _confusable(a: str, b: str) -> bool:
     return a == b or b in _CONFUSABLE.get(a, ())
 
 
-def match_score(label: str, box_text: str) -> float:
-    """Similarity of a canonical label to one OCR token; 0 means no match."""
+def match_evidence(label: str, box_text: str) -> str | None:
+    """How one OCR token matches a canonical label: exact, fuzzy or None."""
     if len(box_text.strip()) > MAX_LABEL_TOKEN_CHARS:
-        return 0.0
+        return None
     token = _normalize_token(box_text)
     if not token:
-        return 0.0
+        return None
     if token == label.upper():
-        return EXACT_SCORE
+        return EVIDENCE_EXACT
     if len(token) == len(label) and all(
         _confusable(lc, tc) for lc, tc in zip(label.upper(), token)
     ):
-        return FUZZY_SCORE
-    return 0.0
+        return EVIDENCE_FUZZY
+    return None
 
 
 def match_labels_to_boxes(labels: list[str], boxes: list[OcrBox]):
-    """Greedy best-score assignment of labels to OCR boxes.
+    """Greedy best-evidence assignment of labels to OCR boxes, exact first.
 
     Returns (assignments, deficit): a map label -> BoxMatch, and the labels
     that found no box. Each box is used at most once.
@@ -96,19 +94,17 @@ def match_labels_to_boxes(labels: list[str], boxes: list[OcrBox]):
     candidates = []
     for li, label in enumerate(labels):
         for bi, box in enumerate(boxes):
-            score = match_score(label, box.text)
-            if score > 0.0:
-                candidates.append((-score, li, bi))
+            evidence = match_evidence(label, box.text)
+            if evidence is not None:
+                candidates.append((_OCR_RANK.index(evidence), li, bi))
     candidates.sort()
     assignments: dict[str, BoxMatch] = {}
     used_boxes: set[int] = set()
-    for neg_score, li, bi in candidates:
+    for rank, li, bi in candidates:
         label = labels[li]
         if label in assignments or bi in used_boxes:
             continue
-        score = -neg_score
-        evidence = EVIDENCE_EXACT if score >= EXACT_SCORE else EVIDENCE_FUZZY
-        assignments[label] = BoxMatch(boxes[bi], score, evidence)
+        assignments[label] = BoxMatch(boxes[bi], _OCR_RANK[rank])
         used_boxes.add(bi)
     deficit = [lab for lab in labels if lab not in assignments]
     return assignments, deficit
@@ -143,7 +139,7 @@ def match_labels_to_panels(assignments: dict[str, BoxMatch],
     Cascade: (1) a label's box center inside a panel binds it; (2) a box in
     a gutter binds the panel with the nearest top-left corner; (3) leftover
     labels map onto leftover panels by reading order when counts agree.
-    Conflicts resolve toward the higher score; the loser falls through.
+    Conflicts go to the better evidence, exact before fuzzy; the loser falls through.
     Returns (label_assignments, unresolved_labels).
     """
     results: list[LabelAssignment] = []
@@ -151,13 +147,13 @@ def match_labels_to_panels(assignments: dict[str, BoxMatch],
     bound_labels: set[str] = set()
 
     with_boxes = [(lab, assignments[lab]) for lab in labels if lab in assignments]
-    # Containment stage, highest score first so conflicts resolve correctly.
-    with_boxes.sort(key=lambda kv: (-kv[1].score, labels.index(kv[0])))
+    # Containment stage, best evidence first so conflicts resolve correctly.
+    with_boxes.sort(key=lambda kv: (_OCR_RANK.index(kv[1].evidence), labels.index(kv[0])))
     gutter_queue: list[tuple[str, BoxMatch]] = []
     for label, bmatch in with_boxes:
         panel = _containing_panel(panels, bmatch.box.center)
         if panel is not None and id(panel) not in bound_panels:
-            results.append(LabelAssignment(label, panel, bmatch.evidence, bmatch.score))
+            results.append(LabelAssignment(label, panel, bmatch.evidence))
             bound_panels.add(id(panel))
             bound_labels.add(label)
         else:
@@ -168,7 +164,7 @@ def match_labels_to_panels(assignments: dict[str, BoxMatch],
         panel = _nearest_panel(panels, bmatch.box.center, bound_panels)
         if panel is None:
             continue
-        results.append(LabelAssignment(label, panel, bmatch.evidence, bmatch.score))
+        results.append(LabelAssignment(label, panel, bmatch.evidence))
         bound_panels.add(id(panel))
         bound_labels.add(label)
 
@@ -178,7 +174,7 @@ def match_labels_to_panels(assignments: dict[str, BoxMatch],
     unresolved: list[str] = []
     if free_labels and len(free_labels) == len(free_panels):
         for label, panel in zip(free_labels, free_panels):
-            results.append(LabelAssignment(label, panel, EVIDENCE_INFERRED, INFERRED_SCORE))
+            results.append(LabelAssignment(label, panel, EVIDENCE_INFERRED))
             bound_labels.add(label)
     else:
         unresolved = free_labels

@@ -663,6 +663,14 @@ class TestParser:
         dests = {action.dest for p in [parser, *sub.choices.values()] for action in p._actions}
         assert dests.isdisjoint(f.name for f in fields(PipelineConfig))
 
+    def test_no_pretty_report_format(self):
+        """Every report is the one sorted-JSON format: no subcommand has --pretty."""
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, p in sub.choices.items():
+            assert not any("--pretty" in a.option_strings for a in p._actions), name
+        assert main(["stats", "--pairs", "x.jsonl", "--pretty"]) == 2
+
     def test_ann_n_probe_flag_is_a_usage_error(self, capsys):
         assert main(["retrieval", "--queries", "q.emb", "--targets", "t.emb", "--ann",
                      "--ann-n-probe", "3"]) == 2

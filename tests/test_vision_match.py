@@ -2,40 +2,43 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from figurelink.vision import match
 from figurelink.vision.match import (
     EVIDENCE_EXACT,
     EVIDENCE_FUZZY,
     EVIDENCE_INFERRED,
     OcrBox,
+    match_evidence,
     match_labels_to_boxes,
     match_labels_to_panels,
-    match_score,
 )
 from figurelink.jsonshape import MalformedJson
 from figurelink.vision.ocr import boxes_from_obj, load_ocr_file, save_ocr_file
 from figurelink.vision.split import PanelBox
 
 
-class TestMatchScore:
+class TestMatchEvidence:
     def test_exact_after_canonicalization(self):
-        assert match_score("A", "A") == 1.0
-        assert match_score("A", "a") == 1.0
-        assert match_score("B", " B ") == 1.0
+        assert match_evidence("A", "A") == EVIDENCE_EXACT
+        assert match_evidence("A", "a") == EVIDENCE_EXACT
+        assert match_evidence("B", " B ") == EVIDENCE_EXACT
 
     def test_confusion_pairs(self):
-        assert match_score("B", "8") == pytest.approx(0.8)
-        assert match_score("O", "0") == pytest.approx(0.8)
-        assert match_score("I", "l") == pytest.approx(0.8)
-        assert match_score("S", "5") == pytest.approx(0.8)
-        assert match_score("C", "(") == pytest.approx(0.8)
+        assert match_evidence("B", "8") == EVIDENCE_FUZZY
+        assert match_evidence("O", "0") == EVIDENCE_FUZZY
+        assert match_evidence("I", "l") == EVIDENCE_FUZZY
+        assert match_evidence("S", "5") == EVIDENCE_FUZZY
+        assert match_evidence("C", "(") == EVIDENCE_FUZZY
 
-    def test_non_confusable_scores_zero(self):
-        assert match_score("A", "7") == 0.0
-        assert match_score("D", "0") == 0.0
+    def test_non_confusable_is_no_match(self):
+        assert match_evidence("A", "7") is None
+        assert match_evidence("D", "0") is None
 
     def test_long_tokens_never_match(self):
-        assert match_score("A", "Assay") == 0.0
+        assert match_evidence("A", "Assay") is None
 
 
 class TestMatchBoxes:
@@ -56,7 +59,77 @@ class TestMatchBoxes:
         boxes = [OcrBox((0, 0, 10, 10), "8")]
         assignments, _ = match_labels_to_boxes(["B"], boxes)
         assert assignments["B"].evidence == EVIDENCE_FUZZY
-        assert assignments["B"].score == pytest.approx(0.8)
+
+
+# Frozen copies of the matcher as it stood when each match carried a float
+# score (1.0 exact, 0.8 fuzzy) whose only use was to order the candidates.
+
+def reference_match_score(label: str, box_text: str) -> float:
+    if len(box_text.strip()) > match.MAX_LABEL_TOKEN_CHARS:
+        return 0.0
+    token = match._normalize_token(box_text)
+    if not token:
+        return 0.0
+    if token == label.upper():
+        return 1.0
+    if len(token) == len(label) and all(
+        match._confusable(lc, tc) for lc, tc in zip(label.upper(), token)
+    ):
+        return 0.8
+    return 0.0
+
+
+def reference_match_labels_to_boxes(labels, boxes):
+    candidates = []
+    for li, label in enumerate(labels):
+        for bi, box in enumerate(boxes):
+            score = reference_match_score(label, box.text)
+            if score > 0.0:
+                candidates.append((-score, li, bi))
+    candidates.sort()
+    assignments = {}
+    used_boxes = set()
+    for neg_score, li, bi in candidates:
+        label = labels[li]
+        if label in assignments or bi in used_boxes:
+            continue
+        score = -neg_score
+        evidence = EVIDENCE_EXACT if score >= 1.0 else EVIDENCE_FUZZY
+        assignments[label] = (boxes[bi], evidence)
+        used_boxes.add(bi)
+    deficit = [lab for lab in labels if lab not in assignments]
+    return assignments, deficit
+
+
+# Labels that meet their own confusables; OCR texts built from those labels,
+# confusable characters, other cases, punctuation, whitespace and tokens longer
+# than MAX_LABEL_TOKEN_CHARS, so that exact and fuzzy candidates compete.
+_LABELS = st.sampled_from(["A", "B", "C", "D", "I", "L", "O", "S", "II", "IV", "1", "8", "10"])
+_OCR_CORES = st.one_of(
+    _LABELS,
+    _LABELS.map(str.lower),
+    st.sampled_from(["8", "0", "1", "l", "5", "(", "o", "s", "I1", "1l", "lV", "7", ""]),
+    st.sampled_from(["Assay", "ABCD", "Bl8", "IIII"]),
+    st.text(max_size=4),
+)
+_AFFIXES = st.sampled_from(["", " ", "\t", "\n", "(", ")", ".", ":", "[", "'"])
+_OCR_TEXTS = st.builds(lambda pre, core, post: pre + core + post, _AFFIXES, _OCR_CORES, _AFFIXES)
+
+
+class TestAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_LABELS, max_size=6), st.lists(_OCR_TEXTS, max_size=8))
+    def test_boxes_evidence_and_deficit(self, labels, texts):
+        boxes = [OcrBox((10 * i, 0, 10 * i + 8, 8), text) for i, text in enumerate(texts)]
+        for label in labels:
+            for text in texts:
+                score = reference_match_score(label, text)
+                expected = {1.0: EVIDENCE_EXACT, 0.8: EVIDENCE_FUZZY, 0.0: None}[score]
+                assert match_evidence(label, text) == expected
+        assignments, deficit = match_labels_to_boxes(labels, boxes)
+        ref_assignments, ref_deficit = reference_match_labels_to_boxes(labels, boxes)
+        assert {lab: (m.box, m.evidence) for lab, m in assignments.items()} == ref_assignments
+        assert deficit == ref_deficit
 
 
 def two_by_two():
