@@ -2,8 +2,9 @@
 
 Consumes a minimal subset of the JATS tag set: article-id elements (pmid /
 pmcid types), fig elements with label / caption / graphic descendants, and
-body p elements. Everything else is ignored. Pure function of the input
-bytes; safe to call concurrently.
+body p elements. Everything else is ignored. The walks use ElementTree's
+iterators and an explicit stack, so no nesting depth is too deep. Pure
+function of the input bytes; safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ def normalize_text(text: str) -> str:
     return " ".join(unicodedata.normalize("NFC", text).split())
 
 
+class _LocalNames(dict):
+    """Maps each tag to its local name, the part after any {namespace}."""
+
+    def __missing__(self, tag: str) -> str:
+        name = self[tag] = tag.rsplit("}", 1)[-1]
+        return name
+
+
 def _element_text(elem) -> str:
     return normalize_text("".join(elem.itertext()))
 
@@ -58,79 +67,42 @@ def _graphic_href(elem) -> str | None:
     return stem or None
 
 
-class _Walk:
-    """One pre-order pass over the tree that gathers everything
-    parse_article reads: the last non-empty pmcid and pmid article-ids,
-    the figures, and the paragraphs of the first body element. A figure is
-    a fig element outside every table-wrap, with the first non-empty label
-    and caption and the first usable graphic (else None) in its subtree."""
+def _figure(elem, fig_id: str, names: _LocalNames) -> FigureEntry:
+    """The fig element's entry: the first non-empty caption and label and the
+    first usable graphic (else None) in its subtree."""
+    fig = FigureEntry(fig_id, "", None)
+    for child in elem.iter():
+        tag = names[child.tag]
+        if tag == "caption" and not fig.caption:
+            fig.caption = _element_text(child)
+        elif tag == "label" and fig.label_text is None:
+            fig.label_text = _element_text(child) or None
+        elif tag == "graphic" and fig.graphic_ref is None:
+            fig.graphic_ref = _graphic_href(child)
+    return fig
 
-    def __init__(self):
-        self.local_names: dict = {}
-        self.pmcid = None
-        self.pmid = None
-        self.figs: list[FigureEntry] = []
-        self.paragraphs: list[str] = []
-        self.body_found = False
 
-    def visit(self, elem, open_figs: tuple, in_table: bool, body):
-        """open_figs: the figures whose subtree holds elem. body: None
-        outside the first body, True where its paragraphs are collected,
-        False inside a p, fig, table-wrap or caption there, so a nested p is
-        part of its parent's text."""
-        tag = self.local_names.get(elem.tag)
-        if tag is None:
-            tag = self.local_names[elem.tag] = elem.tag.rsplit("}", 1)[-1]
-        if body and tag in ("p", "fig", "table-wrap", "caption"):
-            if tag == "p":
-                text = _element_text(elem)
-                if text:
-                    self.paragraphs.append(text)
-            body = False
-        if tag == "caption":
-            pending = [f for f in open_figs if not f.caption]
-            if pending:
-                text = _element_text(elem)
-                for f in pending:
-                    f.caption = text
-        elif tag == "label":
-            pending = [f for f in open_figs if f.label_text is None]
-            if pending:
-                text = _element_text(elem) or None
-                for f in pending:
-                    f.label_text = text
-        elif tag == "graphic":
-            pending = [f for f in open_figs if f.graphic_ref is None]
-            if pending:
-                ref = _graphic_href(elem)
-                for f in pending:
-                    f.graphic_ref = ref
-        elif tag == "fig":
-            if not in_table:
-                fig = FigureEntry(elem.get("id"), "", None)
-                self.figs.append(fig)
-                open_figs += (fig,)
-        elif tag == "table-wrap":
-            in_table = True
-        elif tag == "article-id":
-            kind = elem.get("pub-id-type", "")
-            value = normalize_text(elem.text or "")
-            if kind in ("pmcid", "pmc") and value:
-                self.pmcid = value if value.upper().startswith("PMC") else f"PMC{value}"
-            elif kind == "pmid" and value:
-                self.pmid = value
-        elif tag == "body" and not self.body_found:
-            self.body_found = True
-            body = True
-        for child in elem:
-            self.visit(child, open_figs, in_table, body)
+def _paragraphs(body, names: _LocalNames) -> list[str]:
+    """The non-empty text of each p in body that is not inside a p, fig,
+    table-wrap or caption, in document order."""
+    paragraphs: list[str] = []
+    stack = body[::-1]
+    while stack:
+        elem = stack.pop()
+        tag = names[elem.tag]
+        if tag == "p":
+            text = _element_text(elem)
+            if text:
+                paragraphs.append(text)
+        elif tag not in ("fig", "table-wrap", "caption"):
+            stack += elem[::-1]
+    return paragraphs
 
 
 def parse_article(xml_bytes: bytes) -> ArticleRecord:
     """Parse raw XML bytes into an ArticleRecord.
 
-    Raises MalformedXml for syntax errors and for elements nested deeper
-    than the interpreter's recursion limit, MissingPmcid when no pmcid
+    Raises MalformedXml for syntax errors, MissingPmcid when no pmcid
     article-id is present, and NoFigures when no figure element yields both
     a usable caption and a graphic reference.
     """
@@ -139,22 +111,40 @@ def parse_article(xml_bytes: bytes) -> ArticleRecord:
     except ElementTree.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
 
-    walk = _Walk()
-    try:
-        walk.visit(root, (), False, None)
-    except RecursionError:
-        raise MalformedXml("elements nested too deep to walk") from None
-    if not walk.pmcid:
+    # One pass: the last non-empty pmcid and pmid article-ids, the fig
+    # elements outside every table-wrap, and the first body.
+    names = _LocalNames()
+    pmcid = pmid = body = None
+    fig_elems = []
+    in_table: set[int] = set()  # ids of every element in a table-wrap
+    for elem in root.iter():
+        tag = names[elem.tag]
+        if tag == "table-wrap" and id(elem) not in in_table:
+            in_table.update(map(id, elem.iter()))
+        elif tag == "fig" and id(elem) not in in_table:
+            fig_elems.append(elem)
+        elif tag == "article-id":
+            kind = elem.get("pub-id-type", "")
+            value = normalize_text(elem.text or "")
+            if kind in ("pmcid", "pmc") and value:
+                pmcid = value if value.upper().startswith("PMC") else f"PMC{value}"
+            elif kind == "pmid" and value:
+                pmid = value
+        elif tag == "body" and body is None:
+            body = elem
+    if not pmcid:
         raise MissingPmcid("no pmcid article-id element")
 
     figures: list[FigureEntry] = []
     dropped: list[tuple[str, str]] = []
     seen_ids: set[str] = set()
-    for fig in walk.figs:
-        fig_id = fig.fig_id or ""
+    for elem in fig_elems:
+        fig_id = elem.get("id") or ""
         if not fig_id or fig_id in seen_ids:
             dropped.append((fig_id, DROP_NO_ID))
-        elif fig.graphic_ref is None:
+            continue
+        fig = _figure(elem, fig_id, names)
+        if fig.graphic_ref is None:
             dropped.append((fig_id, DROP_NO_GRAPHIC))
         elif len(fig.caption) < MIN_CAPTION_CHARS:
             dropped.append((fig_id, DROP_EMPTY_CAPTION))
@@ -162,10 +152,11 @@ def parse_article(xml_bytes: bytes) -> ArticleRecord:
             seen_ids.add(fig_id)
             figures.append(fig)
     if not figures:
-        raise NoFigures(walk.pmcid)
+        raise NoFigures(pmcid)
 
-    return ArticleRecord(pmcid=walk.pmcid, pmid=walk.pmid, figures=figures,
-                         body_paragraphs=walk.paragraphs, dropped_figures=dropped)
+    paragraphs = [] if body is None else _paragraphs(body, names)
+    return ArticleRecord(pmcid=pmcid, pmid=pmid, figures=figures,
+                         body_paragraphs=paragraphs, dropped_figures=dropped)
 
 
 def extract_pairs(record: ArticleRecord, image_names: dict[str, str]):

@@ -807,8 +807,7 @@ MALFORMED_PACKAGES = {
     "no_xml_file": ({"g1.ppm": GOOD_IMAGE}, "malformed_xml"),
     "no_pmcid": ({"article.xml": GOOD_ARTICLE.replace(b"pmcid", b"doi"),
                   "g1.ppm": GOOD_IMAGE}, "malformed_xml"),
-    "deep_nesting": ({"article.xml": deep_article(3000), "g1.ppm": GOOD_IMAGE},
-                     "malformed_xml"),
+    "deep_nesting": ({"article.xml": deep_article(3000), "g1.ppm": GOOD_IMAGE}, None),
     "no_figures": ({"article.xml": GOOD_ARTICLE.split(b"<fig ")[0] + b"</body></article>",
                     "g1.ppm": GOOD_IMAGE}, "no_figures"),
     "missing_media": ({"article.xml": GOOD_ARTICLE}, "missing_media"),

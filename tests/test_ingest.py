@@ -295,18 +295,21 @@ class TestPipeline:
         assert len(article_level) == (report.articles_seen
                                       - report.articles_emitted)
 
-    def test_deeply_nested_xml_is_a_quiet_malformed_skip(self, tmp_path, caplog):
+    @pytest.mark.parametrize("depth", [3000, 50_000])
+    def test_deeply_nested_xml_is_emitted_quietly(self, tmp_path, caplog, depth):
         root = tmp_path / "root"
         (root / "PMC1").mkdir(parents=True)
-        (root / "PMC1" / "article.xml").write_bytes(deep_article(3000))
+        (root / "PMC1" / "article.xml").write_bytes(deep_article(depth))
         (root / "PMC1" / "g1.ppm").write_bytes(b"P6\n1 1\n255\n\0\0\0")
         skips = tmp_path / "skips.jsonl"
         with caplog.at_level(logging.DEBUG, logger="figurelink"):
             report = run_pipeline(root, tmp_path / "o.jsonl", skip_log_path=skips,
                                   workers=1)
-        assert report.skipped_malformed == 1
-        assert [json.loads(line) for line in jsonl_lines(skips)] == [
-            {"pmcid": "PMC1", "reason": "malformed_xml"}]
+        assert (report.articles_emitted, report.pairs_emitted) == (1, 1)
+        [row] = [json.loads(line) for line in jsonl_lines(tmp_path / "o.jsonl")]
+        assert row["body_paragraphs"] == ["deep"]
+        assert [f["fig_id"] for f in row["figures"]] == ["f1"]
+        assert jsonl_lines(skips) == []
         assert caplog.records == []
 
     def test_unexpected_fault_is_a_skip_row_and_prints_nothing(self, tmp_path):

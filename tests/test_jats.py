@@ -116,9 +116,12 @@ class TestParse:
         with pytest.raises(MalformedXml):
             parse_article(b"<article><fig></article>")
 
-    def test_nesting_deeper_than_the_recursion_limit_is_malformed(self):
-        with pytest.raises(MalformedXml, match="nested too deep"):
-            parse_article(deep_article(3000))
+    @pytest.mark.parametrize("depth", [3000, 50_000])
+    def test_nesting_deeper_than_the_recursion_limit_parses(self, depth):
+        record = parse_article(deep_article(depth))
+        assert record.body_paragraphs == ["deep"]
+        assert [(f.fig_id, f.caption, f.graphic_ref) for f in record.figures] == [
+            ("f1", "A figure.", "g1")]
 
     def test_no_figures_raises(self):
         xml = (b"<article><front><article-meta>"

@@ -218,6 +218,19 @@ EDGE_CASES = {
     "fig_containing_table_wrap": article(
         "<fig id='f1'><table-wrap><label>L</label><caption><p>From the table.</p>"
         "</caption><fig id='tf'/><graphic xlink:href='tg'/></table-wrap></fig>"),
+    "fig_inside_nested_table_wraps": article(
+        f"<table-wrap><table-wrap>{fig('tf1')}</table-wrap>{fig('tf2')}</table-wrap>"
+        f"{fig('f3')}"),
+    "table_wrap_inside_fig_inside_table_wrap": article(
+        f"<table-wrap>{fig('tf1', inner='<table-wrap>' + fig('tf2') + '</table-wrap>')}"
+        f"</table-wrap>{fig('f3')}"),
+    "table_wrap_under_default_namespace": (
+        b'<article xmlns="http://jats.nlm.nih.gov" xmlns:xlink="http://www.w3.org/1999/xlink">'
+        b'<front><article-meta><article-id pub-id-type="pmc">6</article-id></article-meta>'
+        b'</front><body><table-wrap id="t1"><fig id="tf1"><caption><p>In a table.</p>'
+        b'</caption><graphic xlink:href="t.png"/></fig></table-wrap><fig id="f2">'
+        b'<caption><p>Outside it.</p></caption><graphic xlink:href="f.png"/></fig>'
+        b'</body></article>'),
     "empty_first_caption_and_label": article(
         "<fig id='f1'><label> </label><caption><p> \n </p></caption>"
         "<graphic/><graphic xlink:href=''/>"
@@ -299,6 +312,15 @@ def test_edge_cases_exercise_the_rules():
     assert nested_p.body_paragraphs == ["Outer inner text tail."]
     table = reference_parse_article(EDGE_CASES["fig_inside_table_wrap"])
     assert [f.fig_id for f in table.figures] == ["f2"]
+
+
+def test_table_rows_exercise_the_table_rule():
+    """Every fig with a table-wrap ancestor is left out, however the two nest."""
+    for name, kept in [("fig_inside_nested_table_wraps", ["f3"]),
+                       ("table_wrap_inside_fig_inside_table_wrap", ["f3"]),
+                       ("table_wrap_under_default_namespace", ["f2"])]:
+        record = reference_parse_article(EDGE_CASES[name])
+        assert [f.fig_id for f in record.figures] == kept, name
 
 
 # ------------------------------------------------------------ round trip
