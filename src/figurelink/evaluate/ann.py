@@ -2,9 +2,10 @@
 
 A partition (inverted-file) index: rows are clustered by spherical k-means
 and a query probes only the n_probe nearest clusters, whose rows
-`exact_topk_batch` ranks and scores as `exact_topk` does. With n_probe >=
-n_lists every row is a candidate, so the search matches exact_topk entry
-for entry.
+`exact_topk_batch` ranks and scores as `exact_topk` does. A query matrix is
+searched in one call, and a query's probes depend on that query alone. With
+n_probe >= n_lists every row is a candidate, so the search matches
+exact_topk entry for entry.
 """
 
 from __future__ import annotations
@@ -59,40 +60,32 @@ class AnnIndex:
     def build(self, store: EmbeddingStore) -> "AnnIndex":
         if store.n == 0:
             raise ValueError("cannot index an empty store")
-        k = self.cfg.ann_n_lists or max(1, math.ceil(math.sqrt(store.n)))
-        k = min(k, store.n)
+        k = min(self.cfg.ann_n_lists or math.ceil(math.sqrt(store.n)), store.n)
         # One float64 copy for the whole clustering, freed on return.
-        self._centroids, assign = _spherical_kmeans(
+        self._centroids, self._assign = _spherical_kmeans(
             store.vectors.astype(np.float64), k, self.cfg.seed)
-        self._lists = [np.nonzero(assign == c)[0] for c in range(k)]
         self._store = store
         self.n_lists = k
         return self
 
-    def search(self, query: np.ndarray, k: int):
-        """Top-k candidates ranked by exact similarity within probed lists."""
+    def search(self, queries: np.ndarray, k: int):
+        """Per row of an m x D query matrix, the top k of its probed lists."""
         if self._store is None:
             raise IndexNotBuilt("call build() first")
-        store = self._store
-        query = np.asarray(query, dtype=np.float64).ravel()
+        queries = np.asarray(queries, dtype=np.float64)
         probe = min(self.cfg.ann_n_probe, self.n_lists)
-        centroid_sims = self._centroids @ query
-        probed = np.argsort(-centroid_sims)[:probe]
-        candidates = np.concatenate([self._lists[c] for c in probed])
-        if candidates.size == 0:
-            return []
-        return exact_topk_batch(query[None], store, min(k, candidates.size),
-                                candidates)[0]
+        probed = np.zeros((len(queries), self.n_lists), dtype=bool)
+        for row, query in zip(probed, queries):
+            row[np.argsort(-(self._centroids @ query))[:probe]] = True
+        return exact_topk_batch(queries, self._store, min(k, self._store.n),
+                                (probed, self._assign))
 
 
 def measure_recall(index: AnnIndex, store: EmbeddingStore,
                    queries: np.ndarray, k: int) -> float:
     """Fraction of exact top-k ids recovered by the index, averaged over
     queries; this is the per-run measured recall the index reports."""
-    total = 0.0
     exact = exact_topk_batch(queries, store, k)
-    for q, hits in zip(queries, exact):
-        exact_ids = {i for i, _ in hits}
-        ann_ids = {i for i, _ in index.search(q, k)}
-        total += len(exact_ids & ann_ids) / k
-    return total / len(queries)
+    found = index.search(queries, k)
+    return sum(len({i for i, _ in a} & {i for i, _ in b}) / k
+               for a, b in zip(exact, found)) / len(queries)

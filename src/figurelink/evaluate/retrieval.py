@@ -206,19 +206,20 @@ def _ranks(queries: np.ndarray, store: EmbeddingStore, targets: np.ndarray,
     return forward, backward
 
 
-def exact_topk_batch(queries, store: EmbeddingStore, k: int, cols=None):
-    """exact_topk for every row of a query matrix, over the store rows cols
-    (default: all), as lists of (id, `_rescore` score).
+def exact_topk_batch(queries, store: EmbeddingStore, k: int, admit=None):
+    """exact_topk for every row of a query matrix, as lists of (id,
+    `_rescore` score). With admit = (probed, lists), query i ranks only the
+    rows j with probed[i, lists[j]], all of them if they are fewer than k.
 
     Per block of query rows, one float32 GEMM gives each query's k-th best
-    screen score K32. The k best screen rows rescore at least K32 - delta
-    (`_screen_error`), so the true k-th best rescore does too, and every
-    row of the true top k screens at least K32 - 2 delta. Only the rows
+    admitted screen score K32, where a row not admitted screens -inf. The k
+    best admitted rows rescore at least K32 - delta (`_screen_error`), so
+    the true k-th best admitted rescore does too, and every row of the true
+    admitted top k screens at least K32 - 2 delta. Only the admitted rows
     above that cut are rescored, then ordered by (-score, id).
     """
     queries = _query_rows(queries, store)
-    t32 = store.vectors if cols is None else store.vectors[cols]
-    n = len(t32)
+    n = store.n
     if k < 1 or k > n:
         raise ValueError(f"k={k} out of range for {n} store rows")
     q32 = queries.astype(np.float32)
@@ -226,18 +227,20 @@ def exact_topk_batch(queries, store: EmbeddingStore, k: int, cols=None):
     height = max(1, _BLOCK_ELEMS // n)
     hits = []
     for r0 in range(0, len(queries), height):
-        s = q32[r0:r0 + height] @ t32.T
+        rows = slice(r0, r0 + height)
+        s = q32[rows] @ store.vectors.T
+        if admit is not None:       # rows a query does not admit screen -inf
+            s[(~admit[0][rows])[:, admit[1]]] = -np.inf
         kth = np.partition(s, n - k, axis=1)[:, n - k]
-        cut, _ = _band(kth, 2 * delta[r0:r0 + height])
+        # The floor keeps all admitted rows of a query that admits fewer than k.
+        cut = np.maximum(_band(kth, 2 * delta[rows])[0], -np.finfo(np.float32).max)
         i, j = _positions(s >= cut[:, None], r0, 0)
-        if cols is not None:
-            j = cols[j]
         score = _rescore(queries, store.vectors, i, j)
-        # i ascends, so each query's candidates stay together, best first;
-        # every query keeps at least its k best screen scores.
+        # i ascends, so each query's candidates stay together, best first.
         order = np.lexsort((store.id_rank[j], -score, i))
-        starts = np.searchsorted(i, np.arange(r0, r0 + len(s)))
-        for top in order[starts[:, None] + np.arange(k)]:
+        bounds = np.searchsorted(i, np.arange(r0, r0 + len(s) + 1))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            top = order[start:stop][:k]
             hits.append([(store.ids[c], float(x)) for c, x in zip(j[top], score[top])])
     return hits
 

@@ -533,7 +533,7 @@ class TestOneScoringRule:
             position = {item: p for p, (item, _) in enumerate(hits, 1)}
             assert [rank_of(q, store, i) for i in store.ids] == [
                 position[i] for i in store.ids]
-            found = [i for i, _ in index.search(q, store.n)]
+            found = [i for i, _ in index.search(q[None], store.n)[0]]
             assert found == sorted(found, key=position.__getitem__)
 
 
@@ -547,7 +547,7 @@ class TestAnn:
         assert index.cfg.ann_n_probe >= index.n_lists
         for _ in range(10):
             q = rng.standard_normal(6)
-            assert index.search(q, 7) == exact_topk(q, store, 7)
+            assert index.search(q[None], 7)[0] == exact_topk(q, store, 7)
 
     def test_default_recall_on_random_data(self):
         rng = np.random.default_rng(21)
@@ -564,7 +564,7 @@ class TestAnn:
         queries = quantized_store(rng, 30, shuffled_ids(rng, "q", 30)).vectors.astype(np.float64)
         index = AnnIndex(PipelineConfig(ann_n_lists=14, ann_n_probe=3)).build(store)
         want = sum(len({i for i, _ in exact_topk(q, store, 10)}
-                       & {i for i, _ in index.search(q, 10)}) / 10
+                       & {i for i, _ in index.search(q[None], 10)[0]}) / 10
                    for q in queries) / len(queries)
         assert measure_recall(index, store, queries, 10) == want
 
@@ -587,9 +587,93 @@ class TestAnn:
         ids = [f"v{i:03d}" for i in range(300)]
         store = EmbeddingStore.from_raw(ids, vecs, MODALITY_TEXT)
         q = rng.standard_normal(12)
-        a = AnnIndex(PipelineConfig(seed=5)).build(store).search(q, 10)
-        b = AnnIndex(PipelineConfig(seed=5)).build(store).search(q, 10)
+        a = AnnIndex(PipelineConfig(seed=5)).build(store).search(q[None], 10)[0]
+        b = AnnIndex(PipelineConfig(seed=5)).build(store).search(q[None], 10)[0]
         assert a == b
+
+
+def reference_search(index, query, k):
+    """AnnIndex.search for one query as it was before it took a matrix: the
+    query's own centroid product and argsort, its probed lists concatenated,
+    and the exact top-k over those rows alone."""
+    query = np.asarray(query, dtype=np.float64).ravel()
+    probe = min(index.cfg.ann_n_probe, index.n_lists)
+    probed = np.argsort(-(index._centroids @ query))[:probe]
+    lists = [np.nonzero(index._assign == c)[0] for c in range(index.n_lists)]
+    rows = np.concatenate([lists[c] for c in probed])
+    if rows.size == 0:
+        return []
+    store = index._store
+    probed_rows = EmbeddingStore([store.ids[r] for r in rows], store.vectors[rows],
+                                 store.modality)
+    return exact_topk(query, probed_rows, min(k, rows.size))
+
+
+@st.composite
+def ann_cases(draw, m=st.integers(1, 6)):
+    """(index, queries, k): a quantized store (exact ties) with shuffled ids
+    indexed with n_probe < n_lists, m quantized or random queries, and k up
+    to N. The k-means lists are kept, redrawn at random (some may be empty),
+    or redrawn from the lists query 0 does not probe, so that query 0 finds
+    no rows at all."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    store = quantized_store(rng, n, shuffled_ids(rng, "v", n))
+    n_lists = draw(st.integers(2, n))
+    index = AnnIndex(PipelineConfig(ann_n_lists=n_lists,
+                                    ann_n_probe=draw(st.integers(1, n_lists - 1))))
+    index.build(store)
+    m = draw(m)
+    if draw(st.booleans()):
+        queries = rng.choice([-0.25, 0.25], size=(m, store.dim))
+    else:
+        queries = rng.standard_normal((m, store.dim))
+    lists = draw(st.sampled_from(["kmeans", "random", "starve query 0"]))
+    if lists == "random":
+        index._assign = rng.integers(0, n_lists, size=n)
+    elif lists == "starve query 0":
+        probed = np.argsort(-(index._centroids @ queries[0]))[:index.cfg.ann_n_probe]
+        index._assign = rng.choice(np.setdiff1d(np.arange(n_lists), probed), size=n)
+    return index, queries, draw(st.integers(1, n))
+
+
+class TestBatchedSearch:
+    """One search call over a query matrix answers each row as the
+    single-query search did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ann_cases())
+    def test_each_row_matches_reference(self, case):
+        index, queries, k = case
+        assert index.search(queries, k) == [reference_search(index, q, k)
+                                            for q in queries]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_uneven_blocks_match_reference(self, data):
+        """Query rows in 2 to 4 blocks of 2 or 3 rows, the last one short."""
+        height, blocks = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
+        m = height * blocks + data.draw(st.integers(1, height - 1))
+        index, queries, k = data.draw(ann_cases(m=st.just(m)))
+        n = index._store.n
+        block_elems = height * n + data.draw(st.integers(0, n - 1))
+        want = [reference_search(index, q, k) for q in queries]
+        with mock.patch.object(retrieval, "_BLOCK_ELEMS", block_elems):
+            assert index.search(queries, k) == want
+
+    def test_short_and_empty_probes(self):
+        rng = np.random.default_rng(25)
+        store = quantized_store(rng, 30, shuffled_ids(rng, "v", 30))
+        index = AnnIndex(PipelineConfig(ann_n_lists=6, ann_n_probe=2)).build(store)
+        queries = rng.choice([-0.25, 0.25], size=(3, store.dim))
+        probed = [set(np.argsort(-(index._centroids @ q))[:2]) for q in queries]
+        # query 0's probed lists hold nothing, query 1's hold 4 rows
+        assign = np.full(30, min(set(range(6)) - probed[0] - probed[1]))
+        assign[:4] = min(probed[1] - probed[0])
+        index._assign = assign
+        got = index.search(queries, 10)
+        assert got == [reference_search(index, q, 10) for q in queries]
+        assert got[0] == [] and len(got[1]) == 4
 
 
 class TestReadStoreInPlace:
