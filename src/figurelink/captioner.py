@@ -195,6 +195,12 @@ _REF_TOKEN = re.compile(
 )
 
 
+def can_cite_figure(text: str) -> bool:
+    """Whether text holds "Fig" or "fig". Every _FIG_REF match starts with
+    one of these, so a paragraph without them yields no citance."""
+    return "Fig" in text or "fig" in text
+
+
 def _number(digits: str) -> str:
     """str(int(digits)) for a run of decimal digits of any length: int()
     refuses one over sys.get_int_max_str_digits() digits (at least 640)."""

@@ -8,7 +8,10 @@ module only, which imports neither the XML parser nor numpy:
 
 A figure's "image" is the file ingest resolved for it: "<package>/<file>",
 relative to ingest's --root, which finegrain and stats open under their
---images-root.
+--images-root. "body_paragraphs" holds the body paragraphs that can cite a
+figure (captioner.can_cite_figure); ingest leaves out the rest, which hold
+no citance. A line that still carries them reads and gives the same
+citances.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class ArticleRecord:
     pmcid: str
     pmid: str | None
     figures: list[FigureEntry]
-    body_paragraphs: list[str]
+    body_paragraphs: list[str]  # from the JATS walk, only those that can cite a figure
     # (fig_id, reason) for figure elements that could not become entries
     dropped_figures: list[tuple[str, str]] = field(default_factory=list)
 

@@ -1,4 +1,5 @@
-"""Parse one article's XML into identifiers, figures, and body paragraphs.
+"""Parse one article's XML into identifiers, figures, and the body
+paragraphs that can cite a figure.
 
 Consumes a minimal subset of the JATS tag set: article-id elements (pmid /
 pmcid types), fig elements with label / caption / graphic descendants, and
@@ -12,6 +13,7 @@ from __future__ import annotations
 import unicodedata
 from xml.etree import ElementTree
 
+from .captioner import can_cite_figure
 from .corpus import ArticleRecord, FigureEntry
 
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
@@ -83,17 +85,23 @@ def _figure(elem, fig_id: str, names: _LocalNames) -> FigureEntry:
 
 
 def _paragraphs(body, names: _LocalNames) -> list[str]:
-    """The non-empty text of each p in body that is not inside a p, fig,
-    table-wrap or caption, in document order."""
+    """The normalized text of each p in body that is not inside a p, fig,
+    table-wrap or caption and can cite a figure, in document order.
+
+    The test runs after NFC, which can compose a mark into the "g" of "Fig",
+    and before the whitespace collapse, which only rewrites whitespace runs;
+    neither "Fig" nor "fig" holds whitespace, so the collapsed text gives
+    the same answer.
+    """
     paragraphs: list[str] = []
     stack = body[::-1]
     while stack:
         elem = stack.pop()
         tag = names[elem.tag]
         if tag == "p":
-            text = _element_text(elem)
-            if text:
-                paragraphs.append(text)
+            text = unicodedata.normalize("NFC", "".join(elem.itertext()))
+            if can_cite_figure(text):
+                paragraphs.append(" ".join(text.split()))
         elif tag not in ("fig", "table-wrap", "caption"):
             stack += elem[::-1]
     return paragraphs

@@ -2,6 +2,7 @@
 
 import re
 import time
+import unicodedata
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from figurelink import captioner
 from figurelink.captioner import (
     SENTENCE_ABBREVIATIONS,
     Citance,
+    can_cite_figure,
     canonical_label,
     extract_citances,
     split_caption,
     split_citances,
     split_sentences,
 )
-from figurelink.jats import FigureEntry
+from figurelink.jats import FigureEntry, normalize_text
 
 
 class TestCanonicalLabel:
@@ -334,3 +336,62 @@ class TestCitances:
         assert [c.sentence for c in mapping["A"]] == ["s1", "s2"]
         assert [c.sentence for c in mapping["B"]] == ["s2"]
         assert [(c.sentence, lab) for c, lab in unknown] == [("s3", "Q")]
+
+
+# Body text built from figure references and their near-misses (case,
+# full-width letters, letters split by whitespace or a combining mark),
+# sentence ends, Unicode whitespace and arbitrary text.
+_BODY_PIECES = st.one_of(
+    st.builds("{} {}".format, st.sampled_from(["Fig.", "fig.", "Figs.", "figure", "FIG."]),
+              st.sampled_from(["1", "2B", "1A\u2013C", "2 and 10", "3"])),
+    st.sampled_from(["Fig.", "fig", "Figs.", "Figure", "figures", "FIG.", "fIg", "F", "f",
+                     "ig", "Fi", "\uff26ig", "Fig\u0301", "fi\u0301g", "\ufb01g"]),
+    st.sampled_from(["1", "2", "2B", "1A\u2013C", "3-4", " and ", ", ", "&", "(", ")"]),
+    st.sampled_from(["Cells grew", "Then", "e.g.", "vs.", ".", "!", "?"]),
+    st.sampled_from([" ", "  ", "\n", "\t", "\u00a0", "\u2003", "\x1c"]),
+    st.text(max_size=5),
+)
+_BODY_TEXT = st.lists(_BODY_PIECES, max_size=20).map("".join)
+_FIGURES = st.lists(st.builds(
+    FigureEntry, fig_id=st.sampled_from(["f1", "f2", "fa", "F10"]), caption=st.just("c"),
+    graphic_ref=st.just("g"),
+    label_text=st.sampled_from([None, "Figure 1", "Figure 2", "Fig. 3", "Figure 10"])),
+    max_size=4)
+# Whitespace and combining marks, the two things normalize_text's NFC and
+# collapse act on, beside the letters of "Fig" and "fig".
+_NORMALIZABLE_PIECES = st.one_of(
+    st.sampled_from(["F", "f", "i", "g", "Fig", "fig", "\u0130", "\ufb01"]),
+    st.characters(categories=("Zs", "Zl", "Zp", "Cc")),
+    st.characters(categories=("Mn", "Mc", "Me")),
+)
+
+
+class TestCanCiteFigure:
+    """A paragraph that cannot cite a figure holds no citance, so ingest
+    can leave it out of the corpus line."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_BODY_TEXT)
+    def test_every_reference_match_can_cite(self, text):
+        for m in captioner._FIG_REF.finditer(text):
+            assert can_cite_figure(m.group())
+            assert can_cite_figure(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_BODY_TEXT, max_size=6), _FIGURES)
+    def test_dropping_non_citing_paragraphs_keeps_every_citance(self, paragraphs, figs):
+        kept = [p for p in paragraphs if can_cite_figure(p)]
+        assert extract_citances(kept, figs) == extract_citances(paragraphs, figs)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_NORMALIZABLE_PIECES, max_size=12).map("".join))
+    def test_whitespace_collapse_does_not_change_the_answer(self, raw):
+        assert can_cite_figure(normalize_text(raw)) == \
+            can_cite_figure(unicodedata.normalize("NFC", raw))
+
+    def test_cites_only_with_fig_or_fig(self):
+        assert [can_cite_figure(t) for t in ["See Fig. 1.", "figs", "Figu\u0301", "FIG. 1",
+                                             "F ig", "\uff26ig", ""]] \
+            == [True, True, True, False, False, False, False]
+        # NFC composes a mark after "g" into the letter, and "Fig" is gone.
+        assert not can_cite_figure(normalize_text("Fig\u0301. 1"))

@@ -278,6 +278,37 @@ class TestFinegrainCommand:
         assert {row["label"]: row["citances"] for row in rows} == {
             "A": [], "B": ["Cells grew (Fig. 2B)."]}
 
+    def test_corpus_with_non_citing_paragraphs_needs_no_reingest(self, corpus, tmp_path,
+                                                                 capsys):
+        # A corpus line written when ingest kept every body paragraph gives
+        # the same outputs as the line ingest writes now.
+        pruned = tmp_path / "pruned.jsonl"
+        assert main(["ingest", "--root", str(corpus.packages_dir), "--out", str(pruned)]) == 0
+        non_citing = ["Cells grew. They died.", "FIG. 1 and Table 2 are no references.",
+                      "Ｆig. 1 is full-width (n=3)."]
+        full = tmp_path / "full.jsonl"
+        with open(full, "w", encoding="utf-8") as fh:
+            for line in jsonl_lines(pruned):
+                article = json.loads(line)
+                article["body_paragraphs"] = [
+                    text for para in article["body_paragraphs"] for text in (*non_citing, para)
+                ] + non_citing
+                fh.write(json.dumps(article, ensure_ascii=False) + "\n")
+        out_dir = tmp_path / "fine"
+        outputs = []
+        for corpus_path in (pruned, full):
+            shutil.rmtree(out_dir, ignore_errors=True)
+            assert main(["finegrain", "--corpus", str(corpus_path),
+                         "--images-root", str(corpus.packages_dir),
+                         "--ocr-dir", str(corpus.ocr_dir), "--out-dir", str(out_dir)]) == 0
+            outputs.append({path.relative_to(out_dir): path.read_bytes()
+                            for path in sorted(out_dir.rglob("*"))
+                            if path.is_file() and "manifest" not in path.name})
+        assert outputs[0] == outputs[1]
+        rows = [json.loads(line) for line in jsonl_lines(out_dir / "fine_pairs.jsonl")]
+        assert sum(map(len, (row["citances"] for row in rows))) > 0
+        assert len(outputs[0]) > 2  # fine_pairs.jsonl, audit.jsonl and crops
+
     def test_truncated_image_becomes_audit_entry(self, corpus, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         assert main(["ingest", "--root", str(corpus.packages_dir),

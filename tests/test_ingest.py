@@ -307,7 +307,7 @@ class TestPipeline:
                                   workers=1)
         assert (report.articles_emitted, report.pairs_emitted) == (1, 1)
         [row] = [json.loads(line) for line in jsonl_lines(tmp_path / "o.jsonl")]
-        assert row["body_paragraphs"] == ["deep"]
+        assert row["body_paragraphs"] == ["Deep (Fig. 1)."]
         assert [f["fig_id"] for f in row["figures"]] == ["f1"]
         assert jsonl_lines(skips) == []
         assert caplog.records == []

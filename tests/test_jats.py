@@ -44,10 +44,11 @@ def serialize_article(record: ArticleRecord) -> bytes:
 
 
 def deep_article(depth: int) -> bytes:
-    """An article with a pmcid and a figure, its body `depth` <sec>s deep."""
+    """An article with a pmcid and a figure, its body `depth` <sec>s deep
+    around one paragraph that cites the figure."""
     return (b"<article><front><article-meta>"
             b"<article-id pub-id-type='pmcid'>PMC1</article-id></article-meta></front>"
-            b"<body>" + b"<sec>" * depth + b"<p>deep</p>" + b"</sec>" * depth +
+            b"<body>" + b"<sec>" * depth + b"<p>Deep (Fig. 1).</p>" + b"</sec>" * depth +
             b"<fig id='f1'><caption><p>A figure.</p></caption>"
             b"<graphic href='g1'/></fig></body></article>")
 
@@ -119,7 +120,7 @@ class TestParse:
     @pytest.mark.parametrize("depth", [3000, 50_000])
     def test_nesting_deeper_than_the_recursion_limit_parses(self, depth):
         record = parse_article(deep_article(depth))
-        assert record.body_paragraphs == ["deep"]
+        assert record.body_paragraphs == ["Deep (Fig. 1)."]
         assert [(f.fig_id, f.caption, f.graphic_ref) for f in record.figures] == [
             ("f1", "A figure.", "g1")]
 
