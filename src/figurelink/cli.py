@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 1 runtime fault. Commands
 return their results and main writes them: the report to --out or stdout,
-then, last, a manifest JSON (config hash, input digests, tool version,
-counters) beside the file the command names, if any. Outputs are written to
-a temp file and renamed, so interrupted runs never leave truncated artifacts.
+then, last, a manifest JSON (tool version, input digests, counters, and the
+hash of --config where taken) beside the file the command names, if any.
+Outputs are written to a temp file and renamed: none is ever left truncated.
 
 Importing this module loads no numpy, and no ingest, JATS, caption or
 vision code: each command imports what it uses when it runs, so every
@@ -94,12 +94,10 @@ def _sha256_file(path) -> str:
 
 def _write_manifest(out_path, cfg, inputs: list, counters: dict,
                     stages: dict[str, float] | None = None) -> None:
-    manifest = {
-        "tool_version": __version__,
-        "config_hash": hashlib.sha256(cfg.canonical_text().encode()).hexdigest(),
-        "input_digests": {str(p): _sha256_file(p) for p in inputs if Path(p).is_file()},
-        "counters": counters,
-    }
+    digests = {str(p): _sha256_file(p) for p in inputs if Path(p).is_file()}
+    manifest = {"tool_version": __version__, "input_digests": digests, "counters": counters}
+    if cfg is not None:
+        manifest["config_hash"] = hashlib.sha256(cfg.canonical_text().encode()).hexdigest()
     if stages is not None:
         manifest["stages"] = {name: round(s, 6) for name, s in stages.items()}
     atomic_write_lines(str(out_path) + ".manifest.json",
@@ -115,7 +113,7 @@ def _emit_report(obj: dict, out: str | None) -> None:
 
 
 def _load_embedder(args, dim_hint: int):
-    if getattr(args, "text_emb", None):
+    if args.text_emb:
         store = read_store(args.text_emb)
         table = {i: store.vectors[k] for k, i in enumerate(store.ids)}
 
@@ -134,7 +132,7 @@ def _embedder_flag(args) -> dict:
     return {} if args.text_emb else {"text_embedder": "hash"}
 
 
-def cmd_ingest(args, cfg):
+def cmd_ingest(args):
     # ingest.run_pipeline is looked up on the module, where perfbench/op.py
     # wraps it.
     from . import ingest
@@ -253,12 +251,15 @@ def finegrain_article(run: FinegrainRun, item):
                         if getattr(exc, "errno", None) != errno.ENAMETOOLONG:
                             counters["unreadable_ocr"] += 1
                             audit.append(AuditEntry("unreadable_ocr", pmcid, fig.fig_id))
-            with timer.stage("split"):
-                panels = split_panels(image, run.cfg)
-            with timer.stage("match"):
-                box_assignments, deficit = match_labels_to_boxes(labels, boxes)
-                assignments, unresolved = match_labels_to_panels(
-                    box_assignments, panels, labels)
+            # A label-free caption gives one whole-image pair: no panel is read.
+            panels, assignments, deficit, unresolved = [], [], [], []
+            if labels:
+                with timer.stage("split"):
+                    panels = split_panels(image, run.cfg)
+                with timer.stage("match"):
+                    box_assignments, deficit = match_labels_to_boxes(labels, boxes)
+                    assignments, unresolved = match_labels_to_panels(
+                        box_assignments, panels, labels)
         except Exception as exc:
             kind = ("figure_fault" if not isinstance(exc, UnreadableImage) else
                     "unreadable_image" if os.path.exists(run.images_root / fig.image)
@@ -270,8 +271,7 @@ def finegrain_article(run: FinegrainRun, item):
             pairs, unassigned = emit_fine_grained_pairs(
                 pmcid, fig.fig_id, image, split_result, assignments,
                 citance_map, fig_citances, str(run.crops_dir / f"{a}_{f}"))
-        if labels:
-            unassigned += audit_unused_panels(pmcid, fig.fig_id, panels, assignments)
+        unassigned += audit_unused_panels(pmcid, fig.fig_id, panels, assignments)
         for pair in pairs:
             pair_lines.append(json.dumps(vars(pair), ensure_ascii=False))
             counters[f"evidence_{pair.evidence}"] += 1
@@ -285,7 +285,7 @@ def finegrain_article(run: FinegrainRun, item):
     return pair_lines, audit_lines, counters, timer.seconds
 
 
-def cmd_stats(args, cfg):
+def cmd_stats(args):
     # Only corpus_stats: the rest of _EVALUATE loads numpy.
     _bind(("corpus_stats",))
     report = corpus_stats(args.pairs, args.images_root)
@@ -320,7 +320,7 @@ def cmd_retrieval(args, cfg):
     return obj, args.report_out, [args.queries, args.targets], counters
 
 
-def cmd_zeroshot(args, cfg):
+def cmd_zeroshot(args):
     _bind(_EVALUATE)
     images = read_store(args.images)
     classes = []
@@ -346,7 +346,7 @@ def cmd_zeroshot(args, cfg):
     return obj, args.report_out, [args.images, args.classes], {"n_images": images.n, **flag}
 
 
-def cmd_census(args, cfg):
+def cmd_census(args):
     _bind(_EVALUATE)
     images = read_store(args.images)
     taxonomy = need_list(json.loads(Path(args.taxonomy).read_text()), dict, args.taxonomy)
@@ -373,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", dest="report_out", default=None)
-
     workers = min(os.cpu_count() or 1, MAX_WORKERS)
 
     p = sub.add_parser("ingest", help="parse article packages into corpus JSONL")
@@ -385,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-log", default=None)
     p.add_argument("--workers", type=int, default=workers,
                    help=WORKERS_HELP % f"{XML_BYTES_PER_PROCESS >> 20} MB of XML")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("finegrain", help="split figures/captions into fine-grained pairs")
@@ -395,20 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=workers,
                    help=WORKERS_HELP % f"{IMAGE_BYTES_PER_PROCESS >> 20} MB of image files")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help="key=value config file")
     p.set_defaults(func=cmd_finegrain)
 
     p = sub.add_parser("stats", help="corpus caption/image statistics")
     p.add_argument("--pairs", required=True)
     p.add_argument("--images-root", default=None)
-    common(p)
+    p.add_argument("--out", dest="report_out", default=None)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("retrieval", help="cross-modal Recall@k")
     p.add_argument("--queries", required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--ann", action="store_true", help="also report ANN measured recall")
-    common(p)
+    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--out", dest="report_out", default=None)
     p.set_defaults(func=cmd_retrieval)
 
     p = sub.add_parser("zeroshot", help="prompt-template zero-shot classification")
@@ -416,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", required=True, help="JSON list of class specs")
     p.add_argument("--labels", default=None, help="JSON map image id -> class name")
     p.add_argument("--text-emb", default=None, help="EMB1 file keyed by prompt text")
-    common(p)
+    p.add_argument("--out", dest="report_out", default=None)
     p.set_defaults(func=cmd_zeroshot)
 
     p = sub.add_parser("census", help="nearest-keyword image-type census")
     p.add_argument("--images", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--text-emb", default=None)
-    common(p)
+    p.add_argument("--out", dest="report_out", default=None)
     p.set_defaults(func=cmd_census)
     return parser
 
@@ -435,11 +431,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config) if "config" in args else None
         workers = getattr(args, "workers", 1)
         if not 1 <= workers <= MAX_WORKERS:
             raise ConfigError(f"workers={workers} outside [1, {MAX_WORKERS}]")
-        report, manifest_path, inputs, counters, *stages = args.func(args, cfg)
+        report, manifest_path, inputs, counters, *stages = (
+            args.func(args, cfg) if cfg is not None else args.func(args))
         _emit_report(report, getattr(args, "report_out", None))
         if manifest_path is not None:
             _write_manifest(manifest_path, cfg, inputs, counters, *stages)

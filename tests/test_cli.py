@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from figurelink import cli
 from figurelink.captioner import split_caption
 from figurelink.cli import build_parser, main
 from figurelink.config import ConfigError, PipelineConfig, load_config
@@ -79,19 +80,12 @@ class TestIngestCommand:
         assert payload["articles_emitted"] == corpus.articles_emitted
         manifest = json.loads((tmp_path / "pairs.jsonl.manifest.json").read_text())
         assert manifest["counters"]["pairs_emitted"] == corpus.pairs_emitted
-        assert "config_hash" in manifest
+        assert "config_hash" not in manifest
 
     def test_bad_root_exits_1(self, tmp_path, capsys):
         rc = main(["ingest", "--root", str(tmp_path / "absent"),
                    "--out", str(tmp_path / "o.jsonl")])
         assert rc == 1
-
-    def test_bad_config_exits_2(self, corpus, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense = 1\n")
-        rc = main(["ingest", "--root", str(corpus.packages_dir),
-                   "--out", str(tmp_path / "o.jsonl"), "--config", str(cfg)])
-        assert rc == 2
 
 
 # Every way reading a --config file can fail: each is a configuration error.
@@ -111,6 +105,32 @@ MINIMAL_ARGV = {
 }
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# The subcommands that read settings: those whose parser has --config.
+CONFIG_COMMANDS = sorted(name for name, p in _subparsers().items()
+                         if any("--config" in a.option_strings for a in p._actions))
+
+
+def test_only_finegrain_and_retrieval_take_config():
+    assert set(CONFIG_COMMANDS) == {"finegrain", "retrieval"}
+
+
+def _assert_bad_config_exits_2(command, rc, err, prefix):
+    """A command with --config reports a bad file as one config-error line;
+    the others refuse the flag as a usage error and never read the file."""
+    assert rc == 2
+    if command in CONFIG_COMMANDS:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix)
+    else:
+        assert err.startswith("usage:") and "unrecognized arguments: --config" in err
+        assert "config error" not in err
+
+
 class TestConfigReadErrors:
     @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
     @pytest.mark.parametrize("failure", sorted(CONFIG_READ_FAILURES))
@@ -124,9 +144,8 @@ class TestConfigReadErrors:
         elif content is not None:
             cfg.write_bytes(content)
         rc = main([command, *MINIMAL_ARGV[command], "--config", str(cfg)])
-        assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error: cannot read {cfg}: ")
+        _assert_bad_config_exits_2(command, rc, capsys.readouterr().err,
+                                   f"config error: cannot read {cfg}: ")
 
 
 def _config_hash(out) -> str:
@@ -138,12 +157,15 @@ class TestWorkers:
     default is read from, stays out of the manifests' config hash."""
 
     def test_hash_is_the_same_for_any_worker_count(self, corpus, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        assert main(["ingest", "--root", str(corpus.packages_dir), "--out", str(pairs)]) == 0
         hashes = set()
         for workers in ("1", "2"):
-            out = tmp_path / f"w{workers}.jsonl"
-            assert main(["ingest", "--root", str(corpus.packages_dir), "--out", str(out),
-                         "--workers", workers]) == 0
-            hashes.add(_config_hash(out))
+            out = tmp_path / f"w{workers}"
+            assert main(["finegrain", "--corpus", str(pairs),
+                         "--images-root", str(corpus.packages_dir),
+                         "--out-dir", str(out), "--workers", workers]) == 0
+            hashes.add(_config_hash(out / "fine_pairs.jsonl"))
         defaults = PipelineConfig().canonical_text().encode()
         assert hashes == {hashlib.sha256(defaults).hexdigest()}
 
@@ -221,6 +243,35 @@ class TestFinegrainCommand:
         assert without["label_deficit"] == labels
         assert without["evidence_ocr_exact"] == without["evidence_ocr_fuzzy"] == 0
         assert without["unknown_citance_labels"] == with_ocr["unknown_citance_labels"]
+
+    def test_only_labelled_figures_are_split(self, corpus, tmp_path, capsys, monkeypatch):
+        """A caption without labels gives one whole-image pair, so its
+        figure's panels are never split."""
+        pairs = tmp_path / "pairs.jsonl"
+        assert main(["ingest", "--root", str(corpus.packages_dir), "--out", str(pairs)]) == 0
+        figures = [fig for line in jsonl_lines(pairs) for fig in json.loads(line)["figures"]]
+        labelled = [corpus.packages_dir / fig["image"] for fig in figures
+                    if split_caption(fig["caption"]).subcaptions]
+        assert 0 < len(labelled) < len(figures)
+        load_image, split_panels = cli.load_image, cli.split_panels
+        loaded, split = [], []
+
+        def load(path):
+            loaded.append(path)
+            return load_image(path)
+
+        def split_last_loaded(image, cfg):
+            split.append(loaded[-1])
+            return split_panels(image, cfg)
+
+        monkeypatch.setattr(cli, "load_image", load)
+        monkeypatch.setattr(cli, "split_panels", split_last_loaded)
+        assert main(["finegrain", "--corpus", str(pairs),
+                     "--images-root", str(corpus.packages_dir),
+                     "--ocr-dir", str(corpus.ocr_dir),
+                     "--out-dir", str(tmp_path / "fine"), "--workers", "1"]) == 0
+        assert len(loaded) == len(figures)
+        assert split == labelled
 
     def test_citance_naming_an_undeclared_panel_is_counted(self, tmp_path, capsys):
         fig = make_compound_image(np.random.default_rng(3), n_panels=2)
@@ -992,9 +1043,8 @@ class TestStandInEmbedder:
         text, message = MALFORMED_CONFIGS[content]
         (tmp_path / "run.cfg").write_text(text)
         rc = main([command, *MINIMAL_ARGV[command], "--config", "run.cfg"])
-        assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+        _assert_bad_config_exits_2(command, rc, capsys.readouterr().err,
+                                   f"config error: {message}")
 
 
 # Per command: its input flags, run from the inputs' directory, the file its
@@ -1040,7 +1090,8 @@ def test_manifest_frame(command, frame_inputs, tmp_path, capsys, monkeypatch):
     manifest_path = tmp_path / f"{beside}.manifest.json"
     assert sorted(tmp_path.rglob("*.manifest.json")) == [manifest_path]
     manifest = json.loads(manifest_path.read_text())
-    assert set(manifest) == {"tool_version", "config_hash", "input_digests", "counters",
+    assert set(manifest) == {"tool_version", "input_digests", "counters",
+                             *(["config_hash"] if command in CONFIG_COMMANDS else []),
                              *(["stages"] if command == "finegrain" else [])}
     assert set(manifest["input_digests"]) == inputs
     outputs = [p for p in tmp_path.rglob("*") if p.is_file() and p != manifest_path]
@@ -1052,3 +1103,19 @@ def test_manifest_frame(command, frame_inputs, tmp_path, capsys, monkeypatch):
     assert main([command, *flags]) == 0
     assert capsys.readouterr().out == (tmp_path / beside).read_text()
     assert sorted(Path().rglob("*")) + sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["census", "ingest", "stats", "zeroshot"])
+def test_config_is_a_usage_error_where_no_setting_is_read(command, frame_inputs, tmp_path,
+                                                         capsys, monkeypatch):
+    """ingest, stats, zeroshot and census read no setting, so they take no
+    --config: even a valid, empty file is refused before any work."""
+    monkeypatch.chdir(frame_inputs)
+    flags, beside, _ = FRAME[command]
+    (tmp_path / "run.cfg").write_text("")
+    rc = main([command, *flags, "--out", str(tmp_path / beside),
+               "--config", str(tmp_path / "run.cfg")])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("usage:") and "unrecognized arguments: --config" in err
+    assert out == "" and list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
