@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 1 runtime fault. Commands
 return their results and main writes them: the report to --out or stdout,
-then, last, a manifest JSON (tool version, input digests, counters, and the
-hash of --config where taken) beside the file the command names, if any.
+then, last, a manifest JSON beside the file the command names, if any: tool
+version, input digests and counters; for finegrain its stage seconds too;
+and, for a command with --config, the settings it reads (config.SETTINGS),
+defaults included.
 Outputs are written to a temp file and renamed: none is ever left truncated.
 
 Importing this module loads no numpy, and no ingest, JATS, caption or
@@ -28,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .batch import (IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines,
                     atomic_write_lines, ordered_map)
-from .config import ConfigError, PipelineConfig, load_config
+from .config import SETTINGS, ConfigError, PipelineConfig, load_config
 from .corpus import read_corpus
 from .jsonshape import need, need_field, need_list
 from .stages import StageTimer
@@ -38,7 +40,7 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 # --workers is set on the command line only, not in PipelineConfig: the pool
-# size changes no output byte, so it stays out of the manifests' config hash.
+# size changes no output byte, so it stays out of the manifests' settings.
 MAX_WORKERS = 1024
 
 # The names the commands use from the vision and evaluate packages, each
@@ -92,12 +94,12 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, cfg, inputs: list, counters: dict,
+def _write_manifest(out_path, cfg, keys, inputs: list, counters: dict,
                     stages: dict[str, float] | None = None) -> None:
     digests = {str(p): _sha256_file(p) for p in inputs if Path(p).is_file()}
     manifest = {"tool_version": __version__, "input_digests": digests, "counters": counters}
     if cfg is not None:
-        manifest["config_hash"] = hashlib.sha256(cfg.canonical_text().encode()).hexdigest()
+        manifest["settings"] = {key: getattr(cfg, key) for key in keys}
     if stages is not None:
         manifest["stages"] = {name: round(s, 6) for name, s in stages.items()}
     atomic_write_lines(str(out_path) + ".manifest.json",
@@ -113,6 +115,9 @@ def _emit_report(obj: dict, out: str | None) -> None:
 
 
 def _load_embedder(args, dim_hint: int):
+    """The prompt embedder, with what zeroshot and census add to their output
+    and manifest counters: a mark when the hash stand-in, not --text-emb,
+    embeds the prompts."""
     if args.text_emb:
         store = read_store(args.text_emb)
         table = {i: store.vectors[k] for k, i in enumerate(store.ids)}
@@ -122,14 +127,8 @@ def _load_embedder(args, dim_hint: int):
                 raise KeyError(f"prompt not in text embedding file: {prompt!r}")
             return table[prompt]
 
-        return from_file
-    return HashTextEmbedder(dim=dim_hint)
-
-
-def _embedder_flag(args) -> dict:
-    """What zeroshot and census add to their output and manifest counters:
-    a mark when prompts were embedded by the hash stand-in, not a file."""
-    return {} if args.text_emb else {"text_embedder": "hash"}
+        return from_file, {}
+    return HashTextEmbedder(dim=dim_hint), {"text_embedder": "hash"}
 
 
 def cmd_ingest(args):
@@ -311,7 +310,7 @@ def cmd_retrieval(args, cfg):
     counters = {"n_queries": queries.n, "n_targets": targets.n, "dim": queries.dim}
     if args.ann:
         index = AnnIndex(cfg).build(targets)
-        counters.update(n_lists=index.n_lists, n_probe=cfg.ann_n_probe)
+        counters["n_lists"] = index.n_lists
         rng = np.random.default_rng(cfg.seed)
         sample = rng.choice(queries.n, size=min(64, queries.n), replace=False)
         obj["ann_measured_recall@10"] = measure_recall(
@@ -331,7 +330,7 @@ def cmd_zeroshot(args):
             need_field(c, "class_name", str, where),
             need_list(need_field(c, "prompt_templates", list, where), str,
                       f"{where}prompt_templates")))
-    embedder = _load_embedder(args, images.dim)
+    embedder, flag = _load_embedder(args, images.dim)
     result = zero_shot_classify(images, classes, embedder)
     obj = {"predictions": dict(zip(images.ids, result.predictions))}
     if args.labels:
@@ -341,7 +340,6 @@ def cmd_zeroshot(args):
         obj["accuracy"] = accuracy(result, labels)
         if len(classes) == 2:
             obj["auroc"] = binary_auroc(result, labels, classes[1].class_name)
-    flag = _embedder_flag(args)
     obj.update(flag)
     return obj, args.report_out, [args.images, args.classes], {"n_images": images.n, **flag}
 
@@ -350,7 +348,7 @@ def cmd_census(args):
     _bind(_EVALUATE)
     images = read_store(args.images)
     taxonomy = need_list(json.loads(Path(args.taxonomy).read_text()), dict, args.taxonomy)
-    embedder = _load_embedder(args, images.dim)
+    embedder, flag = _load_embedder(args, images.dim)
     keywords = []
     for i, entry in enumerate(taxonomy):
         where = f"{args.taxonomy}[{i}]."
@@ -359,7 +357,6 @@ def cmd_census(args):
         for kw in need_list(entry_keywords, str, f"{where}keywords"):
             keywords.append(TaxonomyKeyword(type_name, embed_text(embedder, kw)))
     histogram = taxonomy_census(images, keywords)
-    flag = _embedder_flag(args)
     obj = {"histogram": [{"type_name": t, "count": c} for t, c in histogram[:30]],
            "total": images.n, **flag}
     return obj, args.report_out, [args.images, args.taxonomy], {"n_images": images.n, **flag}
@@ -431,7 +428,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = load_config(args.config) if "config" in args else None
+        keys = SETTINGS.get(args.command)
+        cfg = load_config(args.config, keys) if keys else None
         workers = getattr(args, "workers", 1)
         if not 1 <= workers <= MAX_WORKERS:
             raise ConfigError(f"workers={workers} outside [1, {MAX_WORKERS}]")
@@ -439,7 +437,7 @@ def main(argv=None) -> int:
             args.func(args, cfg) if cfg is not None else args.func(args))
         _emit_report(report, getattr(args, "report_out", None))
         if manifest_path is not None:
-            _write_manifest(manifest_path, cfg, inputs, counters, *stages)
+            _write_manifest(manifest_path, cfg, keys, inputs, counters, *stages)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

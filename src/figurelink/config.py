@@ -1,15 +1,16 @@
 """Flat key=value configuration with comments, read from `--config`, the
-only source of settings. Unknown keys are rejected.
+only source of settings.
 
 PipelineConfig holds every setting that decides a command's outputs, and
-is the only place their defaults are written; its canonical text is what
-each manifest's config hash covers. This module imports only the standard
-library, so every package module can read it.
+is the only place their defaults are written. SETTINGS names the keys each
+command reads: its `--config` accepts those alone, and its manifest records
+their values. This module imports only the standard library, so every
+package module can read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -39,6 +40,7 @@ class PipelineConfig:
         "min_panel_frac": (0.0, 1.0),
         "ann_n_lists": (0, 1_000_000),
         "ann_n_probe": (1, 1_000_000),
+        "seed": (0, 2**63 - 1),
     }
 
     def validate(self) -> "PipelineConfig":
@@ -46,21 +48,17 @@ class PipelineConfig:
             value = getattr(self, name)
             if not lo <= value <= hi:
                 raise ConfigError(f"{name}={value} outside [{lo}, {hi}]")
-        if any(k < 1 for k in self.k_values):
-            raise ConfigError("k_values must be positive")
+        if not self.k_values or any(k < 1 for k in self.k_values):
+            raise ConfigError("k_values must be positive and non-empty")
         return self
 
-    def canonical_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
 
-
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+# The keys each command with --config reads, and so accepts.
+SETTINGS = {
+    "finegrain": ("bg_intensity", "bg_fraction", "max_gutter_var", "min_gutter_px",
+                  "min_panel_frac"),
+    "retrieval": ("k_values", "ann_n_lists", "ann_n_probe", "seed"),
+}
 
 
 def _parse_value(key: str, raw: str):
@@ -69,19 +67,15 @@ def _parse_value(key: str, raw: str):
             return tuple(int(v) for v in raw.split(",") if v.strip())
         except ValueError as exc:
             raise ConfigError(f"bad k_values {raw!r}") from exc
-    current = getattr(PipelineConfig(), key)
     try:
-        if isinstance(current, int):
-            return int(raw)
-        if isinstance(current, float):
-            return float(raw)
+        return type(getattr(PipelineConfig, key))(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return raw
 
 
-def load_config(path=None) -> PipelineConfig:
-    """Read a config file (key=value lines, # comments) over the defaults."""
+def load_config(path, keys) -> PipelineConfig:
+    """Read a config file (key=value lines, # comments), if path is not
+    None, over the defaults; a key outside keys is an unknown key."""
     cfg = PipelineConfig()
     if path is not None:
         try:
@@ -95,7 +89,7 @@ def load_config(path=None) -> PipelineConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
+            if key not in keys:
                 raise ConfigError(f"unknown config key {key!r}")
             setattr(cfg, key, _parse_value(key, raw))
     return cfg.validate()

@@ -2,7 +2,6 @@
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import shutil
@@ -17,7 +16,7 @@ import pytest
 from figurelink import cli
 from figurelink.captioner import split_caption
 from figurelink.cli import build_parser, main
-from figurelink.config import ConfigError, PipelineConfig, load_config
+from figurelink.config import SETTINGS, ConfigError, PipelineConfig, load_config
 from figurelink.evaluate.store import (
     MODALITY_IMAGE,
     MODALITY_TEXT,
@@ -34,6 +33,9 @@ from test_jats import deep_article
 from test_jats_reference import perfbench_gen
 
 
+FIELD_NAMES = {f.name for f in fields(PipelineConfig)}
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     return make_corpus(tmp_path_factory.mktemp("clicorpus"), 25, seed=0)
@@ -41,14 +43,14 @@ def corpus(tmp_path_factory):
 
 class TestConfig:
     def test_defaults_validate(self):
-        cfg = load_config()
+        cfg = load_config(None, SETTINGS["finegrain"])
         assert cfg.min_gutter_px == 8
         assert cfg.k_values == (1, 5, 10)
 
     def test_file_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# run settings\nmin_gutter_px = 3\nann_n_probe = 7\n")
-        cfg = load_config(path)
+        cfg = load_config(path, ("min_gutter_px", "ann_n_probe"))
         assert cfg.min_gutter_px == 3
         assert cfg.ann_n_probe == 7
 
@@ -56,16 +58,19 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("wrokers = 3\n")
         with pytest.raises(ConfigError):
-            load_config(path)
+            load_config(path, SETTINGS["finegrain"])
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("min_gutter_px = soon\n")
         with pytest.raises(ConfigError):
-            load_config(path)
+            load_config(path, SETTINGS["finegrain"])
 
-    def test_canonical_text_is_stable(self):
-        assert PipelineConfig().canonical_text() == PipelineConfig().canonical_text()
+    def test_settings_split_the_fields(self):
+        """Each setting is read by exactly one command."""
+        finegrain, retrieval = SETTINGS["finegrain"], SETTINGS["retrieval"]
+        assert set(finegrain).isdisjoint(retrieval)
+        assert {*finegrain, *retrieval} == FIELD_NAMES
 
 
 class TestIngestCommand:
@@ -148,39 +153,46 @@ class TestConfigReadErrors:
                                    f"config error: cannot read {cfg}: ")
 
 
-def _config_hash(out) -> str:
-    return json.loads(Path(f"{out}.manifest.json").read_text())["config_hash"]
+def _manifest(out) -> dict:
+    return json.loads(Path(f"{out}.manifest.json").read_text())
 
 
 class TestWorkers:
     """The pool size comes from --workers alone and, like the CPU count its
-    default is read from, stays out of the manifests' config hash."""
+    default is read from, stays out of the manifests' settings."""
 
-    def test_hash_is_the_same_for_any_worker_count(self, corpus, tmp_path, capsys):
+    def test_manifest_is_the_same_for_any_worker_count(self, corpus, tmp_path, capsys,
+                                                        real_pool):
         pairs = tmp_path / "pairs.jsonl"
-        assert main(["ingest", "--root", str(corpus.packages_dir), "--out", str(pairs)]) == 0
-        hashes = set()
+        assert main(["ingest", "--root", str(corpus.packages_dir), "--out", str(pairs),
+                     "--workers", "1"]) == 0
+        manifests = []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}"
             assert main(["finegrain", "--corpus", str(pairs),
                          "--images-root", str(corpus.packages_dir),
                          "--out-dir", str(out), "--workers", workers]) == 0
-            hashes.add(_config_hash(out / "fine_pairs.jsonl"))
-        defaults = PipelineConfig().canonical_text().encode()
-        assert hashes == {hashlib.sha256(defaults).hexdigest()}
+            manifest = _manifest(out / "fine_pairs.jsonl")
+            del manifest["stages"]
+            manifests.append(manifest)
+        assert real_pool == [2]
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["settings"] == {
+            key: getattr(PipelineConfig(), key) for key in SETTINGS["finegrain"]}
 
-    def test_hash_does_not_depend_on_the_cpu_count(self, tmp_path, capsys, monkeypatch):
+    def test_settings_do_not_depend_on_the_cpu_count(self, tmp_path, capsys, monkeypatch):
         images, texts, _ = paired_stores(np.random.default_rng(4), 20, 8)
         write_store(tmp_path / "q.emb", images)
         write_store(tmp_path / "t.emb", texts)
-        hashes = []
+        settings = []
         for cpus in (2, 8):
             monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
             out = tmp_path / f"cpus{cpus}.json"
             assert main(["retrieval", "--queries", str(tmp_path / "q.emb"),
                          "--targets", str(tmp_path / "t.emb"), "--out", str(out)]) == 0
-            hashes.append(_config_hash(out))
-        assert hashes[0] == hashes[1]
+            settings.append(_manifest(out)["settings"])
+        assert settings[0] == settings[1] == {
+            "k_values": [1, 5, 10], "ann_n_lists": 0, "ann_n_probe": 28, "seed": 0}
 
     @pytest.mark.parametrize("workers", ["0", "1025"])
     @pytest.mark.parametrize("command", ["ingest", "finegrain"])
@@ -660,12 +672,12 @@ class TestRetrievalCommand:
         assert main(["retrieval", "--queries", str(qpath), "--targets", str(tpath),
                      "--out", str(out), "--config", str(tmp_path / "ann.cfg"),
                      *(["--ann"] if ann else [])]) == 0
-        counters = json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
+        manifest = _manifest(out)
         expected = {"n_queries": 50, "n_targets": 50, "dim": 8}
         if ann:  # n_lists is the built value: ceil(sqrt(50)) lists
-            expected.update(n_lists=8, n_probe=3)
-        assert counters == expected
-
+            expected.update(n_lists=8)
+        assert manifest["counters"] == expected
+        assert manifest["settings"]["ann_n_probe"] == 3
 
     def test_truncated_store_exits_1_with_one_line(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -907,6 +919,8 @@ MALFORMED_CONFIGS = {
     "bad_k_values": ("k_values = 1,x\n", "bad k_values"),
     "zero_k": ("k_values = 0,5\n", "k_values must be positive"),
     "workers_key": ("workers = 2\n", "unknown config key 'workers'"),
+    "negative_seed": ("seed = -1\n", "seed=-1 outside [0, 9223372036854775807]"),
+    "empty_k": ("k_values =\n", "k_values must be positive"),
 }
 
 
@@ -1041,6 +1055,9 @@ class TestStandInEmbedder:
                                                     content, command):
         monkeypatch.chdir(tmp_path)
         text, message = MALFORMED_CONFIGS[content]
+        key = text.partition("=")[0].strip()
+        if command in SETTINGS and key in FIELD_NAMES - set(SETTINGS[command]):
+            message = f"unknown config key {key!r}"  # another command's key
         (tmp_path / "run.cfg").write_text(text)
         rc = main([command, *MINIMAL_ARGV[command], "--config", "run.cfg"])
         _assert_bad_config_exits_2(command, rc, capsys.readouterr().err,
@@ -1091,7 +1108,7 @@ def test_manifest_frame(command, frame_inputs, tmp_path, capsys, monkeypatch):
     assert sorted(tmp_path.rglob("*.manifest.json")) == [manifest_path]
     manifest = json.loads(manifest_path.read_text())
     assert set(manifest) == {"tool_version", "input_digests", "counters",
-                             *(["config_hash"] if command in CONFIG_COMMANDS else []),
+                             *(["settings"] if command in CONFIG_COMMANDS else []),
                              *(["stages"] if command == "finegrain" else [])}
     assert set(manifest["input_digests"]) == inputs
     outputs = [p for p in tmp_path.rglob("*") if p.is_file() and p != manifest_path]
@@ -1119,3 +1136,61 @@ def test_config_is_a_usage_error_where_no_setting_is_read(command, frame_inputs,
     assert rc == 2
     assert err.startswith("usage:") and "unrecognized arguments: --config" in err
     assert out == "" and list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
+class RecordedConfig(PipelineConfig):
+    """A copy of a config that records the name of each field read from it."""
+
+    def __init__(self, cfg: PipelineConfig):
+        self.reads = set()
+        super().__init__(**vars(cfg))
+
+    def __getattribute__(self, name):
+        if name in FIELD_NAMES:
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS))
+def test_a_run_reads_exactly_the_settings_its_manifest_records(command, frame_inputs,
+                                                              tmp_path, capsys, monkeypatch):
+    """Up to its manifest, a run reads every setting of its command and no
+    other, so the manifest's settings are all that decided its outputs."""
+    assert set(CONFIG_COMMANDS) == set(SETTINGS)
+    monkeypatch.chdir(frame_inputs)
+    load, write = cli.load_config, cli._write_manifest
+    reads = []
+
+    def write_manifest(out_path, cfg, *rest):
+        reads.append(set(cfg.reads))
+        write(out_path, cfg, *rest)
+
+    monkeypatch.setattr(cli, "load_config", lambda path, keys: RecordedConfig(load(path, keys)))
+    monkeypatch.setattr(cli, "_write_manifest", write_manifest)
+    flags, beside, _ = FRAME[command]
+    dest = (["--ocr-dir", "in/ocr", "--out-dir", str(tmp_path)] if command == "finegrain"
+            else ["--out", str(tmp_path / beside)])
+    assert main([command, *flags, *dest]) == 0
+    assert reads == [set(SETTINGS[command])]
+    assert list(_manifest(tmp_path / beside)["settings"]) == sorted(SETTINGS[command])
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in sorted(SETTINGS)
+                                          for other in sorted(SETTINGS) if other != command
+                                          for key in SETTINGS[other]])
+def test_a_key_of_the_other_command_is_unknown(command, key, frame_inputs, tmp_path, capsys,
+                                                monkeypatch):
+    """A command takes only the keys it reads: another command's key, even
+    at its default value, is refused before any work."""
+    monkeypatch.chdir(frame_inputs)
+    flags, beside, _ = FRAME[command]
+    value = getattr(PipelineConfig(), key)
+    value = ",".join(map(str, value)) if isinstance(value, tuple) else value
+    (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+    dest = (["--out-dir", str(tmp_path / "fine")] if command == "finegrain"
+            else ["--out", str(tmp_path / beside)])
+    rc = main([command, *flags, *dest, "--config", str(tmp_path / "run.cfg")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [f"config error: unknown config key {key!r}"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
