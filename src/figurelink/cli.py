@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 1 runtime fault. Commands
 return their results and main writes them: the report to --out or stdout,
 then, last, a manifest JSON beside the file the command names, if any: tool
-version, input digests and counters; for finegrain its stage seconds too;
-and, for a command with --config, the settings it reads (config.SETTINGS),
-defaults included.
+version, input digests and counters; for ingest and finegrain their stage
+seconds too; and, for a command with --config, the settings it reads
+(config.SETTINGS), defaults included.
 Outputs are written to a temp file and renamed: none is ever left truncated.
 
 Importing this module loads no numpy, and no ingest, JATS, caption or
@@ -136,11 +136,12 @@ def cmd_ingest(args):
     # wraps it.
     from . import ingest
 
-    report = ingest.run_pipeline(args.root, args.out, args.skip_log,
-                                 workers=args.workers)
+    timer = StageTimer()
+    with timer.stage("pipeline"):
+        report = ingest.run_pipeline(args.root, args.out, args.skip_log,
+                                     workers=args.workers)
     counters = report.counters()
-    return ({**counters, "wall_time": round(report.wall_time, 3)},
-            args.out, [], counters)
+    return counters, args.out, [], counters, timer.seconds
 
 
 def cmd_finegrain(args, cfg):

@@ -49,8 +49,8 @@ class TaxonomyKeyword:
 @dataclass
 class ZeroShotResult:
     class_names: list[str]
-    scores: np.ndarray            # N x C cosine similarities
     predictions: list[str]
+    margin: np.ndarray | None     # two classes: second's cosine less the first's
 
 
 def embed_text(text_embed, prompt: str) -> np.ndarray:
@@ -69,13 +69,21 @@ def embed_text(text_embed, prompt: str) -> np.ndarray:
 def class_embeddings(classes: list[ClassSpec], text_embed) -> np.ndarray:
     rows = []
     for spec in classes:
-        vecs = np.stack([embed_text(text_embed, p) for p in spec.prompts()])
-        mean = vecs.mean(axis=0)
+        mean = np.stack([embed_text(text_embed, p) for p in spec.prompts()]).mean(axis=0)
         norm = np.linalg.norm(mean)
         if norm == 0:
             raise EmbedderFailure(f"templates for {spec.class_name!r} cancel out")
         rows.append(mean / norm)
     return np.stack(rows)
+
+
+def nearest(images: EmbeddingStore, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each image's float64 cosine with each row, and its best row (the first
+    listed on a tie). einsum's default path sums each image's products on
+    their own, without BLAS or a float64 copy of the store: an image scores
+    the same bits in any store holding it, which a GEMM does not promise."""
+    scores = np.einsum("ij,cj->ic", images.vectors, rows)
+    return scores, scores.argmax(axis=1)
 
 
 def zero_shot_classify(images: EmbeddingStore, classes: list[ClassSpec],
@@ -84,19 +92,17 @@ def zero_shot_classify(images: EmbeddingStore, classes: list[ClassSpec],
         raise ValueError("need at least two classes")
     class_mat = class_embeddings(classes, text_embed)
     if class_mat.shape[1] != images.dim:
-        raise EmbedderFailure(
-            f"embedder dim {class_mat.shape[1]} vs image dim {images.dim}")
-    scores = images.vectors @ class_mat.T
-    preds = [classes[j].class_name for j in scores.argmax(axis=1)]
-    return ZeroShotResult([c.class_name for c in classes], scores, preds)
+        raise EmbedderFailure(f"embedder dim {class_mat.shape[1]} vs image dim {images.dim}")
+    scores, best = nearest(images, class_mat)
+    names = [c.class_name for c in classes]
+    margin = scores[:, 1] - scores[:, 0] if len(names) == 2 else None
+    return ZeroShotResult(names, [names[j] for j in best], margin)
 
 
 def accuracy(result: ZeroShotResult, labels: list[str]) -> float:
     if len(labels) != len(result.predictions):
         raise ValueError("label count mismatch")
-    if not labels:
-        return 0.0
-    return sum(p == t for p, t in zip(result.predictions, labels)) / len(labels)
+    return sum(p == t for p, t in zip(result.predictions, labels)) / max(len(labels), 1)
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -123,14 +129,14 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def binary_auroc(result: ZeroShotResult, labels: list[str],
-                 positive_class: str) -> float:
-    """AUROC of the positive class's score margin over the other class."""
-    if len(result.class_names) != 2:
+                 positive_class: str) -> float | None:
+    """AUROC of the positive class's score margin over the other class;
+    None, as undefined, when the labels hold only one side."""
+    if result.margin is None:
         raise ValueError("binary AUROC requires exactly two classes")
-    pos_idx = result.class_names.index(positive_class)
-    margin = result.scores[:, pos_idx] - result.scores[:, 1 - pos_idx]
+    sign = 1 if result.class_names.index(positive_class) == 1 else -1
     truth = np.array([lab == positive_class for lab in labels])
-    return auroc(margin, truth)
+    return auroc(sign * result.margin, truth) if 0 < truth.sum() < len(truth) else None
 
 
 def taxonomy_census(images: EmbeddingStore,
@@ -142,15 +148,9 @@ def taxonomy_census(images: EmbeddingStore,
     """
     if not keywords:
         raise ValueError("need at least one keyword")
-    kw_mat = np.stack([k.keyword_embedding for k in keywords])
-    sims = images.vectors @ kw_mat.T
-    winners = sims.argmax(axis=1)  # argmax returns the first maximum
-    counts: dict[str, int] = {}
-    for k in keywords:  # preserve first-listed order for deterministic ties
-        counts.setdefault(k.type_name, 0)
-    for w in winners:
-        counts[keywords[w].type_name] += 1
-    order = {name: i for i, name in enumerate(counts)}
-    items = [(name, c) for name, c in counts.items() if c > 0]
-    items.sort(key=lambda kv: (-kv[1], order[kv[0]]))
-    return items
+    _, winners = nearest(images, np.stack([k.keyword_embedding for k in keywords]))
+    counts = dict.fromkeys((k.type_name for k in keywords), 0)  # first-listed order
+    for k, hits in zip(keywords, np.bincount(winners, minlength=len(keywords)).tolist()):
+        counts[k.type_name] += hits
+    # sorted is stable, so equal counts keep their first-listed order
+    return sorted(((name, c) for name, c in counts.items() if c), key=lambda kv: -kv[1])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -65,7 +64,6 @@ class IngestReport:
     # skip-log rows per reason, article- and figure-level alike
     skip_reasons: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(SKIP_REASONS, 0))
-    wall_time: float = 0.0
 
     def counters(self) -> dict:
         return {
@@ -148,7 +146,6 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    start = time.monotonic()
     packages = enumerate_packages(root)
     report = IngestReport()
 
@@ -179,5 +176,4 @@ def run_pipeline(root, out_path, skip_log_path=None, workers: int = 1) -> Ingest
                 if write_skip is not None:
                     write_skip(json.dumps(skip, ensure_ascii=False))
 
-    report.wall_time = time.monotonic() - start
     return report

@@ -87,6 +87,22 @@ class TestIngestCommand:
         assert manifest["counters"]["pairs_emitted"] == corpus.pairs_emitted
         assert "config_hash" not in manifest
 
+    def test_two_runs_print_the_same_report(self, corpus, tmp_path, capsys):
+        """The report holds the counters alone; the run's seconds go to the
+        manifest's stages."""
+        reports, manifests = [], []
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.jsonl"
+            assert main(["ingest", "--root", str(corpus.packages_dir),
+                         "--out", str(out), "--workers", "1"]) == 0
+            reports.append(capsys.readouterr().out)
+            manifests.append(_manifest(out))
+        assert reports[0] == reports[1]
+        for manifest in manifests:
+            assert manifest["counters"] == json.loads(reports[0])
+            assert list(manifest["stages"]) == ["pipeline"]
+            assert manifest["stages"]["pipeline"] > 0
+
     def test_bad_root_exits_1(self, tmp_path, capsys):
         rc = main(["ingest", "--root", str(tmp_path / "absent"),
                    "--out", str(tmp_path / "o.jsonl")])
@@ -724,6 +740,27 @@ class TestZeroshotCommand:
         assert len(payload["predictions"]) == 30
         assert set(payload["predictions"].values()) <= {"mri", "ct"}
 
+    @pytest.mark.parametrize("only", ["mri", "ct"])
+    def test_labels_of_one_class_give_a_null_auroc(self, tmp_path, capsys, only):
+        """AUROC is undefined when the labels hold one of the two classes:
+        the report gives the accuracy and "auroc": null, and the run exits 0."""
+        store = EmbeddingStore.from_raw(
+            [f"i{k}" for k in range(12)], np.random.default_rng(6).standard_normal((12, 8)),
+            MODALITY_IMAGE)
+        write_store(tmp_path / "img.emb", store)
+        (tmp_path / "classes.json").write_text(json.dumps(GOOD_CLASSES))
+        (tmp_path / "labels.json").write_text(json.dumps(dict.fromkeys(store.ids, only)))
+        out = tmp_path / "report.json"
+        assert main(["zeroshot", "--images", str(tmp_path / "img.emb"), "--classes",
+                     str(tmp_path / "classes.json"), "--labels", str(tmp_path / "labels.json"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["auroc"] is None
+        predicted = list(report["predictions"].values())
+        assert report["accuracy"] == predicted.count(only) / 12
+        assert Path(f"{out}.manifest.json").is_file()
+
 
 class TestCensusCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -1109,7 +1146,7 @@ def test_manifest_frame(command, frame_inputs, tmp_path, capsys, monkeypatch):
     manifest = json.loads(manifest_path.read_text())
     assert set(manifest) == {"tool_version", "input_digests", "counters",
                              *(["settings"] if command in CONFIG_COMMANDS else []),
-                             *(["stages"] if command == "finegrain" else [])}
+                             *(["stages"] if command in ("ingest", "finegrain") else [])}
     assert set(manifest["input_digests"]) == inputs
     outputs = [p for p in tmp_path.rglob("*") if p.is_file() and p != manifest_path]
     assert max(p.stat().st_mtime_ns for p in outputs) <= manifest_path.stat().st_mtime_ns

@@ -1,7 +1,12 @@
 """Zero-shot classification, AUROC, and the taxonomy census."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from figurelink.evaluate.store import MODALITY_IMAGE, EmbeddingStore
 from figurelink.evaluate.zeroshot import (
@@ -109,6 +114,18 @@ class TestZeroShot:
         assert accuracy(result, labels) > 0.9
         assert binary_auroc(result, labels, "xray") > 0.95
 
+    def test_auroc_is_none_when_the_labels_hold_one_class(self):
+        rng = np.random.default_rng(55)
+        classes = [ClassSpec(n, TEMPLATES) for n in ["a", "b"]]
+        store = EmbeddingStore.from_raw([f"i{k}" for k in range(6)],
+                                        rng.standard_normal((6, 8)), MODALITY_IMAGE)
+        result = zero_shot_classify(store, classes, HashTextEmbedder(dim=8))
+        for only in ("a", "b"):
+            assert binary_auroc(result, [only] * 6, "b") is None
+        labels = ["a", "b"] * 3
+        assert binary_auroc(result, labels, "b") == auroc(result.margin, np.array(labels) == "b")
+        assert binary_auroc(result, labels, "a") == auroc(-result.margin, np.array(labels) == "a")
+
     def test_accuracy_validates_lengths(self):
         rng = np.random.default_rng(54)
         embed = HashTextEmbedder(dim=8)
@@ -174,3 +191,86 @@ class TestCensus:
     def test_keyword_must_be_unit(self):
         with pytest.raises(ValueError):
             TaxonomyKeyword("x", np.array([2.0, 0.0]))
+
+
+def census_oracle(winner_types, first_listed):
+    """The census of images whose nearest keywords have winner_types."""
+    counts = {t: winner_types.count(t) for t in first_listed}
+    ranked = sorted((t for t in first_listed if counts[t]),
+                    key=lambda t: (-counts[t], first_listed.index(t)))
+    return [(t, counts[t]) for t in ranked]
+
+
+class TestRowLocalScores:
+    """An image's prediction, two-class margin and census winner depend on
+    its own row alone: they are bitwise the same in the store, in any
+    sub-store holding the image and under any row order. A GEMM does not
+    promise this, since its bits depend on how it blocks the rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), dim=st.integers(1, 64), n_classes=st.integers(2, 6),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_same_bits_in_any_sub_store(self, n, dim, n_classes, seed, data):
+        rng = np.random.default_rng(seed)
+        store = EmbeddingStore.from_raw([f"i{k}" for k in range(n)],
+                                        rng.standard_normal((n, dim)), MODALITY_IMAGE)
+        embed = HashTextEmbedder(dim=dim)
+        # one template each: at D = 1 two templates' embeddings may cancel
+        classes = [ClassSpec(f"c{j}", TEMPLATES[:1]) for j in range(n_classes)]
+        keywords = [TaxonomyKeyword(f"t{j % 3}", v / np.linalg.norm(v))
+                    for j, v in enumerate(rng.standard_normal((2 * n_classes, dim)))]
+        first_listed = list(dict.fromkeys(k.type_name for k in keywords))
+
+        def sub_store(rows):
+            return EmbeddingStore([store.ids[i] for i in rows], store.vectors[rows],
+                                  MODALITY_IMAGE)
+
+        order = data.draw(st.permutations(range(n)))
+        rows = order[:data.draw(st.integers(1, n))]  # size n: the whole store permuted
+        full, part = (zero_shot_classify(s, classes, embed) for s in (store, sub_store(rows)))
+        assert part.predictions == [full.predictions[i] for i in rows]
+        full, part = (zero_shot_classify(s, classes[:2], embed)
+                      for s in (store, sub_store(rows)))
+        assert part.margin.tobytes() == full.margin[rows].tobytes()
+        # each image's winner, from the census of a store holding it alone
+        winners = [taxonomy_census(sub_store([i]), keywords)[0][0] for i in range(n)]
+        assert taxonomy_census(store, keywords) == census_oracle(winners, first_listed)
+        assert taxonomy_census(sub_store(rows), keywords) == census_oracle(
+            [winners[i] for i in rows], first_listed)
+
+
+class TestScoringMemory:
+    """Zero-shot and census scoring allocate O(N·C) floats, not a float64
+    copy of the store: at N = 50k, D = 512 that copy alone is 205 MB."""
+
+    N, DIM = 50_000, 512
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        vecs = np.random.default_rng(71).standard_normal((self.N, self.DIM), dtype=np.float32)
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        return EmbeddingStore([f"i{k}" for k in range(self.N)], vecs, MODALITY_IMAGE)
+
+    @staticmethod
+    def traced_peak(fn):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_zero_shot_peak(self, store):
+        classes = [ClassSpec(f"class {j}", TEMPLATES) for j in range(10)]
+        embed = HashTextEmbedder(dim=self.DIM)
+        bound = store.vectors.nbytes + (40 << 20)
+        peak = self.traced_peak(lambda: zero_shot_classify(store, classes, embed))
+        assert peak < bound, f"{peak / 2**20:.1f} MB"
+
+    def test_census_peak(self, store):
+        embed = HashTextEmbedder(dim=self.DIM)
+        keywords = [TaxonomyKeyword(f"type {j % 7}", embed(f"keyword {j}")) for j in range(30)]
+        bound = store.vectors.nbytes + (40 << 20)
+        peak = self.traced_peak(lambda: taxonomy_census(store, keywords))
+        assert peak < bound, f"{peak / 2**20:.1f} MB"
