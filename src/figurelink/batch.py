@@ -101,54 +101,30 @@ def ordered_map(fn, items, workers: int, *, files, bytes_per_process: int):
             yield from results
 
 
-class OutputUnwritable(OSError):
-    pass
-
-
 @contextmanager
 def atomic_lines(path):
     """Yield a function that writes one line plus "\n" to a temp file beside
     path. When the block ends normally the temp file is renamed over path,
-    so an interrupted run never leaves a truncated output; when it raises,
-    the temp file is removed. A failed write, close or rename raises
-    OutputUnwritable; an exception from the block passes through as is."""
+    so an interrupted run never leaves a truncated output. If anything
+    fails, the block or the writer's own write, close or rename, the temp
+    file is removed, path keeps its old bytes, and the exception passes
+    through as is."""
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
-        fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OutputUnwritable(str(exc)) from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
 
     def write(line: str) -> None:
-        try:
-            fh.write(line)
-            fh.write("\n")
-        except OSError as exc:
-            raise OutputUnwritable(str(exc)) from exc
+        fh.write(line)
+        fh.write("\n")
 
     try:
         yield write
-    except BaseException:
-        _discard(fh, tmp)
-        raise
-    try:
         fh.close()
         os.replace(tmp, path)
-    except OSError as exc:
-        _discard(fh, tmp)
-        raise OutputUnwritable(str(exc)) from exc
-
-
-def _discard(fh, tmp) -> None:
-    with suppress(OSError):
-        fh.close()
-    with suppress(OSError):
-        os.unlink(tmp)
-
-
-def atomic_write_lines(path, lines) -> None:
-    """Write each of lines through atomic_lines(path)."""
-    with atomic_lines(path) as write:
-        for line in lines:
-            write(line)
+    except BaseException:
+        with suppress(OSError):
+            fh.close()
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise

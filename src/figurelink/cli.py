@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .batch import (IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines,
-                    atomic_write_lines, ordered_map)
+from .batch import IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines, ordered_map
 from .config import SETTINGS, ConfigError, PipelineConfig, load_config
 from .corpus import read_corpus
 from .jsonshape import need, need_field, need_list
@@ -102,14 +101,14 @@ def _write_manifest(out_path, cfg, keys, inputs: list, counters: dict,
         manifest["settings"] = {key: getattr(cfg, key) for key in keys}
     if stages is not None:
         manifest["stages"] = {name: round(s, 6) for name, s in stages.items()}
-    atomic_write_lines(str(out_path) + ".manifest.json",
-                       [json.dumps(manifest, indent=1, sort_keys=True)])
+    _emit_report(manifest, f"{out_path}.manifest.json")
 
 
 def _emit_report(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=1, sort_keys=True)
     if out:
-        atomic_write_lines(out, [text])
+        with atomic_lines(out) as write:
+            write(text)
     else:
         sys.stdout.write(text + "\n")
 
@@ -299,11 +298,15 @@ def cmd_retrieval(args, cfg):
     queries = read_store(args.queries)
     targets = read_store(args.targets)
     ids_q, ids_t = set(queries.ids), set(targets.ids)
+    shared = ids_q & ids_t
     if ids_q == ids_t:
         pairing = {i: i for i in queries.ids}
+    elif shared:
+        raise DimensionMismatch(f"stores share id {min(shared)!r} but not all their ids")
+    elif queries.n != targets.n:
+        raise DimensionMismatch(
+            f"stores share no ids and differ in size: {queries.n} vs {targets.n}")
     else:
-        if queries.n != targets.n:
-            raise DimensionMismatch("stores differ in size and share no ids")
         pairing = dict(zip(queries.ids, targets.ids))
     runs = recall_at_k(queries, targets, pairing, cfg.k_values)
     obj = {direction: {f"recall@{k}": run.recall_at[k] for k in run.k_values}

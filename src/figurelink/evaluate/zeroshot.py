@@ -26,11 +26,11 @@ class ClassSpec:
         if not self.prompt_templates:
             raise ValueError("at least one prompt template required")
         for t in self.prompt_templates:
-            if t.count("{}") != 1:
-                raise ValueError(f"template {t!r} must contain exactly one {{}} slot")
+            if t.count("{}") != 1 or t.count("{") + t.count("}") != 2:
+                raise ValueError(f"template {t!r} must contain one {{}} slot and no other brace")
 
     def prompts(self) -> list[str]:
-        return [t.format(self.class_name) for t in self.prompt_templates]
+        return [t.replace("{}", self.class_name) for t in self.prompt_templates]
 
 
 @dataclass

@@ -81,24 +81,25 @@ def enumerate_packages(root):
 
     A package is a direct subdirectory of root; its name is the pmcid.
     Its images are its direct children, indexed by stem; packages without
-    an XML file are yielded with xml_path=None. Root is checked and listed
-    by this call, so a missing root raises RootNotFound at once; each
-    package is listed when the iterator reaches it.
+    an XML file, and those that cannot be listed, are yielded with
+    xml_path=None. Root is checked and listed by this call, so a missing
+    root raises RootNotFound at once; each package is listed when the
+    iterator reaches it.
     """
     root = Path(root)
     if not root.is_dir():
         raise RootNotFound(str(root))
-    try:
-        with os.scandir(root) as listing:
-            names = sorted(entry.name for entry in listing if entry_is(entry.is_dir))
-    except PermissionError as exc:
-        raise PermissionError(f"cannot list {root}") from exc
+    with os.scandir(root) as listing:
+        names = sorted(entry.name for entry in listing if entry_is(entry.is_dir))
     return (_package(root, name) for name in names)
 
 
 def _package(root: Path, name: str) -> ArticlePackage:
-    with os.scandir(root / name) as listing:
-        entries = list(listing)
+    try:
+        with os.scandir(root / name) as listing:
+            entries = list(listing)
+    except OSError:
+        entries = []
     xml_name = min((e.name for e in entries if split_name(e.name)[1] == ".xml"),
                    default=None)
     return ArticlePackage(root, name, xml_name, index_listing(entries))

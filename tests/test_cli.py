@@ -1,6 +1,7 @@
 """End-to-end command-line runs and config handling."""
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -107,6 +108,122 @@ class TestIngestCommand:
         rc = main(["ingest", "--root", str(tmp_path / "absent"),
                    "--out", str(tmp_path / "o.jsonl")])
         assert rc == 1
+
+    def test_unlistable_package_is_one_skip_row(self, tmp_path, capsys, monkeypatch):
+        """A package directory that cannot be listed is skipped like one with
+        no files, and the run goes on."""
+        packages = make_corpus(tmp_path / "corpus", n_articles=6, seed=0).packages_dir
+        locked = packages / "PMC1002"
+        real_scandir = os.scandir
+
+        def scandir(path="."):
+            if Path(path) == locked:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_scandir(path)
+
+        def ingest(run):
+            rc = main(["ingest", "--root", str(packages), "--out", str(tmp_path / f"{run}.jsonl"),
+                       "--skip-log", str(tmp_path / f"{run}.skips.jsonl"), "--workers", "1"])
+            out, err = capsys.readouterr()
+            assert (rc, err) == (0, "")
+            return (out, jsonl_lines(tmp_path / f"{run}.jsonl"),
+                    jsonl_lines(tmp_path / f"{run}.skips.jsonl"))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "scandir", scandir)
+            locked_run = ingest("locked")
+        assert [json.loads(row) for row in locked_run[2]
+                if json.loads(row)["pmcid"] == "PMC1002"] == [
+            {"pmcid": "PMC1002", "reason": "malformed_xml"}]
+        for child in locked.iterdir():
+            child.unlink()
+        assert locked_run == ingest("empty")
+
+
+def _assert_write_failed(capsys, rc, error: str, out_root: Path) -> None:
+    """One error line naming the OSError subclass, exit 1, and neither a temp
+    file nor a manifest left under out_root."""
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}: "), err
+    assert not list(out_root.rglob("*.tmp*"))
+    assert not list(out_root.rglob("*.manifest.json"))
+
+
+class TestFailedOutputWrite:
+    """An output that cannot be written ends the run with exit 1; its old
+    bytes stay and no manifest marks the run finished."""
+
+    def ingest(self, corpus, out):
+        return main(["ingest", "--root", str(corpus.packages_dir), "--out", str(out),
+                     "--workers", "1"])
+
+    def test_out_is_a_directory(self, corpus, tmp_path, capsys):
+        out = tmp_path / "pairs.jsonl"
+        out.mkdir()
+        (out / "kept").write_bytes(b"old")
+        rc = self.ingest(corpus, out)
+        _assert_write_failed(capsys, rc, "IsADirectoryError", tmp_path)
+        assert [p.name for p in out.iterdir()] == ["kept"]
+        assert (out / "kept").read_bytes() == b"old"
+
+    def test_out_below_a_regular_file(self, corpus, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"old")
+        rc = self.ingest(corpus, blocker / "pairs.jsonl")
+        _assert_write_failed(capsys, rc, "FileExistsError", tmp_path)
+        assert blocker.read_bytes() == b"old"
+
+    def test_write_fails_mid_stream(self, corpus, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "pairs.jsonl"
+        out.write_bytes(b"old\n")
+        real_fdopen = os.fdopen
+        written = []
+
+        def fdopen(*args, **kwargs):
+            fh = real_fdopen(*args, **kwargs)
+
+            def write(text):
+                if len(written) == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(text)
+                return type(fh).write(fh, text)
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        rc = self.ingest(corpus, out)
+        _assert_write_failed(capsys, rc, "OSError", tmp_path)
+        assert len(written) == 3
+        assert out.read_bytes() == b"old\n"
+
+    def test_rename_of_fine_pairs_fails(self, corpus, tmp_path, capsys, monkeypatch):
+        """fine_pairs.jsonl is renamed last, after audit.jsonl: when that
+        rename fails, the pairs keep their old bytes and no manifest is written."""
+        pairs = tmp_path / "pairs.jsonl"
+        assert self.ingest(corpus, pairs) == 0
+        (tmp_path / "pairs.jsonl.manifest.json").unlink()
+        capsys.readouterr()
+        out_dir = tmp_path / "fine"
+        out_dir.mkdir()
+        (out_dir / "fine_pairs.jsonl").write_bytes(b"old\n")
+        real_replace = os.replace
+        renamed = []
+
+        def replace(src, dst):
+            if Path(dst).name == "fine_pairs.jsonl":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(dst))
+            renamed.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        rc = main(["finegrain", "--corpus", str(pairs), "--images-root",
+                   str(corpus.packages_dir), "--out-dir", str(out_dir), "--workers", "1"])
+        _assert_write_failed(capsys, rc, "PermissionError", tmp_path)
+        assert renamed == ["audit.jsonl"]
+        assert (out_dir / "fine_pairs.jsonl").read_bytes() == b"old\n"
 
 
 # Every way reading a --config file can fail: each is a configuration error.
@@ -707,6 +824,40 @@ class TestRetrievalCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: StoreFormatError")
 
+    @staticmethod
+    def write_stores(tmp_path, query_ids, target_ids):
+        """Stores whose rows are one-hot by the id's place among its store's
+        sorted ids: a query matches the target of the same id when the id
+        sets are equal, and the one at its own position when each store
+        lists its ids sorted."""
+        for name, ids, modality in (("q.emb", query_ids, MODALITY_IMAGE),
+                                    ("t.emb", target_ids, MODALITY_TEXT)):
+            rows = np.eye(len(ids), 4)[[sorted(ids).index(i) for i in ids]]
+            write_store(tmp_path / name, EmbeddingStore.from_raw(ids, rows, modality))
+        return ["retrieval", "--queries", str(tmp_path / "q.emb"),
+                "--targets", str(tmp_path / "t.emb"), "--out", str(tmp_path / "r.json")]
+
+    @pytest.mark.parametrize("query_ids, target_ids", [
+        (["a", "b", "c"], ["b", "c", "a"]),
+        (["a", "b", "c"], ["x", "y", "z"]),
+    ], ids=["same_ids_by_id", "disjoint_ids_by_position"])
+    def test_pairing(self, tmp_path, capsys, query_ids, target_ids):
+        assert main(self.write_stores(tmp_path, query_ids, target_ids)) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert {run["recall@1"] for run in report.values()} == {1.0}
+
+    @pytest.mark.parametrize("query_ids, target_ids, message", [
+        (["a", "b", "c"], ["b", "a", "d"], "stores share id 'a' but not all their ids"),
+        (["a", "b", "c"], ["a", "b"], "stores share id 'a' but not all their ids"),
+        (["a", "b", "c"], ["x", "y"], "stores share no ids and differ in size: 3 vs 2"),
+    ], ids=["some_ids_shared", "some_ids_shared_sizes_differ", "disjoint_sizes_differ"])
+    def test_stores_that_cannot_be_paired_exit_1(self, tmp_path, capsys, query_ids,
+                                                 target_ids, message):
+        assert main(self.write_stores(tmp_path, query_ids, target_ids)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: DimensionMismatch: {message}"]
+        assert sorted(os.listdir(tmp_path)) == ["q.emb", "t.emb"]
+
     @pytest.mark.parametrize("ann", [[], ["--ann"]], ids=["exact", "ann"])
     def test_empty_stores_exit_1_with_one_line(self, tmp_path, capsys, ann):
         # Recall over no queries is undefined, with or without the index.
@@ -760,6 +911,20 @@ class TestZeroshotCommand:
         predicted = list(report["predictions"].values())
         assert report["accuracy"] == predicted.count(only) / 12
         assert Path(f"{out}.manifest.json").is_file()
+
+
+    def test_template_with_another_brace_exits_1_with_one_line(self, tmp_path, capsys):
+        template = "a {:{}} scan"
+        store = EmbeddingStore.from_raw(["i0"], np.eye(1, 4), MODALITY_IMAGE)
+        write_store(tmp_path / "img.emb", store)
+        classes = [{"class_name": "mri", "prompt_templates": [template]}, GOOD_CLASSES[1]]
+        (tmp_path / "classes.json").write_text(json.dumps(classes))
+        assert main(["zeroshot", "--images", str(tmp_path / "img.emb"),
+                     "--classes", str(tmp_path / "classes.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: ValueError: template {template!r} must contain one {{}} slot"
+            " and no other brace"]
 
 
 class TestCensusCommand:

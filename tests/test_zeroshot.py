@@ -66,6 +66,15 @@ class TestClassSpec:
         with pytest.raises(ValueError):
             ClassSpec("mri", ["{} and {}"])
 
+    @pytest.mark.parametrize("template", ["a {:{}} scan", "a {} {x} scan", "a {{}} scan",
+                                          "a {}} scan"])
+    def test_template_with_another_brace_is_rejected(self, template):
+        with pytest.raises(ValueError, match="no other brace"):
+            ClassSpec("mri", [template])
+
+    def test_class_name_is_filled_in_as_is(self):
+        assert ClassSpec("{0} x-ray", ["a {} scan"]).prompts() == ["a {0} x-ray scan"]
+
     def test_prompts_filled(self):
         spec = ClassSpec("chest x-ray", TEMPLATES)
         assert spec.prompts() == ["this is an image of chest x-ray",
