@@ -5,7 +5,8 @@ return their results and main writes them: the report to --out or stdout,
 then, last, a manifest JSON beside the file the command names, if any: tool
 version, input digests and counters; for ingest and finegrain their stage
 seconds too; and, for a command with --config, the settings it reads
-(config.SETTINGS), defaults included.
+(config.SETTINGS), defaults included. An earlier run's manifest there is
+removed before the command reads any input, so a run that fails leaves none.
 Outputs are written to a temp file and renamed: none is ever left truncated.
 
 Importing this module loads no numpy, and no ingest, JATS, caption or
@@ -24,7 +25,7 @@ import importlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -93,6 +94,13 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _manifest_anchor(args) -> Path | None:
+    """The output a command's manifest sits beside, or None if it writes none."""
+    if args.command == "finegrain":
+        return Path(args.out_dir) / "fine_pairs.jsonl"
+    return args.out if args.command == "ingest" else args.report_out
+
+
 def _write_manifest(out_path, cfg, keys, inputs: list, counters: dict,
                     stages: dict[str, float] | None = None) -> None:
     digests = {str(p): _sha256_file(p) for p in inputs if Path(p).is_file()}
@@ -140,7 +148,7 @@ def cmd_ingest(args):
         report = ingest.run_pipeline(args.root, args.out, args.skip_log,
                                      workers=args.workers)
     counters = report.counters()
-    return counters, args.out, [], counters, timer.seconds
+    return counters, [], counters, timer.seconds
 
 
 def cmd_finegrain(args, cfg):
@@ -151,22 +159,20 @@ def cmd_finegrain(args, cfg):
     # the pool.
     for _ in read_corpus(args.corpus):
         pass
-    run = FinegrainRun(Path(args.images_root), out_dir / "crops",
-                       Path(args.ocr_dir) if args.ocr_dir else None, cfg)
-    run.crops_dir.mkdir(parents=True, exist_ok=True)
+    images_root, crops_dir = Path(args.images_root), out_dir / "crops"
+    ocr_dir = Path(args.ocr_dir) if args.ocr_dir else None
+    crops_dir.mkdir(parents=True, exist_ok=True)
     timer = StageTimer()
 
-    # Each article's counters hold every key, in report order, so the sums
-    # start from the first one: with a pool, this process then never
-    # imports the vision code or numpy, whose BLAS threads would make the
-    # pool's fork unsafe.
-    counters: dict[str, int] = {}
-    pairs_path = out_dir / "fine_pairs.jsonl"
-    with atomic_lines(pairs_path) as write_pair, \
+    # Each article's counters hold every key, so the sums start from the
+    # first one: with a pool, this process then never imports the vision
+    # code or numpy, whose BLAS threads would make the pool's fork unsafe.
+    counters = Counter()
+    with atomic_lines(_manifest_anchor(args)) as write_pair, \
             atomic_lines(out_dir / "audit.jsonl") as write_audit:
-        results = ordered_map(functools.partial(finegrain_article, run),
-                              enumerate(read_corpus(args.corpus)), args.workers,
-                              files=lambda item: [run.images_root / fig.image
+        article = functools.partial(finegrain_article, images_root, crops_dir, ocr_dir, cfg)
+        results = ordered_map(article, enumerate(read_corpus(args.corpus)), args.workers,
+                              files=lambda item: [images_root / fig.image
                                                   for fig in item[1].figures],
                               bytes_per_process=IMAGE_BYTES_PER_PROCESS)
         for pair_lines, audit_lines, deltas, seconds in results:
@@ -174,33 +180,30 @@ def cmd_finegrain(args, cfg):
                 write_pair(line)
             for line in audit_lines:
                 write_audit(line)
-            for name, value in deltas.items():
-                counters[name] = counters.get(name, 0) + value
+            counters.update(deltas)
             timer.add(seconds)
-    counters = counters or _finegrain_counters()
-    return counters, pairs_path, [args.corpus], counters, timer.seconds
+    counters = counters or _finegrain_counters(0, [], [])
+    return counters, [args.corpus], counters, timer.seconds
 
 
-@dataclass
-class FinegrainRun:
-    """What every article of one finegrain run shares."""
-
-    images_root: Path
-    crops_dir: Path
-    ocr_dir: Path | None
-    cfg: PipelineConfig
-
-
-def _finegrain_counters() -> dict[str, int]:
+def _finegrain_counters(figures: int, pairs: list, audit: list, unknown_citance_labels=0,
+                        label_deficit=0) -> dict[str, int]:
+    """The report counters of these FinePair and AuditEntry rows; the rest are given."""
     _bind(_VISION)
-    counters = {"figures": 0, "fine_pairs": 0, "audit_entries": 0, "missing_images": 0,
-                "unreadable_images": 0, "unreadable_ocr": 0, "figure_faults": 0,
-                "unknown_citance_labels": 0, "label_deficit": 0, "unresolved_labels": 0}
-    counters.update({f"evidence_{tier}": 0 for tier in EVIDENCE_TIERS})
-    return counters
+    kinds = Counter(entry.kind for entry in audit)
+    evidence = Counter(pair.evidence for pair in pairs)
+    return {"figures": figures, "fine_pairs": len(pairs),
+            "audit_entries": kinds["unassigned_label"] + kinds["unassigned_panel"],
+            # The labels that match_labels_to_panels leaves unresolved.
+            "unresolved_labels": kinds["unassigned_label"],
+            "missing_images": kinds["missing_image"], "unreadable_images": kinds["unreadable_image"],
+            "unreadable_ocr": kinds["unreadable_ocr"], "figure_faults": kinds["figure_fault"],
+            "unknown_citance_labels": unknown_citance_labels, "label_deficit": label_deficit,
+            **{f"evidence_{tier}": evidence[tier] for tier in EVIDENCE_TIERS}}
 
 
-def finegrain_article(run: FinegrainRun, item):
+def finegrain_article(images_root: Path, crops_dir: Path, ocr_dir: Path | None,
+                      cfg: PipelineConfig, item):
     """Split one article, item = (a, article) with a its corpus ordinal and
     article the ArticleRecord read_corpus yields, into fine-grained pairs.
 
@@ -216,21 +219,20 @@ def finegrain_article(run: FinegrainRun, item):
     from . import captioner
 
     _bind(_VISION)
-    counters = _finegrain_counters()
     a, article = item
     pmcid = article.pmcid
     timer = StageTimer()
-    pair_lines, audit = [], []
+    pairs, audit = [], []
+    n_unknown = n_deficit = 0
 
     with timer.stage("match"):
         citances_by_fig: dict[str, list] = {}
         for citance in captioner.extract_citances(article.body_paragraphs, article.figures):
             citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
     for f, fig in enumerate(article.figures):
-        counters["figures"] += 1
         try:
             with timer.stage("decode"):
-                image = load_image(run.images_root / fig.image)
+                image = load_image(images_root / fig.image)
             with timer.stage("split"):
                 split_result = captioner.split_caption(fig.caption)
             labels = [s.label for s in split_result.subcaptions]
@@ -238,57 +240,50 @@ def finegrain_article(run: FinegrainRun, item):
             with timer.stage("match"):
                 citance_map, unknown = captioner.split_citances(fig_citances, labels)
             boxes = []
-            if run.ocr_dir is not None:
+            if ocr_dir is not None:
                 with timer.stage("resolve"):
                     # A sidecar lies in --ocr-dir itself: a "/" names none,
                     # nor does a name too long for the OS.
-                    ocr_path = run.ocr_dir / f"{fig.graphic_ref}.json"
+                    ocr_path = ocr_dir / f"{fig.graphic_ref}.json"
                     try:
                         boxes = (load_ocr_file(ocr_path) if "/" not in fig.graphic_ref
                                  and ocr_path.is_file() else [])
                     except (OSError, ValueError, KeyError) as exc:
                         if getattr(exc, "errno", None) != errno.ENAMETOOLONG:
-                            counters["unreadable_ocr"] += 1
                             audit.append(AuditEntry("unreadable_ocr", pmcid, fig.fig_id))
             # A label-free caption gives one whole-image pair: no panel is read.
-            panels, assignments, deficit, unresolved = [], [], [], []
+            panels, assignments, deficit = [], [], []
             if labels:
                 with timer.stage("split"):
-                    panels = split_panels(image, run.cfg)
+                    panels = split_panels(image, cfg)
                 with timer.stage("match"):
                     box_assignments, deficit = match_labels_to_boxes(labels, boxes)
-                    assignments, unresolved = match_labels_to_panels(
-                        box_assignments, panels, labels)
+                    assignments, _ = match_labels_to_panels(box_assignments, panels, labels)
         except Exception as exc:
             kind = ("figure_fault" if not isinstance(exc, UnreadableImage) else
-                    "unreadable_image" if os.path.exists(run.images_root / fig.image)
+                    "unreadable_image" if os.path.exists(images_root / fig.image)
                     else "missing_image")
-            counters[kind + "s"] += 1
             audit.append(AuditEntry(kind, pmcid, fig.fig_id))
             continue
         with timer.stage("crop_write"):
-            pairs, unassigned = emit_fine_grained_pairs(
+            fig_pairs, unassigned = emit_fine_grained_pairs(
                 pmcid, fig.fig_id, image, split_result, assignments,
-                citance_map, fig_citances, str(run.crops_dir / f"{a}_{f}"))
-        unassigned += audit_unused_panels(pmcid, fig.fig_id, panels, assignments)
-        for pair in pairs:
-            pair_lines.append(json.dumps(vars(pair), ensure_ascii=False))
-            counters[f"evidence_{pair.evidence}"] += 1
-        audit += unassigned
-        counters["fine_pairs"] += len(pairs)
-        counters["audit_entries"] += len(unassigned)
-        counters["unknown_citance_labels"] += len(unknown)
-        counters["label_deficit"] += len(deficit)
-        counters["unresolved_labels"] += len(unresolved)
-    audit_lines = [json.dumps(vars(entry), ensure_ascii=False) for entry in audit]
-    return pair_lines, audit_lines, counters, timer.seconds
+                citance_map, fig_citances, str(crops_dir / f"{a}_{f}"))
+        pairs += fig_pairs
+        audit += unassigned + audit_unused_panels(pmcid, fig.fig_id, panels, assignments)
+        n_unknown += len(unknown)
+        n_deficit += len(deficit)
+    return ([json.dumps(vars(pair), ensure_ascii=False) for pair in pairs],
+            [json.dumps(vars(entry), ensure_ascii=False) for entry in audit],
+            _finegrain_counters(len(article.figures), pairs, audit, n_unknown, n_deficit),
+            timer.seconds)
 
 
 def cmd_stats(args):
     # Only corpus_stats: the rest of _EVALUATE loads numpy.
     _bind(("corpus_stats",))
     report = corpus_stats(args.pairs, args.images_root)
-    return (vars(report), args.report_out, [args.pairs],
+    return (vars(report), [args.pairs],
             {"n_captions": report.n_captions, "n_images": report.n_images})
 
 
@@ -320,7 +315,7 @@ def cmd_retrieval(args, cfg):
         obj["ann_measured_recall@10"] = measure_recall(
             index, targets, queries.vectors[sample].astype(np.float64),
             min(10, targets.n))
-    return obj, args.report_out, [args.queries, args.targets], counters
+    return obj, [args.queries, args.targets], counters
 
 
 def cmd_zeroshot(args):
@@ -345,7 +340,7 @@ def cmd_zeroshot(args):
         if len(classes) == 2:
             obj["auroc"] = binary_auroc(result, labels, classes[1].class_name)
     obj.update(flag)
-    return obj, args.report_out, [args.images, args.classes], {"n_images": images.n, **flag}
+    return obj, [args.images, args.classes], {"n_images": images.n, **flag}
 
 
 def cmd_census(args):
@@ -363,7 +358,7 @@ def cmd_census(args):
     histogram = taxonomy_census(images, keywords)
     obj = {"histogram": [{"type_name": t, "count": c} for t, c in histogram[:30]],
            "total": images.n, **flag}
-    return obj, args.report_out, [args.images, args.taxonomy], {"n_images": images.n, **flag}
+    return obj, [args.images, args.taxonomy], {"n_images": images.n, **flag}
 
 
 WORKERS_HELP = "pool processes, at most the CPU count and one per %s (default: the CPU count)"
@@ -437,11 +432,14 @@ def main(argv=None) -> int:
         workers = getattr(args, "workers", 1)
         if not 1 <= workers <= MAX_WORKERS:
             raise ConfigError(f"workers={workers} outside [1, {MAX_WORKERS}]")
-        report, manifest_path, inputs, counters, *stages = (
+        anchor = _manifest_anchor(args)
+        if anchor is not None and Path(f"{anchor}.manifest.json").is_file():
+            os.unlink(f"{anchor}.manifest.json")
+        report, inputs, counters, *stages = (
             args.func(args, cfg) if cfg is not None else args.func(args))
         _emit_report(report, getattr(args, "report_out", None))
-        if manifest_path is not None:
-            _write_manifest(manifest_path, cfg, keys, inputs, counters, *stages)
+        if anchor is not None:
+            _write_manifest(anchor, cfg, keys, inputs, counters, *stages)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

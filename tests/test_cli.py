@@ -225,6 +225,41 @@ class TestFailedOutputWrite:
         assert renamed == ["audit.jsonl"]
         assert (out_dir / "fine_pairs.jsonl").read_bytes() == b"old\n"
 
+    def test_failed_rerun_leaves_no_earlier_manifest(self, tmp_path, capsys, monkeypatch):
+        """A rerun that fails removes the first run's manifest, which would
+        otherwise sit beside the rerun's audit lines and the first run's pairs
+        and mark the mix finished."""
+        truth = make_corpus(tmp_path / "in", n_articles=8, seed=0)
+        corpus = tmp_path / "corpus.jsonl"
+        assert self.ingest(truth, corpus) == 0
+        out_dir = tmp_path / "fine"
+        argv = ["finegrain", "--images-root", str(truth.packages_dir),
+                "--out-dir", str(out_dir), "--workers", "1"]
+        assert main([*argv, "--corpus", str(corpus)]) == 0
+        old_pairs = (out_dir / "fine_pairs.jsonl").read_bytes()
+        assert _manifest(out_dir / "fine_pairs.jsonl")["counters"]["fine_pairs"] == len(
+            old_pairs.splitlines()) > 0
+        capsys.readouterr()
+
+        rerun = tmp_path / "two.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        rerun.write_text("".join(lines[:2]), encoding="utf-8")
+        image = truth.packages_dir / json.loads(lines[0])["figures"][0]["image"]
+        image.write_bytes(image.read_bytes()[:20])
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == "fine_pairs.jsonl":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        rc = main([*argv, "--corpus", str(rerun)])
+        _assert_write_failed(capsys, rc, "PermissionError", out_dir)
+        assert [json.loads(line)["kind"] for line in jsonl_lines(out_dir / "audit.jsonl")] == [
+            "unreadable_image"]
+        assert (out_dir / "fine_pairs.jsonl").read_bytes() == old_pairs
+
 
 # Every way reading a --config file can fail: each is a configuration error.
 CONFIG_READ_FAILURES = {
@@ -362,6 +397,25 @@ class TestFinegrainCommand:
         assert all(CROP_NAME.fullmatch(path.name) for path in (out_dir / "crops").iterdir())
         manifest = json.loads((out_dir / "fine_pairs.jsonl.manifest.json").read_text())
         assert manifest["counters"] == payload
+
+    def test_empty_corpus_counts_zero(self, tmp_path, capsys):
+        """No article gives every counter, each at 0, and empty outputs."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"")
+        out_dir = tmp_path / "fine"
+        capsys.readouterr()
+        assert main(["finegrain", "--corpus", str(corpus), "--images-root", str(tmp_path),
+                     "--out-dir", str(out_dir), "--workers", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report) == [
+            "audit_entries", "evidence_figure_level", "evidence_layout_inferred",
+            "evidence_ocr_exact", "evidence_ocr_fuzzy", "figure_faults", "figures",
+            "fine_pairs", "label_deficit", "missing_images", "unknown_citance_labels",
+            "unreadable_images", "unreadable_ocr", "unresolved_labels"]
+        assert set(report.values()) == {0}
+        assert _manifest(out_dir / "fine_pairs.jsonl")["counters"] == report
+        assert (out_dir / "fine_pairs.jsonl").read_bytes() == b""
+        assert (out_dir / "audit.jsonl").read_bytes() == b""
 
     def test_counters_account_for_every_pair_and_label(self, corpus, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"

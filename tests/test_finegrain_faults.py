@@ -3,8 +3,8 @@
 Corpus strings never pick a file path: crops are named by position, as
 crops/<article>_<figure>_<pair>.<pgm|ppm>. Whatever strings a corpus line
 that read_corpus accepts holds, finegrain exits 0, every figure yields a
-pair or an audit line, and the counters agree with audit.jsonl. A crop
-write that fails still ends the run.
+pair or an audit line, and the counters agree with fine_pairs.jsonl and
+audit.jsonl. A crop write that fails still ends the run.
 """
 
 import errno
@@ -105,6 +105,11 @@ def run_finegrain(articles, inputs, work: Path, workers: int = 1):
         assert report[counter] == sum(entry["kind"] == kind for entry in audit), kind
     assert report["audit_entries"] == sum(
         entry["kind"] in ("unassigned_label", "unassigned_panel") for entry in audit)
+    # The labels that match_labels_to_panels leaves unresolved.
+    assert report["unresolved_labels"] == sum(entry["kind"] == "unassigned_label"
+                                              for entry in audit)
+    for tier in finegrain.EVIDENCE_TIERS:
+        assert report[f"evidence_{tier}"] == sum(row["evidence"] == tier for row in pairs), tier
     crops = sorted(path.name for path in (out / "crops").iterdir())
     assert all(CROP_NAME.fullmatch(name) for name in crops)
     assert sorted(Path(row["panel_path"]).name for row in pairs) == crops

@@ -115,6 +115,18 @@ def test_output_bytes_are_pinned(run, name):
     assert digests(*run)[name] == PINNED[name]
 
 
+# The finegrain manifest's counters of the same run, as sorted JSON.
+# Computed while each counter was still bumped beside the row it counts,
+# before the counters were tallied from the rows.
+PINNED_FINEGRAIN_COUNTERS = "b5dc8e957d6c6853da9b1d20981ffa16d69e1a2b8d6ad233375abc5c443c118f"
+
+
+def test_finegrain_counters_are_pinned(run):
+    _, fine = run
+    counters = json.loads((fine / "fine_pairs.jsonl.manifest.json").read_text())["counters"]
+    assert _sha(json.dumps(counters, sort_keys=True).encode()) == PINNED_FINEGRAIN_COUNTERS
+
+
 # stats.json of `stats` over the same run's corpus and image tree, where the
 # image deleted after ingest counts as unreadable. Computed while stats
 # still decoded every image, before it read PNM headers only.

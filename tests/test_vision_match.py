@@ -196,6 +196,22 @@ class TestMatchPanels:
             assert len(set(assigned_panels)) == len(assigned_panels)
             assert set(assigned_labels) | set(unresolved) == set(labels)
 
+    @settings(max_examples=300, deadline=None)
+    @given(labels=st.lists(_LABELS, max_size=6, unique=True),
+           boxes=st.lists(st.builds(lambda x, y, text: OcrBox((x, y, x + 8, y + 8), text),
+                                    st.integers(0, 200), st.integers(0, 200), _OCR_TEXTS),
+                          max_size=8),
+           corners=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 200),
+                                      st.integers(1, 90), st.integers(1, 90)), max_size=6))
+    def test_unresolved_are_the_labels_bound_to_no_panel(self, labels, boxes, corners):
+        """finegrain counts unresolved_labels as its unassigned_label audit
+        lines, one per label that no pair carries: these lists must agree."""
+        panels = [PanelBox((x, y, x + w, y + h), 0.1) for x, y, w, h in corners]
+        assignments, _ = match_labels_to_boxes(labels, boxes)
+        results, unresolved = match_labels_to_panels(assignments, panels, labels)
+        assigned = {r.label for r in results}
+        assert unresolved == [lab for lab in labels if lab not in assigned]
+
 
 class TestAnnotatedFixture:
     def test_accuracy_at_least_95_percent(self, match_cases):
