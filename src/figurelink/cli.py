@@ -86,6 +86,14 @@ def _bind(names) -> None:
             __getattr__(name)
 
 
+def _directory(option: str, path) -> Path:
+    """path, an option's value, as a Path; NotADirectoryError when it names
+    no directory, raised before a command reads any input."""
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"{option} {path} is not a directory")
+    return Path(path)
+
+
 def _sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -152,6 +160,8 @@ def cmd_ingest(args):
 
 
 def cmd_finegrain(args, cfg):
+    images_root = _directory("--images-root", args.images_root)
+    ocr_dir = _directory("--ocr-dir", args.ocr_dir) if args.ocr_dir else None
     out_dir = Path(args.out_dir)
     # A first pass checks every line, so a malformed corpus fails with one
     # error and no output; a second streams the articles, whose figures name
@@ -159,8 +169,7 @@ def cmd_finegrain(args, cfg):
     # the pool.
     for _ in read_corpus(args.corpus):
         pass
-    images_root, crops_dir = Path(args.images_root), out_dir / "crops"
-    ocr_dir = Path(args.ocr_dir) if args.ocr_dir else None
+    crops_dir = out_dir / "crops"
     crops_dir.mkdir(parents=True, exist_ok=True)
     timer = StageTimer()
 
@@ -282,6 +291,8 @@ def finegrain_article(images_root: Path, crops_dir: Path, ocr_dir: Path | None,
 def cmd_stats(args):
     # Only corpus_stats: the rest of _EVALUATE loads numpy.
     _bind(("corpus_stats",))
+    if args.images_root is not None:
+        _directory("--images-root", args.images_root)
     report = corpus_stats(args.pairs, args.images_root)
     return (vars(report), [args.pairs],
             {"n_captions": report.n_captions, "n_images": report.n_images})

@@ -285,7 +285,11 @@ def recall_at_k(queries: EmbeddingStore, targets: EmbeddingStore,
     pairing maps query ids to target ids and must be a bijection; the
     reverse direction uses the inverted map. Recall over no queries is
     undefined, so empty stores raise ValueError, as AnnIndex.build does.
+    The directions are named by the stores' modalities, so these must differ.
     """
+    if queries.modality == targets.modality:
+        raise ValueError(f"both stores hold {queries.modality} embeddings: "
+                         "the two directions would have one name")
     if queries.n == 0 or targets.n == 0:
         raise ValueError("cannot rank an empty store")
     if queries.dim != targets.dim:

@@ -111,29 +111,10 @@ def write_store(path, store: EmbeddingStore) -> None:
         fh.write(np.ascontiguousarray(store.vectors, dtype="<f4").tobytes())
 
 
-def _parse_ids(table: bytes, n: int):
-    """The first n length-prefixed ids of table and the offset after them,
-    or None when table ends before them."""
-    ids = []
-    pos = 0
-    for _ in range(n):
-        if pos + 2 > len(table):
-            return None
-        (length,) = struct.unpack_from("<H", table, pos)
-        pos += 2 + length
-        if pos > len(table):
-            return None
-        try:
-            ids.append(table[pos - length:pos].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise StoreFormatError(f"id {len(ids)} is not valid UTF-8") from None
-    return ids, pos
-
-
 def read_store(path) -> EmbeddingStore:
-    """Read an EMB1 file. The payload is read straight into the store's
-    array, so the file's bytes are never held beside it; the truncation
-    and trailing-byte checks come from the file size."""
+    """Read an EMB1 file front to back. The payload is read straight into
+    the store's array, so the file's bytes are never held beside it; the
+    truncation and trailing-byte checks come from the file size."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(13)
@@ -144,24 +125,24 @@ def read_store(path) -> EmbeddingStore:
         n, dim, modality_code = struct.unpack_from("<IIB", head, 4)
         if modality_code not in _MODALITY_NAMES:
             raise StoreFormatError(f"unknown modality code {modality_code}")
-        expected = n * dim * 4
-        # In a well-formed file the id table is what the payload leaves;
-        # when that is too short, the file is damaged, and the rest of it
-        # decides which error applies.
-        table = fh.read(max(0, size - 13 - expected))
-        parsed = _parse_ids(table, n)
-        if parsed is None:
-            parsed = _parse_ids(table + fh.read(), n)
-            if parsed is None:
+        ids = []
+        for i in range(n):
+            prefix = fh.read(2)
+            length = int.from_bytes(prefix, "little")
+            raw = fh.read(length)
+            if len(prefix) < 2 or len(raw) < length:
                 raise StoreFormatError("truncated id table")
-        ids, table_bytes = parsed
-        pos = 13 + table_bytes
-        if size - pos < expected:
+            try:
+                ids.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise StoreFormatError(f"id {i} is not valid UTF-8") from None
+        expected = n * dim * 4
+        rest = size - fh.tell()
+        if rest < expected:
             raise StoreFormatError("truncated vector payload")
-        if size - pos > expected:
-            raise StoreFormatError(f"{size - pos - expected} trailing bytes")
+        if rest > expected:
+            raise StoreFormatError(f"{rest - expected} trailing bytes")
         vectors = np.empty((n, dim), dtype="<f4")
-        fh.seek(pos)
         if fh.readinto(vectors.reshape(-1).view(np.uint8)) != expected:
             raise StoreFormatError("truncated vector payload")
     return EmbeddingStore(ids, vectors, _MODALITY_NAMES[modality_code])

@@ -10,14 +10,20 @@ so both accept and reject exactly the same files.
 from __future__ import annotations
 
 import os
+import re
 from typing import NamedTuple
 
-# The bytes that bytes.isspace() calls whitespace.
-_SPACE = frozenset(b" \t\n\v\f\r")
-_COMMENT = ord("#")
+# The header, after the Netpbm PGM/PPM rules: the magic, then width, height
+# and maxval, each 1-18 ASCII digits after any whitespace bytes and `#`
+# comments (a comment runs to its newline) and followed by whitespace, of
+# which the byte after maxval is the last of the header. Each repetition has
+# one way to match, so a match, or its failure, takes time linear in the
+# bytes read, and a match on a prefix of a file is the whole file's match.
+_WS = rb"[ \t\n\v\f\r]"
+_HEADER = re.compile(rb"P([56])" + (rb"(?:" + _WS + rb"|#[^\n]*\n)*([0-9]{1,18})" + _WS) * 3)
 
-# How much of a file probe_pnm reads first. A header that runs past it (a
-# long comment, say) is parsed again from the whole file.
+# How much of a file probe_pnm reads first. When these bytes hold no whole
+# header (a long comment, say), the whole file is parsed.
 PROBE_BYTES = 512
 
 
@@ -36,51 +42,22 @@ class PnmHeader(NamedTuple):
         return self.width * self.height * self.channels
 
 
-def parse_pnm_header(data: bytes, whole: bool = True) -> PnmHeader | None:
-    """The header of a binary PGM (P5) or PPM (P6) file whose first bytes are
-    data, or UnreadableImage when it breaks a rule: the magic, three decimal
-    values below 10**18 separated by whitespace and `#` comments, positive
-    dimensions, and maxval 255. One whitespace byte follows maxval.
+def parse_pnm_header(data: bytes) -> PnmHeader:
+    """The header at the start of data, the bytes of a binary PGM (P5) or
+    PPM (P6) file, or UnreadableImage when data does not start with one,
+    or its dimensions are not positive, or its maxval is not 255."""
+    return _checked(_HEADER.match(data), data)
 
-    With whole=False, data is a prefix of the file, and the result is None
-    when the header may run past it; parse a longer prefix then. A file is
-    rejected only for what its first len(data) bytes show.
-    """
-    magic = data[:2]
-    if len(magic) < 2 and not whole:
-        return None
-    if magic not in (b"P5", b"P6"):
-        raise UnreadableImage(f"not a binary PNM file (magic {magic!r})")
-    end = len(data)
-    pos = 2
-    values = []
-    while len(values) < 3:
-        while pos < end:
-            if data[pos] in _SPACE:
-                pos += 1
-            elif data[pos] == _COMMENT:
-                newline = data.find(b"\n", pos)
-                pos = end if newline < 0 else newline
-            else:
-                break
-        start = pos
-        while pos < end and data[pos] not in _SPACE:
-            pos += 1
-        if pos == end and not whole:
-            return None
-        token = data[start:pos]
-        if not token:
-            raise UnreadableImage("truncated PNM header")
-        if not token.isdigit() or len(token) > 18:
-            raise UnreadableImage(
-                f"PNM header value {token[:20]!r} is not a decimal integer below 10**18")
-        values.append(int(token))
-    width, height, maxval = values
+
+def _checked(match: re.Match | None, data: bytes) -> PnmHeader:
+    if match is None:
+        raise UnreadableImage(f"no binary PNM header in {data[:20]!r}")
+    magic, width, height, maxval = map(int, match.groups())
     if width < 1 or height < 1:
         raise UnreadableImage(f"PNM dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise UnreadableImage("only maxval 255 supported")
-    return PnmHeader(width, height, 1 if magic == b"P5" else 3, pos + 1)
+    return PnmHeader(width, height, 1 if magic == 5 else 3, match.end())
 
 
 def check_payload(header: PnmHeader, file_bytes: int) -> None:
@@ -99,15 +76,14 @@ def probe_pnm(path) -> PnmHeader:
         try:
             size = os.fstat(fd).st_size
             data = os.read(fd, PROBE_BYTES)
-            header = parse_pnm_header(data, whole=len(data) < PROBE_BYTES)
-            if header is None:
-                rest = [data]
-                while chunk := os.read(fd, 1 << 20):
-                    rest.append(chunk)
-                header = parse_pnm_header(b"".join(rest))
+            match = _HEADER.match(data)
+            if match is None and len(data) == PROBE_BYTES:
+                data += b"".join(iter(lambda: os.read(fd, 1 << 20), b""))
+                match = _HEADER.match(data)
         finally:
             os.close(fd)
     except OSError as exc:
         raise UnreadableImage(f"{path}: {exc}") from exc
+    header = _checked(match, data)
     check_payload(header, size)
     return header

@@ -833,6 +833,30 @@ class TestStatsCommand:
         assert payload["caption_token_budget"] == 256
 
 
+class TestDirectoryOptions:
+    @pytest.mark.parametrize("value", ["nope", "corpus.jsonl"])
+    @pytest.mark.parametrize("command, option", [("finegrain", "--images-root"),
+                                                 ("finegrain", "--ocr-dir"),
+                                                 ("stats", "--images-root")])
+    def test_directory_option_naming_no_directory_exits_1(self, tmp_path, capsys,
+                                                          monkeypatch, command, option, value):
+        """Like ingest's --root, checked before any input is read: nothing is
+        written, not even --out-dir."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "corpus.jsonl").write_text(json.dumps(GOOD_LINE) + "\n")
+        (tmp_path / "img1.ppm").write_bytes(GOOD_IMAGE)
+        argv = {"finegrain": ["finegrain", "--corpus", "corpus.jsonl", "--images-root", ".",
+                              "--ocr-dir", ".", "--out-dir", "fine", "--workers", "1"],
+                "stats": ["stats", "--pairs", "corpus.jsonl", "--images-root", ".",
+                          "--out", "report.json"]}[command]
+        argv[argv.index(option) + 1] = value
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: NotADirectoryError: {option} {value} is not a directory"]
+        assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "img1.ppm"]
+
+
 class TestRetrievalCommand:
     def test_end_to_end_with_ann(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -910,6 +934,21 @@ class TestRetrievalCommand:
         assert main(self.write_stores(tmp_path, query_ids, target_ids)) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [f"error: DimensionMismatch: {message}"]
+        assert sorted(os.listdir(tmp_path)) == ["q.emb", "t.emb"]
+
+    @pytest.mark.parametrize("modality", [MODALITY_IMAGE, MODALITY_TEXT])
+    def test_stores_of_one_modality_exit_1(self, tmp_path, capsys, modality):
+        """Both directions would have one name, so neither is reported."""
+        images, texts, _ = paired_stores(np.random.default_rng(7), 50, 8)
+        for name, store in (("q.emb", images), ("t.emb", texts)):
+            write_store(tmp_path / name, EmbeddingStore(store.ids, store.vectors, modality))
+        rc = main(["retrieval", "--queries", str(tmp_path / "q.emb"),
+                   "--targets", str(tmp_path / "t.emb"), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: ValueError: both stores hold {modality} embeddings:"
+            " the two directions would have one name"]
         assert sorted(os.listdir(tmp_path)) == ["q.emb", "t.emb"]
 
     @pytest.mark.parametrize("ann", [[], ["--ann"]], ids=["exact", "ann"])
@@ -1266,6 +1305,29 @@ class TestStandInEmbedder:
                 (tmp_path / f"{name}.json.manifest.json").read_text())["counters"]
             assert {k: out[k] for k in out if k == "text_embedder"} == flag
             assert counters == {"n_images": 6, **flag}
+
+    @pytest.mark.parametrize("command, missing", [("zeroshot", "an image of ct"),
+                                                  ("census", "bar chart")])
+    def test_prompt_missing_from_text_emb_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                  command, missing):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(9)
+        write_store(tmp_path / "img.emb", EmbeddingStore.from_raw(
+            [f"i{k}" for k in range(6)], rng.standard_normal((6, 4)), MODALITY_IMAGE))
+        prompts = [p for p in ("an image of mri", "an image of ct", "bar chart") if p != missing]
+        write_store(tmp_path / "text.emb", EmbeddingStore.from_raw(
+            prompts, rng.standard_normal((2, 4)), MODALITY_TEXT))
+        (tmp_path / "classes.json").write_text(json.dumps(GOOD_CLASSES))
+        (tmp_path / "tax.json").write_text(json.dumps(GOOD_TAXONOMY))
+        inputs = sorted(os.listdir(tmp_path))
+        argv = {"zeroshot": ["zeroshot", "--images", "img.emb", "--classes", "classes.json"],
+                "census": ["census", "--images", "img.emb", "--taxonomy", "tax.json"]}[command]
+        assert main(argv + ["--text-emb", "text.emb", "--out", "report.json"]) == 1
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert out == "" and len(err) == 1
+        assert err[0].startswith(f"error: EmbedderFailure: embedding {missing!r} failed: ")
+        assert sorted(os.listdir(tmp_path)) == inputs
 
     @pytest.mark.parametrize("command", ["finegrain", "stats"])
     @pytest.mark.parametrize("damage", sorted(MALFORMED_IMAGES))

@@ -289,6 +289,14 @@ class TestExactRetrieval:
         with pytest.raises(DimensionMismatch):
             recall_at_k(images, texts, pairing)
 
+    @pytest.mark.parametrize("modality", [MODALITY_IMAGE, MODALITY_TEXT])
+    def test_stores_of_one_modality_raise(self, modality):
+        # Both directions would be named "<modality>_to_<modality>".
+        images, texts, pairing = paired_stores(np.random.default_rng(12), 10, 4)
+        texts.modality = images.modality = modality
+        with pytest.raises(ValueError, match=f"both stores hold {modality} embeddings"):
+            recall_at_k(images, texts, pairing)
+
     def test_recall_perfect_on_identical_stores(self):
         rng = np.random.default_rng(11)
         images, texts, pairing = paired_stores(rng, 50, 8, noise=0.0)

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since this test process has long
 since imported numpy.
 """
 
+import ast
 import json
 import os
 import shutil
@@ -284,3 +285,13 @@ def test_traced_stats_records_its_span_and_counters(stats_tree, tmp_path):
     assert "evaluate.corpus_stats" in {s["name"] for s in trace["spans"] if s}
     assert trace["counters"]["stats.n_images"] == json.loads(run.stdout)["n_images"] > 0
     assert trace["counters"]["stats.unreadable_images"] == 0
+
+
+def test_every_module_parses_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10, so no module may use
+    syntax that 3.10 lacks, such as except*, even where a newer Python runs
+    the tests."""
+    modules = sorted((SRC / "figurelink").rglob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -1,6 +1,7 @@
 """The PNM header probe against the whole-file decoder it replaces in stats,
 and the pure-Python percentile against numpy's."""
 
+import time
 from unittest import mock
 
 import numpy as np
@@ -119,18 +120,30 @@ class TestHeaderProbe:
 
     @settings(max_examples=300, deadline=None)
     @given(pnm_files())
-    def test_a_prefix_never_contradicts_the_whole(self, data):
+    def test_a_prefix_never_contradicts_the_whole(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "prefix.ppm"
+        path.write_bytes(data)
         try:
             whole = parse_pnm_header(data)
+            pnm.check_payload(whole, len(data))
         except UnreadableImage:
             whole = None
-        for cut in range(len(data) + 1):
-            try:
-                part = parse_pnm_header(data[:cut], whole=False)
-            except UnreadableImage:
-                assert whole is None, cut
-                continue
-            assert part is None or part == whole, cut
+        # The first read may stop at every byte of the file, or past its end.
+        for cut in range(1, len(data) + 2):
+            with mock.patch.object(pnm, "PROBE_BYTES", cut):
+                try:
+                    part = probe_pnm(path)
+                except UnreadableImage:
+                    part = None
+            assert part == whole, cut
+
+    @pytest.mark.parametrize("data", [b"P5" + b" " * 2_000_000 + b"x",
+                                      b"P5\n" + b"#a#b\n" * 200_000 + b"x"])
+    def test_header_parse_takes_linear_time(self, data):
+        start = time.perf_counter()
+        with pytest.raises(UnreadableImage):
+            parse_pnm_header(data)
+        assert time.perf_counter() - start < 10
 
     def test_long_comment_past_the_first_read(self, tmp_path):
         path = tmp_path / "long.pgm"
