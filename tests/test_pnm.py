@@ -138,7 +138,8 @@ class TestHeaderProbe:
             assert part == whole, cut
 
     @pytest.mark.parametrize("data", [b"P5" + b" " * 2_000_000 + b"x",
-                                      b"P5\n" + b"#a#b\n" * 200_000 + b"x"])
+                                      b"P5\n" + b"#a#b\n" * 200_000 + b"x"],
+                             ids=["spaces", "comments"])
     def test_header_parse_takes_linear_time(self, data):
         start = time.perf_counter()
         with pytest.raises(UnreadableImage):
