@@ -1,10 +1,11 @@
-"""What every command shares: output files written atomically, and the
-process pool of `ingest` and `finegrain` with the bytes of input each
-command gives one pool process. The pool forks, so it runs on POSIX
-systems only; elsewhere both commands run serially.
-
-It imports only the standard library, so the evaluation commands write
-their outputs through it without loading the ingest or vision code.
+"""What every command shares: output files written atomically, the tally
+of seconds per named stage that its manifest reports, and the process pool
+of `ingest` and `finegrain` with the bytes of input each command gives one
+pool process. Each pool chunk sends back its stage seconds with its results.
+The pool forks, so it runs on POSIX systems only; elsewhere both commands
+run serially. This module imports only the standard library, and
+multiprocessing only once a pool starts, so the evaluation commands use it
+without loading the ingest or vision code.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import os
 import tempfile
+import time
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -45,9 +47,38 @@ LOOKAHEAD_ITEMS = 1024
 CHUNKS_PER_PROCESS = 16
 CHUNKS_IN_FLIGHT = 2
 
+_seconds: dict[str, float] = {}  # this process's current tally
 
-def _map_chunk(fn, chunk: list) -> list:
-    return [fn(item) for item in chunk]
+
+@contextmanager
+def recording():
+    """Yield a fresh tally, current in this process until the block ends."""
+    global _seconds
+    outer, _seconds = _seconds, {}
+    try:
+        yield _seconds
+    finally:
+        _seconds = outer
+
+
+def add_seconds(seconds: dict[str, float]) -> None:
+    for name, value in seconds.items():
+        _seconds[name] = _seconds.get(name, 0.0) + value
+
+
+@contextmanager
+def stage(name: str):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        add_seconds({name: time.perf_counter() - start})
+
+
+def _map_chunk(fn, chunk: list) -> tuple[list, dict[str, float]]:
+    # A forked process starts with a copy of the caller's tally: keep it out.
+    with recording() as seconds:
+        return [fn(item) for item in chunk], seconds
 
 
 def ordered_map(fn, items, workers: int, *, files, bytes_per_process: int):
@@ -63,8 +94,9 @@ def ordered_map(fn, items, workers: int, *, files, bytes_per_process: int):
     module-level function or a functools.partial of one), items and results
     must pickle, and the caller must run no other thread: a lock another
     thread held stays taken in a forked process. Items go out in contiguous
-    chunks, CHUNKS_IN_FLIGHT per process at a time; each result is yielded
-    as soon as it and all before it are done.
+    chunks, CHUNKS_IN_FLIGHT per process at a time; a chunk's results are
+    yielded, and its stage seconds added to this process's tally, as soon
+    as it and all before it are done.
     """
     items = iter(items)
     cap = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
@@ -94,10 +126,11 @@ def ordered_map(fn, items, workers: int, *, files, bytes_per_process: int):
         pending = [pool.submit(_map_chunk, fn, chunk)
                    for chunk in itertools.islice(chunks, size * CHUNKS_IN_FLIGHT)]
         while pending:
-            results = pending.pop(0).result()
+            results, seconds = pending.pop(0).result()
             chunk = next(chunks, None)
             if chunk is not None:
                 pending.append(pool.submit(_map_chunk, fn, chunk))
+            add_seconds(seconds)
             yield from results
 
 

@@ -1,13 +1,13 @@
 """Command-line entry point: pipeline and evaluation subcommands.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime fault. Commands
-return their results and main writes them: the report to --out or stdout,
-then, last, a manifest JSON beside the file the command names, if any: tool
-version, input digests and counters; for ingest and finegrain their stage
-seconds too; and, for a command with --config, the settings it reads
+return (report, inputs, counters); main writes the report to --out or
+stdout, then, last, a manifest JSON beside the file the command names, if
+any: tool version, input digests, counters, the seconds per stage
+(batch.recording) and, for a command with --config, the settings it reads
 (config.SETTINGS), defaults included. An earlier run's manifest there is
 removed before the command reads any input, so a run that fails leaves none.
-Outputs are written to a temp file and renamed: none is ever left truncated.
+Outputs are written to a temp file and renamed: none is left truncated.
 
 Importing this module loads no numpy, and no ingest, JATS, caption or
 vision code: each command imports what it uses when it runs, so every
@@ -29,11 +29,11 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .batch import IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines, ordered_map
+from .batch import (IMAGE_BYTES_PER_PROCESS, XML_BYTES_PER_PROCESS, atomic_lines, ordered_map,
+                    recording, stage)
 from .config import SETTINGS, ConfigError, PipelineConfig, load_config
 from .corpus import read_corpus
 from .jsonshape import need, need_field, need_list
-from .stages import StageTimer
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -109,14 +109,12 @@ def _manifest_anchor(args) -> Path | None:
     return args.out if args.command == "ingest" else args.report_out
 
 
-def _write_manifest(out_path, cfg, keys, inputs: list, counters: dict,
-                    stages: dict[str, float] | None = None) -> None:
-    digests = {str(p): _sha256_file(p) for p in inputs if Path(p).is_file()}
-    manifest = {"tool_version": __version__, "input_digests": digests, "counters": counters}
+def _write_manifest(out_path, cfg, keys, inputs: list, counters: dict, stages: dict) -> None:
+    digests = {str(p): _sha256_file(p) for p in filter(None, inputs) if Path(p).is_file()}
+    manifest = {"tool_version": __version__, "input_digests": digests, "counters": counters,
+                "stages": {name: round(s, 6) for name, s in stages.items()}}
     if cfg is not None:
         manifest["settings"] = {key: getattr(cfg, key) for key in keys}
-    if stages is not None:
-        manifest["stages"] = {name: round(s, 6) for name, s in stages.items()}
     _emit_report(manifest, f"{out_path}.manifest.json")
 
 
@@ -139,7 +137,7 @@ def _load_embedder(args, dim_hint: int):
 
         def from_file(prompt: str):
             if prompt not in table:
-                raise KeyError(f"prompt not in text embedding file: {prompt!r}")
+                raise LookupError("not in the --text-emb file")
             return table[prompt]
 
         return from_file, {}
@@ -151,12 +149,11 @@ def cmd_ingest(args):
     # wraps it.
     from . import ingest
 
-    timer = StageTimer()
-    with timer.stage("pipeline"):
+    with stage("pipeline"):
         report = ingest.run_pipeline(args.root, args.out, args.skip_log,
                                      workers=args.workers)
     counters = report.counters()
-    return counters, [], counters, timer.seconds
+    return counters, [], counters
 
 
 def cmd_finegrain(args, cfg):
@@ -171,7 +168,6 @@ def cmd_finegrain(args, cfg):
         pass
     crops_dir = out_dir / "crops"
     crops_dir.mkdir(parents=True, exist_ok=True)
-    timer = StageTimer()
 
     # Each article's counters hold every key, so the sums start from the
     # first one: with a pool, this process then never imports the vision
@@ -184,15 +180,14 @@ def cmd_finegrain(args, cfg):
                               files=lambda item: [images_root / fig.image
                                                   for fig in item[1].figures],
                               bytes_per_process=IMAGE_BYTES_PER_PROCESS)
-        for pair_lines, audit_lines, deltas, seconds in results:
+        for pair_lines, audit_lines, deltas in results:
             for line in pair_lines:
                 write_pair(line)
             for line in audit_lines:
                 write_audit(line)
             counters.update(deltas)
-            timer.add(seconds)
     counters = counters or _finegrain_counters(0, [], [])
-    return counters, [args.corpus], counters, timer.seconds
+    return counters, [args.corpus], counters
 
 
 def _finegrain_counters(figures: int, pairs: list, audit: list, unknown_citance_labels=0,
@@ -216,9 +211,9 @@ def finegrain_article(images_root: Path, crops_dir: Path, ocr_dir: Path | None,
     """Split one article, item = (a, article) with a its corpus ordinal and
     article the ArticleRecord read_corpus yields, into fine-grained pairs.
 
-    Returns (pair_lines, audit_lines, counters, stage_seconds): the lines
-    for fine_pairs.jsonl and audit.jsonl, this article's share of the
-    report counters, and the seconds spent per stage. Writes pair k of
+    Returns (pair_lines, audit_lines, counters): the lines for
+    fine_pairs.jsonl and audit.jsonl and this article's share of the report
+    counters; its stage seconds go to batch's tally. Writes pair k of
     figure f to crops/<a>_<f>_<k>.<pgm|ppm>; a figure that raises before
     that becomes one audit line. Runs in a finegrain pool process or in the
     command's own; the vision functions are looked up in this module's
@@ -230,27 +225,26 @@ def finegrain_article(images_root: Path, crops_dir: Path, ocr_dir: Path | None,
     _bind(_VISION)
     a, article = item
     pmcid = article.pmcid
-    timer = StageTimer()
     pairs, audit = [], []
     n_unknown = n_deficit = 0
 
-    with timer.stage("match"):
+    with stage("match"):
         citances_by_fig: dict[str, list] = {}
         for citance in captioner.extract_citances(article.body_paragraphs, article.figures):
             citances_by_fig.setdefault(citance.target_fig_id, []).append(citance)
     for f, fig in enumerate(article.figures):
         try:
-            with timer.stage("decode"):
+            with stage("decode"):
                 image = load_image(images_root / fig.image)
-            with timer.stage("split"):
+            with stage("split"):
                 split_result = captioner.split_caption(fig.caption)
             labels = [s.label for s in split_result.subcaptions]
             fig_citances = citances_by_fig.get(fig.fig_id, [])
-            with timer.stage("match"):
+            with stage("match"):
                 citance_map, unknown = captioner.split_citances(fig_citances, labels)
             boxes = []
             if ocr_dir is not None:
-                with timer.stage("resolve"):
+                with stage("resolve"):
                     # A sidecar lies in --ocr-dir itself: a "/" names none,
                     # nor does a name too long for the OS.
                     ocr_path = ocr_dir / f"{fig.graphic_ref}.json"
@@ -263,9 +257,9 @@ def finegrain_article(images_root: Path, crops_dir: Path, ocr_dir: Path | None,
             # A label-free caption gives one whole-image pair: no panel is read.
             panels, assignments, deficit = [], [], []
             if labels:
-                with timer.stage("split"):
+                with stage("split"):
                     panels = split_panels(image, cfg)
-                with timer.stage("match"):
+                with stage("match"):
                     box_assignments, deficit = match_labels_to_boxes(labels, boxes)
                     assignments, _ = match_labels_to_panels(box_assignments, panels, labels)
         except Exception as exc:
@@ -274,7 +268,7 @@ def finegrain_article(images_root: Path, crops_dir: Path, ocr_dir: Path | None,
                     else "missing_image")
             audit.append(AuditEntry(kind, pmcid, fig.fig_id))
             continue
-        with timer.stage("crop_write"):
+        with stage("crop_write"):
             fig_pairs, unassigned = emit_fine_grained_pairs(
                 pmcid, fig.fig_id, image, split_result, assignments,
                 citance_map, fig_citances, str(crops_dir / f"{a}_{f}"))
@@ -284,8 +278,7 @@ def finegrain_article(images_root: Path, crops_dir: Path, ocr_dir: Path | None,
         n_deficit += len(deficit)
     return ([json.dumps(vars(pair), ensure_ascii=False) for pair in pairs],
             [json.dumps(vars(entry), ensure_ascii=False) for entry in audit],
-            _finegrain_counters(len(article.figures), pairs, audit, n_unknown, n_deficit),
-            timer.seconds)
+            _finegrain_counters(len(article.figures), pairs, audit, n_unknown, n_deficit))
 
 
 def cmd_stats(args):
@@ -351,7 +344,8 @@ def cmd_zeroshot(args):
         if len(classes) == 2:
             obj["auroc"] = binary_auroc(result, labels, classes[1].class_name)
     obj.update(flag)
-    return obj, [args.images, args.classes], {"n_images": images.n, **flag}
+    return (obj, [args.images, args.classes, args.labels, args.text_emb],
+            {"n_images": images.n, **flag})
 
 
 def cmd_census(args):
@@ -369,7 +363,7 @@ def cmd_census(args):
     histogram = taxonomy_census(images, keywords)
     obj = {"histogram": [{"type_name": t, "count": c} for t, c in histogram[:30]],
            "total": images.n, **flag}
-    return obj, [args.images, args.taxonomy], {"n_images": images.n, **flag}
+    return obj, [args.images, args.taxonomy, args.text_emb], {"n_images": images.n, **flag}
 
 
 WORKERS_HELP = "pool processes, at most the CPU count and one per %s (default: the CPU count)"
@@ -446,11 +440,12 @@ def main(argv=None) -> int:
         anchor = _manifest_anchor(args)
         if anchor is not None and Path(f"{anchor}.manifest.json").is_file():
             os.unlink(f"{anchor}.manifest.json")
-        report, inputs, counters, *stages = (
-            args.func(args, cfg) if cfg is not None else args.func(args))
+        with recording() as stages:
+            report, inputs, counters = (
+                args.func(args, cfg) if cfg is not None else args.func(args))
         _emit_report(report, getattr(args, "report_out", None))
         if anchor is not None:
-            _write_manifest(anchor, cfg, keys, inputs, counters, *stages)
+            _write_manifest(anchor, cfg, keys, inputs, counters, stages)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1325,9 +1325,31 @@ class TestStandInEmbedder:
         assert main(argv + ["--text-emb", "text.emb", "--out", "report.json"]) == 1
         out, err = capsys.readouterr()
         err = err.splitlines()
-        assert out == "" and len(err) == 1
-        assert err[0].startswith(f"error: EmbedderFailure: embedding {missing!r} failed: ")
+        assert out == ""
+        assert err == [f"error: EmbedderFailure: embedding {missing!r} failed: "
+                       "not in the --text-emb file"]
         assert sorted(os.listdir(tmp_path)) == inputs
+
+    @pytest.mark.parametrize("command, argv", [
+        ("zeroshot", ["--classes", "classes.json", "--labels", "labels.json"]),
+        ("census", ["--taxonomy", "tax.json"])])
+    def test_manifest_digests_every_file_option_given(self, tmp_path, monkeypatch, command,
+                                                      argv):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(10)
+        ids = [f"i{k}" for k in range(6)]
+        write_store(tmp_path / "img.emb", EmbeddingStore.from_raw(
+            ids, rng.standard_normal((6, 4)), MODALITY_IMAGE))
+        prompts = ["an image of mri", "an image of ct", "bar chart"]
+        write_store(tmp_path / "text.emb", EmbeddingStore.from_raw(
+            prompts, rng.standard_normal((3, 4)), MODALITY_TEXT))
+        (tmp_path / "classes.json").write_text(json.dumps(GOOD_CLASSES))
+        (tmp_path / "labels.json").write_text(json.dumps(dict.fromkeys(ids, "ct")))
+        (tmp_path / "tax.json").write_text(json.dumps(GOOD_TAXONOMY))
+        argv = [command, "--images", "img.emb", *argv, "--text-emb", "text.emb"]
+        assert main([*argv, "--out", "report.json"]) == 0
+        given = {"img.emb", "text.emb", *(a for a in argv if a.endswith(".json"))}
+        assert set(_manifest("report.json")["input_digests"]) == given
 
     @pytest.mark.parametrize("command", ["finegrain", "stats"])
     @pytest.mark.parametrize("damage", sorted(MALFORMED_IMAGES))
@@ -1425,14 +1447,14 @@ def test_manifest_frame(command, frame_inputs, tmp_path, capsys, monkeypatch):
     manifest_path = tmp_path / f"{beside}.manifest.json"
     assert sorted(tmp_path.rglob("*.manifest.json")) == [manifest_path]
     manifest = json.loads(manifest_path.read_text())
-    assert set(manifest) == {"tool_version", "input_digests", "counters",
-                             *(["settings"] if command in CONFIG_COMMANDS else []),
-                             *(["stages"] if command in ("ingest", "finegrain") else [])}
+    assert set(manifest) == {"tool_version", "input_digests", "counters", "stages",
+                             *(["settings"] if command in CONFIG_COMMANDS else [])}
     assert set(manifest["input_digests"]) == inputs
     outputs = [p for p in tmp_path.rglob("*") if p.is_file() and p != manifest_path]
     assert max(p.stat().st_mtime_ns for p in outputs) <= manifest_path.stat().st_mtime_ns
     if command in ("ingest", "finegrain"):
         return
+    assert manifest["stages"] == {}
     capsys.readouterr()
     before = sorted(Path().rglob("*")) + sorted(tmp_path.rglob("*"))
     assert main([command, *flags]) == 0

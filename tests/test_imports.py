@@ -164,7 +164,8 @@ def test_traced_retrieval_records_evaluate_spans(tmp_path):
 
 # What an evaluation command has no use for.
 NOT_FOR_EVALUATION = ("figurelink.vision", "figurelink.captioner", "figurelink.ingest",
-                      "figurelink.jats", "logging", "xml.etree")
+                      "figurelink.jats", "logging", "xml.etree", "multiprocessing",
+                      "concurrent.futures")
 EVALUATION_ARGV = {
     "retrieval": ["retrieval", "--queries", "q.emb", "--targets", "t.emb", "--ann",
                   "--out", "r.json"],

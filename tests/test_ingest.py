@@ -114,6 +114,55 @@ class TestPoolSize:
         assert inline_pool == [2]
 
 
+def staged_abs(value):
+    with batch.stage("item"):
+        return abs(value)
+
+
+class TestStageTally:
+    @staticmethod
+    def tally(workers) -> dict[str, float]:
+        """The tally around an ordered_map of staged_abs, which held
+        {"before": 1.0} when the map began."""
+        with batch.recording() as seconds:
+            batch.add_seconds({"before": 1.0})
+            assert list(batch.ordered_map(staged_abs, range(-8, 0), workers,
+                                          files=lambda value: [__file__],
+                                          bytes_per_process=1)) == list(range(8, 0, -1))
+        return seconds
+
+    def test_pool_processes_send_back_only_their_own_seconds(self, real_pool):
+        # A forked process starts with a copy of this tally.
+        seconds = self.tally(2)
+        assert real_pool == [2]
+        assert seconds["before"] == 1.0 and seconds["item"] > 0
+
+    def test_pool_and_serial_map_give_the_same_stages(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(batch.os, "cpu_count", lambda: 2)
+        pooled = self.tally(2)
+        assert inline_pool == [2]
+        assert sorted(pooled) == sorted(self.tally(1)) == ["before", "item"]
+        assert pooled["before"] == 1.0
+
+    def test_finegrain_stages_are_the_same_in_a_pool(self, corpus, tmp_path, request):
+        pairs = tmp_path / "corpus.jsonl"
+        assert main(["ingest", "--root", str(corpus.packages_dir), "--out", str(pairs),
+                     "--workers", "1"]) == 0
+        for workers in (1, 2):
+            started = request.getfixturevalue("real_pool") if workers == 2 else []
+            out_dir = tmp_path / f"w{workers}"
+            assert main(["finegrain", "--corpus", str(pairs),
+                         "--images-root", str(corpus.packages_dir),
+                         "--ocr-dir", str(corpus.ocr_dir), "--out-dir", str(out_dir),
+                         "--workers", str(workers)]) == 0
+            assert started == ([2] if workers == 2 else [])
+            manifest = out_dir / "fine_pairs.jsonl.manifest.json"
+            seconds = json.loads(manifest.read_text())["stages"]
+            assert sorted(seconds) == ["crop_write", "decode", "match", "resolve", "split"]
+            assert all(value >= 0 for value in seconds.values())
+            assert seconds["split"] > 0
+
+
 class TestAtomicLines:
     def test_block_that_raises_leaves_the_old_file_and_no_temp(self, tmp_path):
         out = tmp_path / "out.jsonl"
