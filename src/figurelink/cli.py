@@ -59,7 +59,7 @@ _VISION = {
 }
 _EVALUATE = {
     **dict.fromkeys((
-        "AnnIndex", "ClassSpec", "DimensionMismatch", "TaxonomyKeyword",
+        "AnnIndex", "ClassSpec", "DimensionMismatch", "MODALITY_TEXT", "TaxonomyKeyword",
         "accuracy", "binary_auroc", "embed_text", "measure_recall",
         "read_store", "recall_at_k", "taxonomy_census", "zero_shot_classify"), ".evaluate"),
     "corpus_stats": ".stats", "HashTextEmbedder": ".mockembed",
@@ -133,6 +133,8 @@ def _load_embedder(args, dim_hint: int):
     embeds the prompts."""
     if args.text_emb:
         store = read_store(args.text_emb)
+        if store.modality != MODALITY_TEXT:
+            raise ValueError(f"the --text-emb store holds {store.modality} embeddings")
         table = {i: store.vectors[k] for k, i in enumerate(store.ids)}
 
         def from_file(prompt: str):
@@ -294,8 +296,9 @@ def cmd_stats(args):
 def cmd_retrieval(args, cfg):
     _bind(_EVALUATE)
     import numpy as np
-    queries = read_store(args.queries)
-    targets = read_store(args.targets)
+    with stage("read"):
+        queries = read_store(args.queries)
+        targets = read_store(args.targets)
     ids_q, ids_t = set(queries.ids), set(targets.ids)
     shared = ids_q & ids_t
     if ids_q == ids_t:
@@ -307,33 +310,38 @@ def cmd_retrieval(args, cfg):
             f"stores share no ids and differ in size: {queries.n} vs {targets.n}")
     else:
         pairing = dict(zip(queries.ids, targets.ids))
-    runs = recall_at_k(queries, targets, pairing, cfg.k_values)
+    with stage("rank"):
+        runs = recall_at_k(queries, targets, pairing, cfg.k_values)
     obj = {direction: {f"recall@{k}": run.recall_at[k] for k in run.k_values}
            for direction, run in runs.items()}
     counters = {"n_queries": queries.n, "n_targets": targets.n, "dim": queries.dim}
     if args.ann:
-        index = AnnIndex(cfg).build(targets)
+        with stage("ann_build"):
+            index = AnnIndex(cfg).build(targets)
         counters["n_lists"] = index.n_lists
         rng = np.random.default_rng(cfg.seed)
         sample = rng.choice(queries.n, size=min(64, queries.n), replace=False)
-        obj["ann_measured_recall@10"] = measure_recall(
-            index, targets, queries.vectors[sample].astype(np.float64),
-            min(10, targets.n))
+        with stage("ann_search"):
+            obj["ann_measured_recall@10"] = measure_recall(
+                index, targets, queries.vectors[sample].astype(np.float64),
+                min(10, targets.n))
     return obj, [args.queries, args.targets], counters
 
 
 def cmd_zeroshot(args):
     _bind(_EVALUATE)
-    images = read_store(args.images)
-    classes = []
-    spec = need_list(json.loads(Path(args.classes).read_text()), dict, args.classes)
-    for i, c in enumerate(spec):
-        where = f"{args.classes}[{i}]."
-        classes.append(ClassSpec(
-            need_field(c, "class_name", str, where),
-            need_list(need_field(c, "prompt_templates", list, where), str,
-                      f"{where}prompt_templates")))
-    embedder, flag = _load_embedder(args, images.dim)
+    with stage("read"):
+        images = read_store(args.images)
+        classes = []
+        spec = need_list(json.loads(Path(args.classes).read_text()), dict, args.classes)
+        for i, c in enumerate(spec):
+            where = f"{args.classes}[{i}]."
+            classes.append(ClassSpec(
+                need_field(c, "class_name", str, where),
+                need_list(need_field(c, "prompt_templates", list, where), str,
+                          f"{where}prompt_templates")))
+        embedder, flag = _load_embedder(args, images.dim)
+    # zero_shot_classify times its own embed and classify stages.
     result = zero_shot_classify(images, classes, embedder)
     obj = {"predictions": dict(zip(images.ids, result.predictions))}
     if args.labels:
@@ -350,17 +358,20 @@ def cmd_zeroshot(args):
 
 def cmd_census(args):
     _bind(_EVALUATE)
-    images = read_store(args.images)
-    taxonomy = need_list(json.loads(Path(args.taxonomy).read_text()), dict, args.taxonomy)
-    embedder, flag = _load_embedder(args, images.dim)
+    with stage("read"):
+        images = read_store(args.images)
+        taxonomy = need_list(json.loads(Path(args.taxonomy).read_text()), dict, args.taxonomy)
+        embedder, flag = _load_embedder(args, images.dim)
     keywords = []
-    for i, entry in enumerate(taxonomy):
-        where = f"{args.taxonomy}[{i}]."
-        type_name = need_field(entry, "type_name", str, where)
-        entry_keywords = need_field(entry, "keywords", list, where)
-        for kw in need_list(entry_keywords, str, f"{where}keywords"):
-            keywords.append(TaxonomyKeyword(type_name, embed_text(embedder, kw)))
-    histogram = taxonomy_census(images, keywords)
+    with stage("embed"):
+        for i, entry in enumerate(taxonomy):
+            where = f"{args.taxonomy}[{i}]."
+            type_name = need_field(entry, "type_name", str, where)
+            entry_keywords = need_field(entry, "keywords", list, where)
+            for kw in need_list(entry_keywords, str, f"{where}keywords"):
+                keywords.append(TaxonomyKeyword(type_name, embed_text(embedder, kw)))
+    with stage("classify"):
+        histogram = taxonomy_census(images, keywords)
     obj = {"histogram": [{"type_name": t, "count": c} for t, c in histogram[:30]],
            "total": images.n, **flag}
     return obj, [args.images, args.taxonomy, args.text_emb], {"n_images": images.n, **flag}

@@ -282,9 +282,10 @@ def recall_at_k(queries: EmbeddingStore, targets: EmbeddingStore,
                 pairing: dict[str, str], k_values=PipelineConfig.k_values):
     """Recall@k in both directions, from one pass of `_ranks`.
 
-    pairing maps query ids to target ids and must be a bijection; the
-    reverse direction uses the inverted map. Recall over no queries is
-    undefined, so empty stores raise ValueError, as AnnIndex.build does.
+    pairing maps each query id to a target id, no two keys to one target,
+    and the stores hold as many rows: then every target pairs back to one
+    query, which the reverse direction ranks it for. Recall over no queries
+    is undefined, so empty stores raise ValueError, as AnnIndex.build does.
     The directions are named by the stores' modalities, so these must differ.
     """
     if queries.modality == targets.modality:
@@ -294,13 +295,11 @@ def recall_at_k(queries: EmbeddingStore, targets: EmbeddingStore,
         raise ValueError("cannot rank an empty store")
     if queries.dim != targets.dim:
         raise DimensionMismatch(f"{queries.dim} vs {targets.dim}")
-    inverse = {v: k for k, v in pairing.items()}
-    if len(inverse) != len(pairing):
+    if len(set(pairing.values())) != len(pairing):
         raise MissingPair("pairing is not a bijection")
     columns = _columns(queries, targets, pairing)
-    # Every target pairs back to a query, so columns is a permutation and
-    # the reverse direction ranks the same pairs.
-    _columns(targets, queries, inverse)
+    if queries.n != targets.n:      # the distinct columns miss some target
+        raise MissingPair(f"{targets.n - queries.n} targets pair with no query")
     forward, backward = _ranks(queries.vectors, targets, columns, queries.id_rank)
     return {
         f"{queries.modality}_to_{targets.modality}": _run(forward, k_values),

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .store import UNIT_NORM_TOL, EmbeddingStore
+from ..batch import stage
+from .store import MODALITY_IMAGE, UNIT_NORM_TOL, EmbeddingStore
 
 
 class EmbedderFailure(RuntimeError):
@@ -82,18 +83,24 @@ def nearest(images: EmbeddingStore, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     listed on a tie). einsum's default path sums each image's products on
     their own, without BLAS or a float64 copy of the store: an image scores
     the same bits in any store holding it, which a GEMM does not promise."""
+    if images.modality != MODALITY_IMAGE:
+        raise ValueError(f"the images store holds {images.modality} embeddings")
+    if rows.shape[1] != images.dim:
+        raise EmbedderFailure(f"embedder dim {rows.shape[1]} vs image dim {images.dim}")
     scores = np.einsum("ij,cj->ic", images.vectors, rows)
     return scores, scores.argmax(axis=1)
 
 
 def zero_shot_classify(images: EmbeddingStore, classes: list[ClassSpec],
                        text_embed) -> ZeroShotResult:
+    """Each image's nearest class; the seconds spent embedding the prompts
+    and scoring the images go to batch's `embed` and `classify` stages."""
     if len(classes) < 2:
         raise ValueError("need at least two classes")
-    class_mat = class_embeddings(classes, text_embed)
-    if class_mat.shape[1] != images.dim:
-        raise EmbedderFailure(f"embedder dim {class_mat.shape[1]} vs image dim {images.dim}")
-    scores, best = nearest(images, class_mat)
+    with stage("embed"):
+        class_mat = class_embeddings(classes, text_embed)
+    with stage("classify"):
+        scores, best = nearest(images, class_mat)
     names = [c.class_name for c in classes]
     margin = scores[:, 1] - scores[:, 0] if len(names) == 2 else None
     return ZeroShotResult(names, [names[j] for j in best], margin)

@@ -1280,6 +1280,55 @@ class TestMalformedJson:
         assert len(err) == 1 and err[0].startswith(f"error: {error}")
 
 
+class TestPromptScoringInputs:
+    """zeroshot and census score image rows against embedded text rows of
+    the same dimension, and refuse anything else with one line."""
+
+    ARGV = {"zeroshot": ["zeroshot", "--classes", "classes.json"],
+            "census": ["census", "--taxonomy", "tax.json"]}
+
+    @staticmethod
+    def write_inputs(tmp_path, image_dim, text_dim, image_modality=MODALITY_IMAGE,
+                     text_modality=MODALITY_TEXT) -> list[str]:
+        rng = np.random.default_rng(11)
+        write_store(tmp_path / "img.emb", EmbeddingStore.from_raw(
+            [f"i{k}" for k in range(6)], rng.standard_normal((6, image_dim)), image_modality))
+        write_store(tmp_path / "text.emb", EmbeddingStore.from_raw(
+            ["an image of mri", "an image of ct", "bar chart"],
+            rng.standard_normal((3, text_dim)), text_modality))
+        (tmp_path / "classes.json").write_text(json.dumps(GOOD_CLASSES))
+        (tmp_path / "tax.json").write_text(json.dumps(GOOD_TAXONOMY))
+        return sorted(os.listdir(tmp_path))
+
+    def assert_refused(self, argv, inputs, tmp_path, capsys, line):
+        assert main(argv + ["--out", "report.json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [line]
+        assert sorted(os.listdir(tmp_path)) == inputs
+
+    @pytest.mark.parametrize("command", ["zeroshot", "census"])
+    def test_text_rows_of_another_dimension_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        monkeypatch.chdir(tmp_path)
+        inputs = self.write_inputs(tmp_path, image_dim=16, text_dim=8)
+        argv = [*self.ARGV[command], "--images", "img.emb", "--text-emb", "text.emb"]
+        self.assert_refused(argv, inputs, tmp_path, capsys,
+                            "error: EmbedderFailure: embedder dim 8 vs image dim 16")
+
+    @pytest.mark.parametrize("command", ["zeroshot", "census"])
+    @pytest.mark.parametrize("store, wrong, extra", [
+        ("images", MODALITY_TEXT, []),
+        ("--text-emb", MODALITY_IMAGE, ["--text-emb", "text.emb"])], ids=["images", "text_emb"])
+    def test_a_store_of_the_wrong_modality_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                   command, store, wrong, extra):
+        # Both stores hold the wrong modality; only the named one is read.
+        monkeypatch.chdir(tmp_path)
+        inputs = self.write_inputs(tmp_path, 8, 8, wrong, wrong)
+        self.assert_refused([*self.ARGV[command], "--images", "img.emb", *extra], inputs,
+                            tmp_path, capsys,
+                            f"error: ValueError: the {store} store holds {wrong} embeddings")
+
+
 class TestStandInEmbedder:
     """zeroshot and census mark a result whose prompts the hash stand-in
     embedded; with --text-emb their output has no such mark."""
@@ -1420,6 +1469,16 @@ FRAME = {
 }
 
 
+# The stages each evaluation command names in its manifest, sorted. stats
+# reads and probes its images one figure at a time, so it names none.
+EVALUATION_STAGES = {
+    "stats": [],
+    "retrieval": ["ann_build", "ann_search", "rank", "read"],
+    "zeroshot": ["classify", "embed", "read"],
+    "census": ["classify", "embed", "read"],
+}
+
+
 @pytest.fixture(scope="module")
 def frame_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("frame")
@@ -1454,7 +1513,8 @@ def test_manifest_frame(command, frame_inputs, tmp_path, capsys, monkeypatch):
     assert max(p.stat().st_mtime_ns for p in outputs) <= manifest_path.stat().st_mtime_ns
     if command in ("ingest", "finegrain"):
         return
-    assert manifest["stages"] == {}
+    assert sorted(manifest["stages"]) == EVALUATION_STAGES[command]
+    assert all(seconds >= 0 for seconds in manifest["stages"].values())
     capsys.readouterr()
     before = sorted(Path().rglob("*")) + sorted(tmp_path.rglob("*"))
     assert main([command, *flags]) == 0

@@ -305,6 +305,54 @@ class TestExactRetrieval:
         assert runs["text_to_image"].recall_at[1] == 1.0
 
 
+def two_pass_check(queries, targets, pairing):
+    """The pairing check recall_at_k made before it took one pass: pairing
+    inverted, then every query's target and every target's query looked
+    up. Raises MissingPair."""
+    inverse = {v: k for k, v in pairing.items()}
+    if len(inverse) != len(pairing):
+        raise MissingPair("pairing is not a bijection")
+    for store, other, mapping in ((queries, targets, pairing), (targets, queries, inverse)):
+        for item_id in store.ids:
+            if item_id not in mapping or mapping[item_id] not in other.ids:
+                raise MissingPair(item_id)
+
+
+class TestPairingCheck:
+    IDS = ["a", "b", "c", "d"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_accepts_exactly_the_pairings_the_two_pass_check_did(self, data):
+        """Stores of up to four ids from one alphabet, paired by position,
+        then with keys added, removed or repointed, unknown ids included."""
+        ids = st.permutations(self.IDS)
+        query_ids = data.draw(ids)[:data.draw(st.integers(1, 4))]
+        target_ids = data.draw(ids)[:data.draw(st.integers(1, 4))]
+        pairing = dict(zip(query_ids, target_ids))
+        for key, value in data.draw(st.lists(st.tuples(
+                st.sampled_from(self.IDS + ["z"]),
+                st.sampled_from(self.IDS + ["z", None])), max_size=3)):
+            if value is None:
+                pairing.pop(key, None)
+            else:
+                pairing[key] = value
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        queries = EmbeddingStore.from_raw(query_ids, rng.standard_normal((len(query_ids), 4)),
+                                          MODALITY_IMAGE)
+        targets = EmbeddingStore.from_raw(target_ids, rng.standard_normal((len(target_ids), 4)),
+                                          MODALITY_TEXT)
+        try:
+            two_pass_check(queries, targets, pairing)
+        except MissingPair:
+            with pytest.raises(MissingPair):
+                recall_at_k(queries, targets, pairing)
+            return
+        runs = recall_at_k(queries, targets, pairing)
+        assert ({direction: run.hits for direction, run in runs.items()}
+                == reference_hits(queries, targets, pairing))
+
+
 class TestRankingKernel:
     """The blocked kernel against the per-query reference rule."""
 

@@ -162,6 +162,28 @@ def test_traced_retrieval_records_evaluate_spans(tmp_path):
             "evaluate.measure_recall"} <= names
 
 
+@pytest.mark.parametrize("command, spans", [
+    ("zeroshot", {"evaluate.read_store", "evaluate.zero_shot_classify", "evaluate.binary_auroc"}),
+    ("census", {"evaluate.read_store", "evaluate.taxonomy_census"}),
+])
+def test_traced_prompt_scoring_records_evaluate_spans(tmp_path, command, spans):
+    images, _, _ = paired_stores(np.random.default_rng(0), 40, 8)
+    write_store(tmp_path / "q.emb", images)
+    (tmp_path / "classes.json").write_text(json.dumps(
+        [{"class_name": c, "prompt_templates": ["an image of {}"]} for c in ("mri", "ct")]))
+    (tmp_path / "labels.json").write_text(json.dumps(
+        {i: ("mri", "ct")[k % 2] for k, i in enumerate(images.ids)}))
+    (tmp_path / "tax.json").write_text(json.dumps(
+        [{"type_name": "plot", "keywords": ["bar chart"]}]))
+    argv = {"zeroshot": ["--classes", "classes.json", "--labels", "labels.json"],
+            "census": ["--taxonomy", "tax.json"]}[command]
+    run = python(str(OP), "--spans", "spans.json", "cli", command, "--images", "q.emb",
+                 *argv, "--out", "report.json", cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert spans | {f"cli.{command}"} <= {
+        s["name"] for s in json.loads((tmp_path / "spans.json").read_text())["spans"] if s}
+
+
 # What an evaluation command has no use for.
 NOT_FOR_EVALUATION = ("figurelink.vision", "figurelink.captioner", "figurelink.ingest",
                       "figurelink.jats", "logging", "xml.etree", "multiprocessing",

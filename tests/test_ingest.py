@@ -8,6 +8,7 @@ import logging
 import os
 import shutil
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,27 @@ class TestStageTally:
             assert sorted(seconds) == ["crop_write", "decode", "match", "resolve", "split"]
             assert all(value >= 0 for value in seconds.values())
             assert seconds["split"] > 0
+
+
+def exits_on_five(value):
+    """value, except that the process drawing item 5 ends at once."""
+    if value == 5:
+        os._exit(1)
+    return value
+
+
+# Without fork, or with one CPU, the map runs in this process, which
+# os._exit would end.
+@pytest.mark.skipif(not hasattr(os, "fork") or (os.cpu_count() or 1) < 2,
+                    reason="ordered_map starts no pool here")
+@pytest.mark.xfail(raises=BrokenProcessPool, strict=True,
+                   reason="a pool process that dies breaks the whole map")
+def test_a_dead_pool_process_costs_one_item():
+    # Every item names a non-empty file, so the 2-process pool starts.
+    results = batch.ordered_map(exits_on_five, range(40), 2, files=lambda value: [__file__],
+                                bytes_per_process=1)
+    others = [value for value in range(40) if value != 5]
+    assert [value for value in results if value in others] == others
 
 
 class TestAtomicLines:
