@@ -1,13 +1,15 @@
 """Command-line entry point: pipeline and evaluation subcommands.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime fault. Commands
-return (report, inputs, counters); main writes the report to --out or
-stdout, then, last, a manifest JSON beside the file the command names, if
-any: tool version, input digests, counters, the seconds per stage
-(batch.recording) and, for a command with --config, the settings it reads
-(config.SETTINGS), defaults included. An earlier run's manifest there is
-removed before the command reads any input, so a run that fails leaves none.
-Outputs are written to a temp file and renamed: none is left truncated.
+take (args, cfg) and return (report, counters); main writes the report to
+--out or stdout, then, last, a manifest JSON beside the file the command
+names, if any: tool version, the digest of each InputFile option given,
+counters, the seconds per stage (batch.recording) and, for a command with
+--config, the settings it reads (config.SETTINGS), defaults included. An
+output that names an input, or another output, is a usage error found before
+any work. An earlier run's manifest is removed before the command reads any
+input, so a run that fails leaves none. Outputs are written to a temp file
+and renamed: none is left truncated.
 
 Importing this module loads no numpy, and no ingest, JATS, caption or
 vision code: each command imports what it uses when it runs, so every
@@ -86,6 +88,11 @@ def _bind(names) -> None:
             __getattr__(name)
 
 
+class InputFile(str):
+    """The type of an option whose value names a file the command reads: the
+    manifest digests each one given, and no output may name it."""
+
+
 def _directory(option: str, path) -> Path:
     """path, an option's value, as a Path; NotADirectoryError when it names
     no directory, raised before a command reads any input."""
@@ -109,12 +116,35 @@ def _manifest_anchor(args) -> Path | None:
     return args.out if args.command == "ingest" else args.report_out
 
 
-def _write_manifest(out_path, cfg, keys, inputs: list, counters: dict, stages: dict) -> None:
-    digests = {str(p): _sha256_file(p) for p in filter(None, inputs) if Path(p).is_file()}
+def _input_files(args) -> list[InputFile]:
+    return [value for value in vars(args).values() if isinstance(value, InputFile)]
+
+
+def _check_outputs(args) -> None:
+    """ConfigError when an output of the command resolves to the file of an
+    input, of --config or of another output: the run would overwrite what it
+    reads or writes."""
+    anchor = _manifest_anchor(args)
+    outputs = [getattr(args, "skip_log", None)]
+    if anchor is not None:
+        outputs += [anchor, f"{anchor}.manifest.json"]
+    if args.command == "finegrain":
+        outputs.append(Path(args.out_dir) / "audit.jsonl")
+    seen = {os.path.realpath(p): f"input {p}"
+            for p in [*_input_files(args), getattr(args, "config", None)] if p is not None}
+    for path in filter(None, outputs):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"output {path} is also {seen[real]}")
+        seen[real] = f"output {path}"
+
+
+def _write_manifest(out_path, cfg, args, counters: dict, stages: dict) -> None:
+    digests = {str(p): _sha256_file(p) for p in _input_files(args) if Path(p).is_file()}
     manifest = {"tool_version": __version__, "input_digests": digests, "counters": counters,
                 "stages": {name: round(s, 6) for name, s in stages.items()}}
     if cfg is not None:
-        manifest["settings"] = {key: getattr(cfg, key) for key in keys}
+        manifest["settings"] = {key: getattr(cfg, key) for key in SETTINGS[args.command]}
     _emit_report(manifest, f"{out_path}.manifest.json")
 
 
@@ -135,18 +165,18 @@ def _load_embedder(args, dim_hint: int):
         store = read_store(args.text_emb)
         if store.modality != MODALITY_TEXT:
             raise ValueError(f"the --text-emb store holds {store.modality} embeddings")
-        table = {i: store.vectors[k] for k, i in enumerate(store.ids)}
 
         def from_file(prompt: str):
-            if prompt not in table:
-                raise LookupError("not in the --text-emb file")
-            return table[prompt]
+            try:
+                return store.vectors[store.index_of(prompt)]
+            except KeyError:
+                raise LookupError("not in the --text-emb file") from None
 
         return from_file, {}
     return HashTextEmbedder(dim=dim_hint), {"text_embedder": "hash"}
 
 
-def cmd_ingest(args):
+def cmd_ingest(args, cfg):
     # ingest.run_pipeline is looked up on the module, where perfbench/op.py
     # wraps it.
     from . import ingest
@@ -155,7 +185,7 @@ def cmd_ingest(args):
         report = ingest.run_pipeline(args.root, args.out, args.skip_log,
                                      workers=args.workers)
     counters = report.counters()
-    return counters, [], counters
+    return counters, counters
 
 
 def cmd_finegrain(args, cfg):
@@ -189,7 +219,7 @@ def cmd_finegrain(args, cfg):
                 write_audit(line)
             counters.update(deltas)
     counters = counters or _finegrain_counters(0, [], [])
-    return counters, [args.corpus], counters
+    return counters, counters
 
 
 def _finegrain_counters(figures: int, pairs: list, audit: list, unknown_citance_labels=0,
@@ -257,13 +287,14 @@ def finegrain_article(images_root: Path, crops_dir: Path, ocr_dir: Path | None,
                         if getattr(exc, "errno", None) != errno.ENAMETOOLONG:
                             audit.append(AuditEntry("unreadable_ocr", pmcid, fig.fig_id))
             # A label-free caption gives one whole-image pair: no panel is read.
-            panels, assignments, deficit = [], [], []
+            panels, assignments, unresolved, deficit = [], [], [], []
             if labels:
                 with stage("split"):
                     panels = split_panels(image, cfg)
                 with stage("match"):
                     box_assignments, deficit = match_labels_to_boxes(labels, boxes)
-                    assignments, _ = match_labels_to_panels(box_assignments, panels, labels)
+                    assignments, unresolved = match_labels_to_panels(box_assignments, panels,
+                                                                     labels)
         except Exception as exc:
             kind = ("figure_fault" if not isinstance(exc, UnreadableImage) else
                     "unreadable_image" if os.path.exists(images_root / fig.image)
@@ -272,7 +303,7 @@ def finegrain_article(images_root: Path, crops_dir: Path, ocr_dir: Path | None,
             continue
         with stage("crop_write"):
             fig_pairs, unassigned = emit_fine_grained_pairs(
-                pmcid, fig.fig_id, image, split_result, assignments,
+                pmcid, fig.fig_id, image, split_result, assignments, unresolved,
                 citance_map, fig_citances, str(crops_dir / f"{a}_{f}"))
         pairs += fig_pairs
         audit += unassigned + audit_unused_panels(pmcid, fig.fig_id, panels, assignments)
@@ -283,14 +314,13 @@ def finegrain_article(images_root: Path, crops_dir: Path, ocr_dir: Path | None,
             _finegrain_counters(len(article.figures), pairs, audit, n_unknown, n_deficit))
 
 
-def cmd_stats(args):
+def cmd_stats(args, cfg):
     # Only corpus_stats: the rest of _EVALUATE loads numpy.
     _bind(("corpus_stats",))
     if args.images_root is not None:
         _directory("--images-root", args.images_root)
     report = corpus_stats(args.pairs, args.images_root)
-    return (vars(report), [args.pairs],
-            {"n_captions": report.n_captions, "n_images": report.n_images})
+    return vars(report), {"n_captions": report.n_captions, "n_images": report.n_images}
 
 
 def cmd_retrieval(args, cfg):
@@ -325,10 +355,10 @@ def cmd_retrieval(args, cfg):
             obj["ann_measured_recall@10"] = measure_recall(
                 index, targets, queries.vectors[sample].astype(np.float64),
                 min(10, targets.n))
-    return obj, [args.queries, args.targets], counters
+    return obj, counters
 
 
-def cmd_zeroshot(args):
+def cmd_zeroshot(args, cfg):
     _bind(_EVALUATE)
     with stage("read"):
         images = read_store(args.images)
@@ -352,11 +382,10 @@ def cmd_zeroshot(args):
         if len(classes) == 2:
             obj["auroc"] = binary_auroc(result, labels, classes[1].class_name)
     obj.update(flag)
-    return (obj, [args.images, args.classes, args.labels, args.text_emb],
-            {"n_images": images.n, **flag})
+    return obj, {"n_images": images.n, **flag}
 
 
-def cmd_census(args):
+def cmd_census(args, cfg):
     _bind(_EVALUATE)
     with stage("read"):
         images = read_store(args.images)
@@ -374,7 +403,7 @@ def cmd_census(args):
         histogram = taxonomy_census(images, keywords)
     obj = {"histogram": [{"type_name": t, "count": c} for t, c in histogram[:30]],
            "total": images.n, **flag}
-    return obj, [args.images, args.taxonomy, args.text_emb], {"n_images": images.n, **flag}
+    return obj, {"n_images": images.n, **flag}
 
 
 WORKERS_HELP = "pool processes, at most the CPU count and one per %s (default: the CPU count)"
@@ -396,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("finegrain", help="split figures/captions into fine-grained pairs")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", required=True, type=InputFile)
     p.add_argument("--images-root", required=True)
     p.add_argument("--ocr-dir", default=None)
     p.add_argument("--out-dir", required=True)
@@ -406,31 +435,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finegrain)
 
     p = sub.add_parser("stats", help="corpus caption/image statistics")
-    p.add_argument("--pairs", required=True)
+    p.add_argument("--pairs", required=True, type=InputFile)
     p.add_argument("--images-root", default=None)
     p.add_argument("--out", dest="report_out", default=None)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("retrieval", help="cross-modal Recall@k")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--targets", required=True)
+    p.add_argument("--queries", required=True, type=InputFile)
+    p.add_argument("--targets", required=True, type=InputFile)
     p.add_argument("--ann", action="store_true", help="also report ANN measured recall")
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--out", dest="report_out", default=None)
     p.set_defaults(func=cmd_retrieval)
 
     p = sub.add_parser("zeroshot", help="prompt-template zero-shot classification")
-    p.add_argument("--images", required=True)
-    p.add_argument("--classes", required=True, help="JSON list of class specs")
-    p.add_argument("--labels", default=None, help="JSON map image id -> class name")
-    p.add_argument("--text-emb", default=None, help="EMB1 file keyed by prompt text")
+    p.add_argument("--images", required=True, type=InputFile)
+    p.add_argument("--classes", required=True, type=InputFile, help="JSON list of class specs")
+    p.add_argument("--labels", type=InputFile, help="JSON map image id -> class name")
+    p.add_argument("--text-emb", type=InputFile, help="EMB1 file keyed by prompt text")
     p.add_argument("--out", dest="report_out", default=None)
     p.set_defaults(func=cmd_zeroshot)
 
     p = sub.add_parser("census", help="nearest-keyword image-type census")
-    p.add_argument("--images", required=True)
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--text-emb", default=None)
+    p.add_argument("--images", required=True, type=InputFile)
+    p.add_argument("--taxonomy", required=True, type=InputFile)
+    p.add_argument("--text-emb", type=InputFile)
     p.add_argument("--out", dest="report_out", default=None)
     p.set_defaults(func=cmd_census)
     return parser
@@ -448,15 +477,15 @@ def main(argv=None) -> int:
         workers = getattr(args, "workers", 1)
         if not 1 <= workers <= MAX_WORKERS:
             raise ConfigError(f"workers={workers} outside [1, {MAX_WORKERS}]")
+        _check_outputs(args)
         anchor = _manifest_anchor(args)
         if anchor is not None and Path(f"{anchor}.manifest.json").is_file():
             os.unlink(f"{anchor}.manifest.json")
         with recording() as stages:
-            report, inputs, counters = (
-                args.func(args, cfg) if cfg is not None else args.func(args))
+            report, counters = args.func(args, cfg)
         _emit_report(report, getattr(args, "report_out", None))
         if anchor is not None:
-            _write_manifest(anchor, cfg, keys, inputs, counters, stages)
+            _write_manifest(anchor, cfg, args, counters, stages)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -145,8 +145,6 @@ def _ranks(queries: np.ndarray, store: EmbeddingStore, targets: np.ndarray,
     m, n, dim = len(queries), store.n, store.dim
     forward = np.ones(m, dtype=np.int64)
     backward = None if query_id_rank is None else np.ones(n, dtype=np.int64)
-    if m == 0:
-        return forward, backward
     q32 = np.asarray(queries, dtype=np.float32)
     t32 = store.vectors
     t_rank = store.id_rank

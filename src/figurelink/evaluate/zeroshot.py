@@ -97,11 +97,13 @@ def zero_shot_classify(images: EmbeddingStore, classes: list[ClassSpec],
     and scoring the images go to batch's `embed` and `classify` stages."""
     if len(classes) < 2:
         raise ValueError("need at least two classes")
+    names = [c.class_name for c in classes]
+    if len(set(names)) != len(names):
+        raise ValueError("class names must be distinct")
     with stage("embed"):
         class_mat = class_embeddings(classes, text_embed)
     with stage("classify"):
         scores, best = nearest(images, class_mat)
-    names = [c.class_name for c in classes]
     margin = scores[:, 1] - scores[:, 0] if len(names) == 2 else None
     return ZeroShotResult(names, [names[j] for j in best], margin)
 

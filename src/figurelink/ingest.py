@@ -66,14 +66,10 @@ class IngestReport:
         default_factory=lambda: dict.fromkeys(SKIP_REASONS, 0))
 
     def counters(self) -> dict:
-        return {
-            "articles_seen": self.articles_seen,
-            "articles_emitted": self.articles_emitted,
-            "skipped_no_figures": self.skipped_no_figures,
-            "skipped_malformed": self.skipped_malformed,
-            "pairs_emitted": self.pairs_emitted,
-            **{f"skip_reason_{r}": n for r, n in self.skip_reasons.items()},
-        }
+        """Every field, skip_reasons spread as one skip_reason_<reason> key each."""
+        counters = dict(vars(self))
+        reasons = counters.pop("skip_reasons")
+        return {**counters, **{f"skip_reason_{r}": n for r, n in reasons.items()}}
 
 
 def enumerate_packages(root):

@@ -44,28 +44,24 @@ class AuditEntry:
 def emit_fine_grained_pairs(pmcid: str, fig_id: str, image: RasterImage,
                             split_result: SplitResult,
                             assignments: list[LabelAssignment],
+                            unresolved: list[str],
                             citance_map: dict[str, list[Citance]],
                             figure_citances: list[Citance],
                             crop_stem: str) -> tuple[list[FinePair], list[AuditEntry]]:
     """One FinePair per assigned label; a label-free figure yields a single
     whole-image pair so coverage never decreases. The k-th pair's crop is
     written to f"{crop_stem}_{k}.pgm" (grey) or ".ppm" (RGB), in a directory
-    the caller made. Unassigned labels and panels land in the audit list."""
+    the caller made. Each label of unresolved, the labels
+    match_labels_to_panels left without a panel, is one audit entry."""
     ext = ".pgm" if image.channels == 1 else ".ppm"
-    pairs: list[FinePair] = []
-    audit: list[AuditEntry] = []
-
     sub_by_label = {s.label: s for s in split_result.subcaptions}
     if not sub_by_label:
         crop_path = f"{crop_stem}_0{ext}"
         save_image(crop_path, image)
-        caption = split_result.preamble
-        pairs.append(FinePair(pmcid, fig_id, None, crop_path, caption,
-                              [c.sentence for c in figure_citances],
-                              EVIDENCE_FIGURE_LEVEL))
-        return pairs, audit
+        return [FinePair(pmcid, fig_id, None, crop_path, split_result.preamble,
+                         [c.sentence for c in figure_citances], EVIDENCE_FIGURE_LEVEL)], []
 
-    assigned_labels = set()
+    pairs: list[FinePair] = []
     for k, assignment in enumerate(assignments):
         # match_labels_to_panels only returns the sub-captions' own labels.
         sub = sub_by_label[assignment.label]
@@ -74,12 +70,8 @@ def emit_fine_grained_pairs(pmcid: str, fig_id: str, image: RasterImage,
         citances = [c.sentence for c in citance_map.get(assignment.label, [])]
         pairs.append(FinePair(pmcid, fig_id, assignment.label, crop_path,
                               sub.text, citances, assignment.evidence))
-        assigned_labels.add(assignment.label)
-
-    for label in sub_by_label:
-        if label not in assigned_labels:
-            audit.append(AuditEntry(AUDIT_UNASSIGNED_LABEL, pmcid, fig_id, label=label))
-    return pairs, audit
+    return pairs, [AuditEntry(AUDIT_UNASSIGNED_LABEL, pmcid, fig_id, label=label)
+                   for label in unresolved]
 
 
 def audit_unused_panels(pmcid: str, fig_id: str, panels,

@@ -1019,6 +1019,19 @@ class TestZeroshotCommand:
             f"error: ValueError: template {template!r} must contain one {{}} slot"
             " and no other brace"]
 
+    def test_two_classes_with_one_name_exit_1_with_one_line(self, tmp_path, capsys):
+        write_store(tmp_path / "img.emb", EmbeddingStore.from_raw(
+            ["i0", "i1"], np.eye(2, 4), MODALITY_IMAGE))
+        classes = [GOOD_CLASSES[1], {**GOOD_CLASSES[1], "prompt_templates": ["a {} scan"]}]
+        (tmp_path / "classes.json").write_text(json.dumps(classes))
+        out = tmp_path / "report.json"
+        assert main(["zeroshot", "--images", str(tmp_path / "img.emb"),
+                     "--classes", str(tmp_path / "classes.json"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "error: ValueError: class names must be distinct"]
+        assert sorted(os.listdir(tmp_path)) == ["classes.json", "img.emb"]
+
 
 class TestCensusCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -1520,6 +1533,61 @@ def test_manifest_frame(command, frame_inputs, tmp_path, capsys, monkeypatch):
     assert main([command, *flags]) == 0
     assert capsys.readouterr().out == (tmp_path / beside).read_text()
     assert sorted(Path().rglob("*")) + sorted(tmp_path.rglob("*")) == before
+
+
+# Per case: a run, in a copy of the frame inputs with the corpus also at
+# d/fine_pairs.jsonl and d/audit.jsonl and an empty run.cfg, whose output
+# names one of its inputs or another of its outputs, and the one error line
+# it gives.
+CLASHES = {
+    "retrieval_out_is_queries": (
+        ["retrieval", "--queries", "img.emb", "--targets", "txt.emb", "--out", "./img.emb"],
+        "output ./img.emb is also input img.emb"),
+    "zeroshot_out_is_classes": (
+        ["zeroshot", "--images", "img.emb", "--classes", "classes.json",
+         "--out", "./classes.json"],
+        "output ./classes.json is also input classes.json"),
+    "finegrain_pairs_are_corpus": (
+        ["finegrain", "--corpus", "d/fine_pairs.jsonl", "--images-root", "in/packages",
+         "--out-dir", "d"],
+        "output d/fine_pairs.jsonl is also input d/fine_pairs.jsonl"),
+    "finegrain_audit_is_corpus": (
+        ["finegrain", "--corpus", "d/audit.jsonl", "--images-root", "in/packages",
+         "--out-dir", "d"],
+        "output d/audit.jsonl is also input d/audit.jsonl"),
+    "ingest_out_is_skip_log": (
+        ["ingest", "--root", "in/packages", "--out", "x.jsonl", "--skip-log", "x.jsonl"],
+        "output x.jsonl is also output x.jsonl"),
+    "retrieval_out_is_config": (
+        ["retrieval", "--queries", "img.emb", "--targets", "txt.emb", "--config", "run.cfg",
+         "--out", "run.cfg"],
+        "output run.cfg is also input run.cfg"),
+    # The earlier manifest that main removes before a run is an output too.
+    "stats_manifest_is_pairs": (
+        ["stats", "--pairs", "corpus.jsonl.manifest.json", "--out", "corpus.jsonl"],
+        "output corpus.jsonl.manifest.json is also input corpus.jsonl.manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASHES))
+def test_an_output_that_names_an_input_is_a_usage_error(case, frame_inputs, tmp_path, capsys,
+                                                        monkeypatch):
+    """A run whose output would overwrite one of its inputs, or another of
+    its outputs, exits 2 with one line before it reads an input or writes or
+    removes any file: every input keeps its bytes and no manifest is written."""
+    shutil.copytree(frame_inputs, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "d").mkdir()
+    for name in ("fine_pairs.jsonl", "audit.jsonl"):
+        shutil.copy(tmp_path / "corpus.jsonl", tmp_path / "d" / name)
+    (tmp_path / "run.cfg").write_text("")
+    monkeypatch.chdir(tmp_path)
+    before = {p: p.read_bytes() for p in Path().rglob("*") if p.is_file()}
+    argv, message = CLASHES[case]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [f"config error: {message}"]
+    assert {p: p.read_bytes() for p in Path().rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize("command", ["census", "ingest", "stats", "zeroshot"])

@@ -12,11 +12,12 @@ from hypothesis.extra import numpy as hnp
 
 from figurelink.config import PipelineConfig
 from figurelink.evaluate import retrieval
-from figurelink.evaluate.ann import AnnIndex, measure_recall
+from figurelink.evaluate.ann import AnnIndex, IndexNotBuilt, measure_recall
 from figurelink.evaluate.retrieval import (
     DimensionMismatch,
     MissingPair,
     exact_topk,
+    exact_topk_batch,
     rank_of,
     recall_at_k,
 )
@@ -27,6 +28,17 @@ from figurelink.evaluate.store import (
     StoreFormatError,
     read_store,
     write_store,
+)
+from figurelink.evaluate.zeroshot import (
+    ClassSpec,
+    EmbedderFailure,
+    ZeroShotResult,
+    auroc,
+    binary_auroc,
+    class_embeddings,
+    embed_text,
+    taxonomy_census,
+    zero_shot_classify,
 )
 from figurelink.synth import paired_stores
 
@@ -752,3 +764,72 @@ class TestReadStoreInPlace:
             tracemalloc.stop()
         assert np.array_equal(store.vectors, vectors)
         assert peak <= 1.3 * n * dim * 4
+
+
+def _unit_store(n=2):
+    return EmbeddingStore([f"r{i}" for i in range(n)], np.eye(n, 2), MODALITY_IMAGE)
+
+
+def _write_modality_code_2(path):
+    path.write_bytes(b"EMB1" + struct.pack("<IIB", 0, 0, 2))
+    return read_store(path)
+
+
+def _cancelling_templates(_):
+    signs = {"up x": 1.0, "down x": -1.0}
+    return class_embeddings([ClassSpec("x", ["up {}", "down {}"])],
+                            lambda prompt: [signs[prompt], 0.0])
+
+
+# (case, call given a scratch directory, exception type, message): every
+# error of the evaluation package that no other test reaches.
+EVALUATION_ERRORS = [
+    ("store_1d", lambda _: EmbeddingStore(["a"], np.ones(2), MODALITY_IMAGE),
+     ValueError, "vectors must be an N x D matrix"),
+    ("store_id_count", lambda _: EmbeddingStore(["a"], np.eye(2), MODALITY_IMAGE),
+     ValueError, "ids and vectors disagree on N"),
+    ("store_modality", lambda _: EmbeddingStore(["a"], np.eye(1), "audio"),
+     ValueError, "unknown modality 'audio'"),
+    ("store_norm", lambda _: EmbeddingStore(["a"], np.full((1, 2), 0.5), MODALITY_IMAGE),
+     ValueError, "store rows must be unit-normalized"),
+    ("from_raw_zero_row", lambda _: EmbeddingStore.from_raw(
+        ["a", "b"], [[1.0, 0.0], [0.0, 0.0]], MODALITY_IMAGE),
+     ValueError, "zero-norm row"),
+    ("write_long_id", lambda tmp: write_store(tmp / "long.emb", EmbeddingStore(
+        ["x" * 0x10000], np.eye(1), MODALITY_IMAGE)),
+     StoreFormatError, "id longer than uint16 length prefix allows"),
+    ("read_modality_code", lambda tmp: _write_modality_code_2(tmp / "m2.emb"),
+     StoreFormatError, "unknown modality code 2"),
+    ("class_no_templates", lambda _: ClassSpec("x", []),
+     ValueError, "at least one prompt template required"),
+    ("embed_zeros", lambda _: embed_text(lambda prompt: [0.0, 0.0], "p"),
+     EmbedderFailure, "embedder returned degenerate vector for 'p'"),
+    ("templates_cancel", _cancelling_templates,
+     EmbedderFailure, "templates for 'x' cancel out"),
+    ("one_class", lambda _: zero_shot_classify(
+        _unit_store(), [ClassSpec("x", ["{}"])], lambda prompt: [1.0, 0.0]),
+     ValueError, "need at least two classes"),
+    ("auroc_one_class", lambda _: auroc([0.1, 0.2], [True, True]),
+     ValueError, "AUROC needs both classes present"),
+    ("binary_auroc_three_classes", lambda _: binary_auroc(
+        ZeroShotResult(["a", "b", "c"], ["a"], None), ["a"], "a"),
+     ValueError, "binary AUROC requires exactly two classes"),
+    ("census_no_keywords", lambda _: taxonomy_census(_unit_store(), []),
+     ValueError, "need at least one keyword"),
+    ("ann_empty_store", lambda _: AnnIndex().build(_unit_store(n=0)),
+     ValueError, "cannot index an empty store"),
+    ("ann_search_unbuilt", lambda _: AnnIndex().search(np.eye(1, 2), 1),
+     IndexNotBuilt, "call build() first"),
+    ("topk_k0", lambda _: exact_topk_batch(np.eye(1, 2), _unit_store(), 0),
+     ValueError, "k=0 out of range for 2 store rows"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in EVALUATION_ERRORS],
+                         ids=[case[0] for case in EVALUATION_ERRORS])
+def test_evaluation_error_table(call, error, message, tmp_path):
+    """Each malformed store, class list, embedder or index call raises its
+    documented exception type with its message."""
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error and str(info.value) == message

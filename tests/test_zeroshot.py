@@ -135,6 +135,15 @@ class TestZeroShot:
         assert binary_auroc(result, labels, "b") == auroc(result.margin, np.array(labels) == "b")
         assert binary_auroc(result, labels, "a") == auroc(-result.margin, np.array(labels) == "a")
 
+    def test_class_names_must_be_distinct(self):
+        """Predictions and the AUROC's positive class are keyed by name, so
+        two classes with one name would make a run that cannot be read."""
+        store = EmbeddingStore.from_raw(["i0", "i1"], np.eye(2, 8), MODALITY_IMAGE)
+        classes = [ClassSpec("ct", TEMPLATES), ClassSpec("mri", TEMPLATES),
+                   ClassSpec("ct", ["{}"])]
+        with pytest.raises(ValueError, match="^class names must be distinct$"):
+            zero_shot_classify(store, classes, HashTextEmbedder(dim=8))
+
     def test_accuracy_validates_lengths(self):
         rng = np.random.default_rng(54)
         embed = HashTextEmbedder(dim=8)
