@@ -1,16 +1,14 @@
 """Split compound-figure captions into labeled sub-captions and pull
 figure-citing sentences (citances) out of article body text.
 
-All functions here are pure; the label-marker grammar lives in a versioned
-JSON file (data/label_patterns.json) so fixtures pin its behavior.
+All functions here are pure. The label-marker grammar is `_PATTERNS`, which
+tests/test_captioner.py scores on the captions in tests/fixtures/captions_40.json.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 
 ROMAN = {"i": 1, "ii": 2, "iii": 3, "iv": 4, "v": 5,
          "vi": 6, "vii": 7, "viii": 8, "ix": 9, "x": 10}
@@ -22,14 +20,13 @@ SEQUENCE_STARTERS = {"A", "I", "1"}
 SENTENCE_ABBREVIATIONS = {"Fig.", "Figs.", "al.", "e.g.", "i.e.", "vs.", "No.", "ca."}
 
 
-def _load_patterns():
-    raw = json.loads(
-        resources.files("figurelink").joinpath("data/label_patterns.json").read_text()
-    )
-    return [(p["name"], re.compile(p["regex"])) for p in raw["patterns"]]
-
-
-_PATTERNS = _load_patterns()
+# Label-marker patterns, in order: at one position an earlier pattern wins.
+_PATTERNS = [(name, re.compile(regex)) for name, regex in [
+    ("paren_range", r"\(\s*(?P<lo>[A-Za-z0-9])\s*[\u2013\u2014-]\s*(?P<hi>[A-Za-z0-9])\s*\)"),
+    ("paren", r"\(\s*(?P<tok>[A-Za-z][0-9]?|[0-9]{1,2}|[ivxIVX]{2,4})\s*\)"),
+    ("bare_range", r"(?P<lo>[A-Za-z0-9])\s*[\u2013\u2014-]\s*(?P<hi>[A-Za-z0-9])\s*[):.:]"),
+    ("bare", r"(?P<tok>[A-Za-z][0-9]?|[0-9]{1,2}|[ivxIVX]{2,4})[.):]"),
+]]
 
 
 @dataclass

@@ -137,24 +137,28 @@ def _ranks(queries: np.ndarray, store: EmbeddingStore, targets: np.ndarray,
     must be distinct, and backward[j] ranks the query row paired with store
     row j among all query rows for store row j; else backward is None.
 
-    Each tile of float32 scores S is compared with a band of half-width
-    `_screen_error` around each pair's own float64 score. A target above
-    the band is ahead, one below it is not, and only those inside it are
-    rescored by `_rescore` and put to the tie rule.
+    Each direction compares each tile of float32 scores S with a band of
+    half-width `_screen_error` around each ranked line's own float64 score.
+    A rival above the band is ahead, one below it is not, and only those
+    inside it are rescored by `_rescore` and put to the tie rule.
     """
     m, n, dim = len(queries), store.n, store.dim
-    forward = np.ones(m, dtype=np.int64)
-    backward = None if query_id_rank is None else np.ones(n, dtype=np.int64)
     q32 = np.asarray(queries, dtype=np.float32)
     t32 = store.vectors
-    t_rank = store.id_rank
     own = _rescore(queries, t32, np.arange(m), targets)
     delta = _screen_error(queries, dim)
-    row_lo, row_hi = _band(own, delta)
+    forward = np.ones(m, dtype=np.int64)
+    backward = None if query_id_rank is None else np.ones(n, dtype=np.int64)
+    # Per direction: its ranks, the tile axis its rivals run along, each ranked
+    # line's band (shaped to broadcast over a tile), partner and own score,
+    # and the tie order of the rivals.
+    directions = [(forward, 1, *_band(own[:, None], delta[:, None]), targets, own,
+                   store.id_rank)]
     if backward is not None:
         owner = np.empty(n, dtype=np.int64)
         owner[targets] = np.arange(m)
-        col_lo, col_hi = _band(own[owner], delta.max())
+        directions.append((backward, 0, *_band(own[owner], delta.max()), owner, own[owner],
+                           query_id_rank))
 
     # Tiles of at most _BLOCK_ELEMS scores and at most sqrt(_BLOCK_ELEMS)
     # columns: a GEMM of a few query rows against a whole wide store would
@@ -174,33 +178,19 @@ def _ranks(queries: np.ndarray, store: EmbeddingStore, targets: np.ndarray,
             size = shape[0] * shape[1]
             s = np.matmul(q32[rows], t32[cols].T, out=scores[:size].reshape(shape))
             gt, inside = above[:size].reshape(shape), band[:size].reshape(shape)
-
-            # forward: each row against the band of its own pair's score
-            np.greater(s, row_hi[rows, None], out=gt)
-            np.greater_equal(s, row_lo[rows, None], out=inside)
-            inside ^= gt
-            forward[rows] += gt.sum(axis=1, dtype=np.int32)
-            i, j = _positions(inside, r0, c0)
-            mine = targets[i]
-            keep = j != mine                # the own pair is not a rival
-            i, j, mine = i[keep], j[keep], mine[keep]
-            wins = _beats(_rescore(queries, t32, i, j), own[i], t_rank[j], t_rank[mine])
-            np.add.at(forward, i[wins], 1)
-
-            if backward is None:
-                continue
-            # backward: each column against the band of its own pair's score
-            np.greater(s, col_hi[cols], out=gt)
-            np.greater_equal(s, col_lo[cols], out=inside)
-            inside ^= gt
-            backward[cols] += gt.sum(axis=0, dtype=np.int32)
-            i, j = _positions(inside, r0, c0)
-            mine = owner[j]
-            keep = i != mine
-            i, j, mine = i[keep], j[keep], mine[keep]
-            wins = _beats(_rescore(queries, t32, i, j), own[mine],
-                          query_id_rank[i], query_id_rank[mine])
-            np.add.at(backward, j[wins], 1)
+            for ranks, axis, lo, hi, partner, own_score, tie_order in directions:
+                lines = (cols, rows)[axis]
+                np.greater(s, hi[lines], out=gt)
+                np.greater_equal(s, lo[lines], out=inside)
+                inside ^= gt
+                ranks[lines] += gt.sum(axis=axis, dtype=np.int32)
+                i, j = _positions(inside, r0, c0)
+                line, rival = (j, i)[axis], (i, j)[axis]
+                keep = rival != partner[line]       # the own pair is not a rival
+                i, j, line, rival = i[keep], j[keep], line[keep], rival[keep]
+                wins = _beats(_rescore(queries, t32, i, j), own_score[line],
+                              tie_order[rival], tie_order[partner[line]])
+                np.add.at(ranks, line[wins], 1)
     return forward, backward
 
 

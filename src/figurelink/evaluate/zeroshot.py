@@ -108,10 +108,20 @@ def zero_shot_classify(images: EmbeddingStore, classes: list[ClassSpec],
     return ZeroShotResult(names, [names[j] for j in best], margin)
 
 
-def accuracy(result: ZeroShotResult, labels: list[str]) -> float:
+def _check_labels(result: ZeroShotResult, labels: list[str]):
+    """One label per image, each a class name: a typo is an error, not a miss."""
     if len(labels) != len(result.predictions):
         raise ValueError("label count mismatch")
-    return sum(p == t for p, t in zip(result.predictions, labels)) / max(len(labels), 1)
+    for lab in labels:
+        if lab not in result.class_names:
+            raise ValueError(f"label {lab!r} is not one of the classes {result.class_names}")
+
+
+def accuracy(result: ZeroShotResult, labels: list[str]) -> float | None:
+    """The share of images predicted as labeled; None, as undefined, for none."""
+    _check_labels(result, labels)
+    hits = sum(p == t for p, t in zip(result.predictions, labels))
+    return hits / len(labels) if labels else None
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -141,6 +151,7 @@ def binary_auroc(result: ZeroShotResult, labels: list[str],
                  positive_class: str) -> float | None:
     """AUROC of the positive class's score margin over the other class;
     None, as undefined, when the labels hold only one side."""
+    _check_labels(result, labels)
     if result.margin is None:
         raise ValueError("binary AUROC requires exactly two classes")
     sign = 1 if result.class_names.index(positive_class) == 1 else -1

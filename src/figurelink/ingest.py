@@ -77,7 +77,7 @@ def enumerate_packages(root):
 
     A package is a direct subdirectory of root; its name is the pmcid.
     Its images are its direct children, indexed by stem; packages without
-    an XML file, and those that cannot be listed, are yielded with
+    an article file, and those that cannot be listed, are yielded with
     xml_path=None. Root is checked and listed by this call, so a missing
     root raises RootNotFound at once; each package is listed when the
     iterator reaches it.
@@ -96,8 +96,9 @@ def _package(root: Path, name: str) -> ArticlePackage:
             entries = list(listing)
     except OSError:
         entries = []
-    xml_name = min((e.name for e in entries if split_name(e.name)[1] == ".xml"),
-                   default=None)
+    # PMC's Open Access packages name the article file <name>.nxml.
+    xml_name = min((e.name for e in entries
+                    if split_name(e.name)[1].lower() in (".xml", ".nxml")), default=None)
     return ArticlePackage(root, name, xml_name, index_listing(entries))
 
 

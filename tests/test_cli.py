@@ -1006,6 +1006,37 @@ class TestZeroshotCommand:
         assert Path(f"{out}.manifest.json").is_file()
 
 
+    def test_label_that_names_no_class_exits_1_with_one_line(self, tmp_path, capsys):
+        """A typo in a label file ("mri" where the classes are ct and xray)
+        would be scored as a miss and read as a bad model."""
+        images, _, _ = paired_stores(np.random.default_rng(8), 20, 16)
+        write_store(tmp_path / "img.emb", images)
+        classes = [{"class_name": name, "prompt_templates": ["an image of {}"]}
+                   for name in ("ct", "xray")]
+        (tmp_path / "classes.json").write_text(json.dumps(classes))
+        labels = {i: ("ct", "mri")[k % 2] for k, i in enumerate(images.ids)}
+        (tmp_path / "labels.json").write_text(json.dumps(labels))
+        out = tmp_path / "report.json"
+        assert main(["zeroshot", "--images", str(tmp_path / "img.emb"), "--classes",
+                     str(tmp_path / "classes.json"), "--labels", str(tmp_path / "labels.json"),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "error: ValueError: label 'mri' is not one of the classes ['ct', 'xray']"]
+        assert not out.exists()
+
+    def test_no_images_give_a_null_accuracy(self, tmp_path, capsys):
+        """Accuracy over no images is undefined, as recall over no queries is."""
+        write_store(tmp_path / "img.emb", EmbeddingStore.from_raw(
+            [], np.zeros((0, 4)), MODALITY_IMAGE))
+        (tmp_path / "classes.json").write_text(json.dumps(GOOD_CLASSES))
+        (tmp_path / "labels.json").write_text("{}")
+        assert main(["zeroshot", "--images", str(tmp_path / "img.emb"), "--classes",
+                     str(tmp_path / "classes.json"),
+                     "--labels", str(tmp_path / "labels.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["predictions"], report["accuracy"], report["auroc"]) == ({}, None, None)
+
     def test_template_with_another_brace_exits_1_with_one_line(self, tmp_path, capsys):
         template = "a {:{}} scan"
         store = EmbeddingStore.from_raw(["i0"], np.eye(1, 4), MODALITY_IMAGE)

@@ -404,6 +404,21 @@ class TestRankingKernel:
             assert whole[direction].hits == want
             assert blocked[direction].recall_at == whole[direction].recall_at
 
+    def test_one_direction_over_uneven_tiles_matches_reference(self, monkeypatch):
+        """Without query id ranks, _ranks runs its forward direction alone,
+        as rank_of does: targets may repeat, and the tiles need not divide
+        the rows or the columns."""
+        rng = np.random.default_rng(34)
+        store = quantized_store(rng, 53, shuffled_ids(rng, "x", 53))
+        queries = quantized_store(rng, 41, shuffled_ids(rng, "q", 41))
+        targets = rng.integers(0, 5, size=queries.n)    # each target several times
+        assert len(np.unique(targets)) < queries.n
+        want = [reference_rank(q, store, store.ids[t])
+                for q, t in zip(queries.vectors, targets)]
+        monkeypatch.setattr(retrieval, "_BLOCK_ELEMS", 8 * 7)  # 8 x 7 tiles; last 1 x 4
+        forward, backward = retrieval._ranks(queries.vectors.astype(np.float64), store, targets)
+        assert forward.tolist() == want and backward is None
+
     def test_topk_cut_through_tie_group(self):
         rng = np.random.default_rng(32)
         store = quantized_store(rng, 70, shuffled_ids(rng, "v", 70))

@@ -414,6 +414,20 @@ class TestPipeline:
         assert counters["articles_seen"] == 4
         assert real_pool == ([2] if workers == 2 else [])
 
+    @pytest.mark.parametrize("name", ["PMC1000.nxml", "PMC1000.XML"])
+    def test_article_file_is_xml_or_nxml_in_any_case(self, tmp_path, name):
+        """PMC's Open Access packages name the article's JATS file
+        <name>.nxml, and the suffix is matched lower-cased, as an image's is."""
+        packages = make_corpus(tmp_path / "corpus", n_articles=6, seed=1).packages_dir
+        want, want_skips = tmp_path / "want.jsonl", tmp_path / "want_skips.jsonl"
+        run_pipeline(packages, want, skip_log_path=want_skips, workers=1)
+        assert json.loads(jsonl_lines(want)[0])["pmcid"] == "PMC1000"
+        (packages / "PMC1000" / "PMC1000.xml").rename(packages / "PMC1000" / name)
+        out, skips = tmp_path / "out.jsonl", tmp_path / "skips.jsonl"
+        run_pipeline(packages, out, skip_log_path=skips, workers=1)
+        assert out.read_bytes() == want.read_bytes()
+        assert skips.read_bytes() == want_skips.read_bytes()
+
     def test_empty_root_gives_empty_output(self, tmp_path):
         root = tmp_path / "root"
         root.mkdir()
@@ -536,16 +550,19 @@ class TestCorpusLine:
 
 def reference_packages(root):
     """(pmcid, xml_path, images) of each package, as enumerate_packages
-    found them with Path.iterdir before it listed with os.scandir."""
+    found them with Path.iterdir before it listed with os.scandir; the
+    article file is the least name whose suffix, lower-cased, is .xml or
+    .nxml."""
     for pkg_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         children = list(pkg_dir.iterdir())
-        xml_path = min((p for p in children if p.suffix == ".xml"), default=None)
+        xml_path = min((p for p in children if p.suffix.lower() in (".xml", ".nxml")),
+                       default=None)
         yield pkg_dir.name, xml_path, index_images(children)
 
 
 PACKAGE_NAMES = ["PMC1", "PMC2", "PMC1-x", "PMC1.x", ".PMC3"]
-CHILD_NAMES = ["a.xml", "b.xml", ".xml", "c.XML", "x.", "g.ppm", "g.PNG", "g.pgm", ".g.ppm",
-               "h.jpg", "notes.txt"]
+CHILD_NAMES = ["a.xml", "b.xml", ".xml", "c.XML", "B.nxml", "d.NXML", "x.", "g.ppm", "g.PNG",
+               "g.pgm", ".g.ppm", "h.jpg", "notes.txt"]
 _package_trees = itertools.count()
 
 

@@ -155,6 +155,29 @@ class TestZeroShot:
             accuracy(result, ["a", "b"])
 
 
+    def test_a_label_that_names_no_class_is_an_error(self):
+        """accuracy and binary_auroc name the first such label, in image
+        order, rather than score it as a miss."""
+        store = EmbeddingStore.from_raw([f"i{k}" for k in range(6)],
+                                        np.random.default_rng(56).standard_normal((6, 8)),
+                                        MODALITY_IMAGE)
+        classes = [ClassSpec(n, TEMPLATES) for n in ["ct", "xray"]]
+        result = zero_shot_classify(store, classes, HashTextEmbedder(dim=8))
+        labels = ["ct", "xray", "CT", "ct", "mri", "xray"]
+        for score in (lambda: accuracy(result, labels),
+                      lambda: binary_auroc(result, labels, "xray")):
+            with pytest.raises(ValueError, match=r"^label 'CT' is not one of the classes "
+                                                 r"\['ct', 'xray'\]$"):
+                score()
+
+    def test_accuracy_over_no_images_is_none(self):
+        store = EmbeddingStore.from_raw([], np.zeros((0, 8)), MODALITY_IMAGE)
+        classes = [ClassSpec(n, TEMPLATES) for n in ["a", "b"]]
+        result = zero_shot_classify(store, classes, HashTextEmbedder(dim=8))
+        assert result.predictions == []
+        assert accuracy(result, []) is None
+        assert binary_auroc(result, [], "b") is None
+
 class TestAuroc:
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(61)
