@@ -1,13 +1,12 @@
-"""The one figure-to-file resolver, and the one table of image suffixes.
-
-A figure's graphic_ref names its image file by stem, among the files of its
-own article package. The index keeps the regular files whose lower-cased
-suffix is in IMAGE_EXTENSIONS; when files share a stem, the earlier
-extension in IMAGE_EXTENSIONS wins, then the smaller name. `ingest` resolves
-each figure here once and records the file in the corpus line, which
-`finegrain` and `stats` open without searching. PNM_EXTENSIONS files are
-read without Pillow. Kept apart from `vision` so that `ingest` and `stats`
-load no numpy.
+"""The one index of a package's image files by stem, and the one table of
+image suffixes. A figure's graphic_ref is its href's name until
+jats.extract_pairs matches it to a stem here, among the files of its own
+package. The index keeps the regular files whose lower-cased suffix is in
+IMAGE_EXTENSIONS; when files share a stem, the earlier extension in
+IMAGE_EXTENSIONS wins, then the smaller name. `ingest` resolves each figure
+once and records the file in the corpus line, which `finegrain` and `stats`
+open without searching. PNM_EXTENSIONS files are read without Pillow. Kept
+apart from `vision` so that `ingest` and `stats` load no numpy.
 """
 
 from __future__ import annotations

@@ -55,18 +55,18 @@ class _LocalNames(dict):
         return name
 
 
-def _element_text(elem) -> str:
-    return normalize_text("".join(elem.itertext()))
+def _caption_text(elem) -> str:
+    """The caption's blocks (title, p) joined by a space, inline markup by none."""
+    parts = [elem.text or ""]
+    for block in elem:
+        parts += ["".join(block.itertext()), block.tail or ""]
+    return normalize_text(" ".join(parts))
 
 
 def _graphic_href(elem) -> str | None:
-    href = elem.get(XLINK_HREF) or elem.get("href")
-    if not href:
-        return None
-    stem = href.rsplit("/", 1)[-1]
-    if "." in stem:
-        stem = stem.rsplit(".", 1)[0]
-    return stem or None
+    """The href's last path part as written; None if empty or only a suffix."""
+    name = (elem.get(XLINK_HREF) or elem.get("href") or "").rsplit("/", 1)[-1]
+    return name if name.rsplit(".", 1)[0] else None
 
 
 def _figure(elem, fig_id: str, names: _LocalNames) -> FigureEntry:
@@ -76,9 +76,9 @@ def _figure(elem, fig_id: str, names: _LocalNames) -> FigureEntry:
     for child in elem.iter():
         tag = names[child.tag]
         if tag == "caption" and not fig.caption:
-            fig.caption = _element_text(child)
+            fig.caption = _caption_text(child)
         elif tag == "label" and fig.label_text is None:
-            fig.label_text = _element_text(child) or None
+            fig.label_text = normalize_text("".join(child.itertext())) or None
         elif tag == "graphic" and fig.graphic_ref is None:
             fig.graphic_ref = _graphic_href(child)
     return fig
@@ -168,13 +168,13 @@ def parse_article(xml_bytes: bytes) -> ArticleRecord:
 
 
 def extract_pairs(record: ArticleRecord, image_names: dict[str, str]):
-    """Split the record's figures by whether their graphic_ref is a stem in
-    image_names, a package's image files by stem.
-
-    Returns (resolved, unresolved), two lists of FigureEntry in record order.
+    """Set each figure's graphic_ref, the href's name, to its stem: the whole
+    name if image_names, a package's image files by stem, holds it, else the
+    name less its last ".suffix". Returns (resolved, unresolved), the figures
+    whose stem image_names holds and the rest, each list in record order.
     """
-    resolved: list[FigureEntry] = []
-    unresolved: list[FigureEntry] = []
     for fig in record.figures:
-        (resolved if fig.graphic_ref in image_names else unresolved).append(fig)
-    return resolved, unresolved
+        if fig.graphic_ref not in image_names:
+            fig.graphic_ref = fig.graphic_ref.rsplit(".", 1)[0]
+    resolved = [fig for fig in record.figures if fig.graphic_ref in image_names]
+    return resolved, [fig for fig in record.figures if fig.graphic_ref not in image_names]

@@ -1,7 +1,10 @@
 """Article XML parsing, round-trip serialization, pair extraction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from figurelink.imageindex import IMAGE_EXTENSIONS, index_listing
 from figurelink.jats import (
     ArticleRecord,
     MalformedXml,
@@ -93,8 +96,8 @@ class TestParse:
         assert record.pmcid == "PMC123456"
         assert record.pmid == "999111"
         assert [f.fig_id for f in record.figures] == ["f1", "f2"]
-        # graphic refs are extension-free so media files of any type resolve
-        assert record.figures[0].graphic_ref == "img001"
+        # graphic refs are the href's name; extract_pairs picks the stem
+        assert record.figures[0].graphic_ref == "img001.jpg"
 
     def test_whitespace_normalized(self):
         record = parse_article(ARTICLE)
@@ -185,3 +188,72 @@ class TestExtractPairs:
         resolved, unresolved = extract_pairs(record, {"img001": "img001.jpg"})
         assert [f.fig_id for f in resolved] == ["f1"]
         assert [f.fig_id for f in unresolved] == ["f2"]
+
+
+def parent_stem(href: str) -> str | None:
+    """The stem an href named before extract_pairs picked it: the last path
+    part less its last ".suffix", cut before any file was seen."""
+    stem = href.rsplit("/", 1)[-1]
+    if "." in stem:
+        stem = stem.rsplit(".", 1)[0]
+    return stem or None
+
+
+class _File:
+    """An os.DirEntry of a regular file, for index_listing."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def is_file(self):
+        return True
+
+
+_stems = st.text(st.sampled_from("ab1.-_"), max_size=6)
+_suffixes = st.sampled_from([*IMAGE_EXTENSIONS, ".PPM", ".Jpg", ".TIFF", ".xml", ".", ""])
+
+
+@st.composite
+def listings_and_hrefs(draw):
+    """A package's image files by stem, and an href whose name is often one
+    of those stems or file names, with or without a suffix and directory."""
+    files = draw(st.lists(st.tuples(_stems, _suffixes).map("".join), max_size=6))
+    image_names = index_listing(map(_File, files))
+    known = sorted(image_names) + files
+    base = draw(st.sampled_from(known) if known and draw(st.booleans()) else _stems)
+    name = base + draw(st.one_of(st.just(""), _suffixes))
+    return image_names, draw(st.sampled_from(["", "figs/", "a.b/c/"])) + name
+
+
+class TestStemRule:
+    @settings(max_examples=300, deadline=None)
+    @given(listings_and_hrefs())
+    def test_whole_name_then_name_less_suffix(self, case):
+        image_names, href = case
+        xml = ('<article xmlns:xlink="http://www.w3.org/1999/xlink"><front><article-meta>'
+               '<article-id pub-id-type="pmc">1</article-id></article-meta></front><body>'
+               '<fig id="f1"><caption><p>A caption.</p></caption>'
+               f'<graphic xlink:href="{href}"/></fig></body></article>').encode()
+        try:
+            record = parse_article(xml)
+        except NoFigures:
+            record = None
+        # dropped as having no graphic: no name, or only a suffix
+        assert (record is None) == (parent_stem(href) is None)
+        if record is None:
+            return
+        name = href.rsplit("/", 1)[-1]
+        assert record.figures[0].graphic_ref == name
+        if name in image_names:
+            expected = name
+        elif name.rsplit(".", 1)[0] in image_names:
+            expected = name.rsplit(".", 1)[0]
+        else:
+            expected = None
+        resolved, unresolved = extract_pairs(record, image_names)
+        assert [f.graphic_ref for f in resolved] == ([] if expected is None else [expected])
+        assert [f.graphic_ref for f in unresolved] == (
+            [name.rsplit(".", 1)[0]] if expected is None else [])
+        if name not in image_names:
+            stem = parent_stem(href)
+            assert expected == (stem if stem in image_names else None)

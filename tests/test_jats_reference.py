@@ -333,11 +333,11 @@ def test_edge_cases_exercise_the_rules():
     assert (in_fig.body_paragraphs, in_fig.figures[0].caption) == (
         ["Body (Fig. 1)."], "Cap one.")
     dup = reference_parse_article(EDGE_CASES["duplicate_fig_ids"])
-    assert [f.graphic_ref for f in dup.figures] == ["one", "img"]
+    assert [f.graphic_ref for f in dup.figures] == ["one.jpg", "img.jpg"]
     assert dup.dropped_figures == [("d", "no_id"), ("e", "empty_caption"), ("", "no_id")]
     first = reference_parse_article(EDGE_CASES["empty_first_caption_and_label"]).figures[0]
     assert (first.label_text, first.caption, first.graphic_ref) == (
-        "Figure 9", "Second caption wins.", "second")
+        "Figure 9", "Second caption wins.", "second.png")
     in_body = reference_parse_article(EDGE_CASES["article_id_inside_body"])
     assert (in_body.pmcid, in_body.pmid) == ("PMC999", "123")
     two = reference_parse_article(EDGE_CASES["two_body_elements"])
